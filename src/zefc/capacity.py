@@ -110,9 +110,21 @@ def capacity(q, witness_k=None):
     achieved = float(rate_account(code, q.caps).rate)
     uses = _converse_uses(q, witness_k)
     converse = witness_k / math.ceil(uses - 1e-9)
-    assert achieved <= value + 1e-12
-    assert achieved <= converse + 1e-12
-    assert abs(value - witness_k / uses) <= 1e-9
+    if achieved > value + 1e-12 or achieved > converse + 1e-12:
+        raise ZefcError(
+            "rate_above_bound",
+            "the witness rate must not exceed the capacity or the converse bound",
+            achieved=achieved,
+            capacity=value,
+            converse=converse,
+        )
+    if abs(value - witness_k / uses) > 1e-9:
+        raise ZefcError(
+            "converse_mismatch",
+            "k over the converse channel uses must equal the capacity",
+            capacity=value,
+            converse_rate=witness_k / uses,
+        )
     return CapacityResult(
         value=value, formula=formula, achievable_witness=achieved, converse_bound=converse
     )
@@ -147,7 +159,14 @@ def sandwich_report(q, k_list, threads=None):
         code = construct_for_case(q.switches, k, q.caps)
         acct = rate_account(code, q.caps)
         achieved = float(acct.rate)
-        assert achieved <= value + 1e-12
+        if achieved > value + 1e-12:
+            raise ZefcError(
+                "rate_above_bound",
+                "the achieved rate must not exceed the capacity",
+                k=k,
+                achieved=achieved,
+                capacity=value,
+            )
         return {
             "k": k,
             "n1": acct.n1,

@@ -356,8 +356,13 @@ def main(argv=None):
         payload = _rounded(payload)
         text = json.dumps(payload, indent=2)
         if getattr(args, "emit", None):
-            with open(args.emit, "w") as fh:
-                fh.write(text + "\n")
+            try:
+                with open(args.emit, "w") as fh:
+                    fh.write(text + "\n")
+            except OSError as exc:
+                raise ZefcError(
+                    "emit_failed", "could not write the report", path=args.emit, reason=exc.strerror
+                ) from exc
         if getattr(args, "format", "json") == "table":
             _print_table(payload, sys.stdout)
         else:

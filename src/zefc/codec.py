@@ -210,7 +210,10 @@ def rate_account(code, caps):
     n1 = least_uses(code.im1, caps.c1)
     n2 = least_uses(code.im2, caps.c2)
     n = max(n1, n2)
-    assert n >= 1, "sum computation cannot make both images singletons"
+    if n < 1:
+        raise ZefcError(
+            "degenerate_code", "sum computation cannot make both images singletons", k=code.k
+        )
     return RateAccount(n1=n1, n2=n2, n=n, rate=Fraction(code.k, n))
 
 

@@ -366,7 +366,9 @@ _OVERLAP = np.array([[2, 1, 0], [1, 2, 1], [0, 1, 2]], dtype=np.int64)
 
 def mixed_min_pair_sumset(k, threads=None):
     """Minimum |A^k + {y1, y2}| over distinct ternary words, via overlap products."""
-    if not 1 <= k <= MIXED_PAIR_LIMIT:
+    if k < 1:
+        raise ZefcError("bad_k", "k must be at least 1", k=k)
+    if k > MIXED_PAIR_LIMIT:
         raise ZefcError("k_too_large", f"pair enumeration is limited to k<={MIXED_PAIR_LIMIT}", k=k)
     total = 3 ** k
     digits = np.zeros((total, k), dtype=np.int8)

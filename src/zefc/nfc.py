@@ -12,7 +12,13 @@ from .codec import KShotCode, SwitchPair, rate_account
 from .errors import ZefcError
 
 LOG2_3 = math.log2(3)
-MAX_ENUM_EDGES = 20
+MAX_NETWORK_EDGES = 2000
+# Tie-break among cuts of least ratio. Networks up to this many edges report the
+# one with fewest edges, first in edge order; larger ones report the one whose
+# per-bundle edge counts come first in lexicographic order, so (5,3) reports
+# e1..e5 although d1..d5 ties with it. The recorded `nfc` reports carry both
+# rules, so unifying them would change that output.
+EDGE_ORDER_WITNESS_EDGES = 20
 MAX_TRANSFORM_K = 10
 SOURCES = ("s1", "s2")
 SINK = "rho"
@@ -61,12 +67,6 @@ class Network:
 
     def in_edges(self, node):
         return tuple(e for e in self.edges if e.head == node)
-
-    def edge_index(self, eid):
-        for i, e in enumerate(self.edges):
-            if e.id == eid:
-                return i
-        raise ZefcError("unknown_edge", "edge id is not part of this network", id=eid)
 
 
 @dataclass(frozen=True)
@@ -134,6 +134,12 @@ def build_network(caps):
     if caps.c1 is None or caps.c1.denominator != 1 or caps.c2.denominator != 1:
         raise ZefcError("bad_caps", "edge multiplicities must be integers", caps=caps.as_strings())
     c1, c2 = int(caps.c1), int(caps.c2)
+    if 4 * c1 + c2 > MAX_NETWORK_EDGES:
+        raise ZefcError(
+            "too_many_edges",
+            f"networks are limited to {MAX_NETWORK_EDGES} edges",
+            edges=4 * c1 + c2,
+        )
     edges = []
     for i in range(c1):
         edges.append(Edge(f"d{i + 1}", "s1", "v1"))
@@ -189,54 +195,16 @@ def _reachable(net, removed, start):
 
 def classify_cut(net, cut):
     """I/J/K source sets for an edge subset."""
-    ids = {e.id for e in net.edges}
+    index = {e.id: i for i, e in enumerate(net.edges)}
     for eid in cut:
-        if eid not in ids:
+        if eid not in index:
             raise ZefcError("unknown_edge", "edge id is not part of this network", id=eid)
-    canonical = tuple(sorted(set(cut), key=net.edge_index))
+    canonical = tuple(sorted(set(cut), key=index.__getitem__))
     removed = frozenset(canonical)
     i_c = frozenset(s for s in net.sources if net.sink not in _reachable(net, removed, s))
     tails = {e.tail for e in net.edges if e.id in removed}
     k_c = frozenset(s for s in net.sources if tails & _reachable(net, frozenset(), s))
     return CutClassification(cut=canonical, i_c=i_c, j_c=k_c - i_c, k_c=k_c)
-
-
-def enumerate_cuts(net):
-    """Every cut set (subsets whose removal disconnects some source), classified."""
-    ids = [e.id for e in net.edges]
-    if len(ids) > MAX_ENUM_EDGES:
-        raise ZefcError(
-            "too_many_edges",
-            f"subset enumeration is limited to {MAX_ENUM_EDGES} edges",
-            edges=len(ids),
-        )
-    out = []
-    for r in range(1, len(ids) + 1):
-        for combo in itertools.combinations(ids, r):
-            cls = classify_cut(net, combo)
-            if cls.is_cut:
-                out.append(cls)
-    return out
-
-
-def strong_partitions(net, cls):
-    """All partitions of a cut whose blocks disconnect disjoint source sets."""
-    if not cls.is_cut:
-        raise ZefcError("not_a_cut", "strong partitions are defined for cut sets only")
-    cut = list(cls.cut)
-    if len(cut) > 16:
-        raise ZefcError("cut_too_large", "explicit partition listing is limited to 16 edges")
-    out = [(tuple(cut),)]
-    for mask in range(1, 1 << (len(cut) - 1)):
-        one = tuple(cut[i] for i in range(len(cut)) if (mask >> i) & 1)
-        two = tuple(cut[i] for i in range(len(cut)) if not (mask >> i) & 1)
-        infos = [classify_cut(net, block) for block in (one, two)]
-        if any(not info.i_c for info in infos):
-            continue
-        if (infos[0].i_c & infos[1].k_c) or (infos[1].i_c & infos[0].k_c):
-            continue
-        out.append((one, two))
-    return out
 
 
 def _class_product(fn, sources, blocks_i, j_list, leftover, rest, a_j, a_l):
@@ -275,42 +243,62 @@ def _structure_count(fn, sources, blocks_i, j_list, leftover, rest):
     return best
 
 
-class _BundleContext:
-    """Per-network memo of cut classifications keyed by bundle counts."""
+def _cut_state(net, cut):
+    """Per-bundle state of a cut: 0 untouched, 1 partly cut, the bundle size if fully cut.
 
-    def __init__(self, net):
-        self.net = net
-        self.groups = [list(ids) for _, ids in net.bundles()]
-        self.sizes = tuple(len(g) for g in self.groups)
-        self.where = {eid: bi for bi, g in enumerate(self.groups) for eid in g}
-        self._cls = {}
-
-    def signature(self, cut):
-        sig = [0] * len(self.groups)
-        for eid in cut:
-            sig[self.where[eid]] += 1
-        return tuple(sig)
-
-    def representative(self, sig):
-        return tuple(eid for g, t in zip(self.groups, sig) for eid in g[:t])
-
-    def classify(self, sig):
-        if sig not in self._cls:
-            self._cls[sig] = classify_cut(self.net, self.representative(sig))
-        return self._cls[sig]
+    classify_cut reads nothing else, and each state is also the per-bundle edge count
+    of its smallest cut.
+    """
+    cut = set(cut)
+    state = []
+    for _, ids in net.bundles():
+        count = sum(eid in cut for eid in ids)
+        state.append(count if count in (0, len(ids)) else 1)
+    return tuple(state)
 
 
-def n_cf(net, cls, fn=ARITHMETIC_SUM, _ctx=None):
+def _state_cut(net, state):
+    """Smallest cut in a bundle state: a partly cut bundle's first edge, a fully cut one's all."""
+    return tuple(eid for (_, ids), count in zip(net.bundles(), state) for eid in ids[:count])
+
+
+@functools.lru_cache(maxsize=16)
+def _state_classes(net):
+    """Classification of every bundle state of a network, at most 3**5 of them.
+
+    Cached because guang_bound calls n_cf once per state and every n_cf call looks
+    up the states of its blocks.
+    """
+    counts = [sorted({0, 1, len(ids)}) for _, ids in net.bundles()]
+    return {
+        state: classify_cut(net, _state_cut(net, state)) for state in itertools.product(*counts)
+    }
+
+
+def _splits(count, size):
+    """Ways one bundle's share of a cut divides between two blocks, as block states.
+
+    A partly cut bundle goes wholly to one block: splitting it too would only widen
+    the other block's K set. A fully cut bundle of two or more edges may also leave
+    both blocks partly cut.
+    """
+    if count == 0:
+        return ((0, 0),)
+    if count == size > 1:
+        return ((count, 0), (0, count), (1, 1))
+    return ((count, 0), (0, count))
+
+
+def n_cf(net, cls, fn=ARITHMETIC_SUM):
     """Best class-tuple count over strong partitions and side contexts."""
     if isinstance(cls, (tuple, list, set, frozenset)):
         cls = classify_cut(net, tuple(cls))
     if not cls.is_cut:
         raise ZefcError("not_a_cut", "the class count is defined for cut sets only")
-    ctx = _ctx if _ctx is not None else _BundleContext(net)
+    classes = _state_classes(net)
     sources = net.sources
     i_set, j_list = cls.i_c, tuple(sorted(cls.j_c))
     rest = tuple(s for s in sources if s not in cls.k_c)
-    sig = ctx.signature(cls.cut)
 
     def score(block_infos):
         blocks_i = tuple(tuple(sorted(info.i_c)) for info in block_infos)
@@ -319,12 +307,11 @@ def n_cf(net, cls, fn=ARITHMETIC_SUM, _ctx=None):
         return _structure_count(fn, sources, blocks_i, j_list, leftover, rest)
 
     best = score([cls])
-    for take in itertools.product(*[range(t + 1) for t in sig]):
-        total = sum(take)
-        if total == 0 or total == sum(sig):
-            continue
-        one = ctx.classify(take)
-        two = ctx.classify(tuple(s - t for s, t in zip(sig, take)))
+    sizes = [len(ids) for _, ids in net.bundles()]
+    state = _cut_state(net, cls.cut)
+    for split in itertools.product(*[_splits(c, s) for c, s in zip(state, sizes)]):
+        one = classes[tuple(a for a, _ in split)]
+        two = classes[tuple(b for _, b in split)]
         if not one.i_c or not two.i_c:
             continue
         if (one.i_c & two.k_c) or (two.i_c & one.k_c):
@@ -333,54 +320,29 @@ def n_cf(net, cls, fn=ARITHMETIC_SUM, _ctx=None):
     return best
 
 
-def guang_bound(net, fn=ARITHMETIC_SUM, mode=None, threads=None):
-    """Minimum |C| / log2(n_cf) over all cut sets."""
-    ids = [e.id for e in net.edges]
-    if mode is None:
-        mode = "subset" if len(ids) <= MAX_ENUM_EDGES else "signature"
-    max_classes = 2 ** len(net.sources)
-    ctx = _BundleContext(net)
-    memo = {}
+def guang_bound(net, fn=ARITHMETIC_SUM):
+    """Minimum |C| / log2(n_cf) over all cut sets.
 
-    def evaluate(sig):
-        if sig not in memo:
-            cls = ctx.classify(sig)
-            memo[sig] = n_cf(net, cls, fn, _ctx=ctx) if cls.is_cut else None
-        return memo[sig]
-
+    Cuts in one bundle state share n_cf, so the minimum is reached at the smallest
+    cut of some state, and only those are scored.
+    """
+    classes = _state_classes(net)
+    states = list(classes)
+    if len(net.edges) <= EDGE_ORDER_WITNESS_EDGES:
+        index = {e.id: i for i, e in enumerate(net.edges)}
+        states.sort(key=lambda st: (sum(st), [index[eid] for eid in _state_cut(net, st)]))
     best, witness, witness_ncf, seen = None, None, None, 0
-    if mode == "subset":
-        if len(ids) > MAX_ENUM_EDGES:
-            raise ZefcError(
-                "too_many_edges",
-                f"subset enumeration is limited to {MAX_ENUM_EDGES} edges; use signature mode",
-                edges=len(ids),
-            )
-        for r in range(1, len(ids) + 1):
-            if best is not None and r >= best * math.log2(max_classes):
-                break
-            for cut in itertools.combinations(ids, r):
-                classes = evaluate(ctx.signature(cut))
-                if classes is None or classes <= 1:
-                    continue
-                seen += 1
-                ratio = r / math.log2(classes)
-                if best is None or ratio < best - 1e-12:
-                    best, witness, witness_ncf = ratio, cut, classes
-    elif mode == "signature":
-        for take in itertools.product(*[range(t + 1) for t in ctx.sizes]):
-            if sum(take) == 0:
-                continue
-            classes = evaluate(take)
-            if classes is None or classes <= 1:
-                continue
-            seen += 1
-            ratio = sum(take) / math.log2(classes)
-            if best is None or ratio < best - 1e-12:
-                best, witness, witness_ncf = ratio, ctx.representative(take), classes
-    else:
-        raise ZefcError("bad_mode", "mode must be 'subset' or 'signature'", mode=mode)
-    witness = tuple(sorted(witness, key=net.edge_index))
+    for state in states:
+        cls = classes[state]
+        if not cls.is_cut:
+            continue
+        count = n_cf(net, cls, fn)
+        if count <= 1:
+            continue
+        seen += 1
+        ratio = sum(state) / math.log2(count)
+        if best is None or ratio < best - 1e-12:
+            best, witness, witness_ncf = ratio, cls.cut, count
     return GuangBound(value=best, witness=witness, witness_ncf=witness_ncf, cuts_seen=seen)
 
 
@@ -612,7 +574,13 @@ def nontightness_report(caps, fn=ARITHMETIC_SUM):
             formula=formula,
         )
     gap = bound.value - cap_value
-    assert (gap > 1e-12) == (caps.c1 > caps.c2)
+    if (gap > 1e-12) != (caps.c1 > caps.c2):
+        raise ZefcError(
+            "gap_sign_mismatch",
+            "the bound must exceed the capacity exactly when c1 > c2",
+            gap=gap,
+            caps=caps.as_strings(),
+        )
     return NontightnessReport(
         caps=caps.as_strings(),
         capacity=cap_value,

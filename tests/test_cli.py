@@ -139,6 +139,13 @@ def test_gamma_pair_report(capsys):
     validate(doc, schema("gamma-pair"))
 
 
+def test_gamma_pair_rejects_k_below_one(capsys):
+    code, doc = run_cli(capsys, ["gamma-pair", "--k", "0"])
+    assert code == 2
+    assert doc["error"]["code"] == "bad_k"
+    validate(doc, schema("error"))
+
+
 def test_nfc_report(capsys):
     code, doc = run_cli(capsys, ["nfc", "--c1", "2", "--c2", "1"])
     assert code == 0
@@ -153,6 +160,21 @@ def test_nfc_rejects_fractional_caps(capsys):
     assert code == 2
     assert doc["error"]["code"] == "bad_caps"
     validate(doc, schema("error"))
+
+
+def test_nfc_refuses_oversized_networks(capsys):
+    code, doc = run_cli(capsys, ["nfc", "--c1", "1e30", "--c2", "1"])
+    assert code == 2
+    assert doc["error"]["code"] == "too_many_edges"
+    validate(doc, schema("error"))
+
+
+def test_nfc_past_20_edges(capsys):
+    code, doc = run_cli(capsys, ["nfc", "--c1", "10", "--c2", "1"])
+    assert code == 0
+    assert doc["edges"] == 41
+    assert doc["bound_enum"] == doc["bound_formula"]
+    validate(doc, schema("nfc"))
 
 
 def test_bad_caps_and_bad_arguments(capsys):
@@ -171,6 +193,15 @@ def test_emit_writes_the_same_report(capsys, tmp_path):
     out = capsys.readouterr().out
     assert code == 0
     assert target.read_text() == out
+
+
+def test_emit_failure_is_a_structured_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "out.json"
+    code, doc = run_cli(capsys, ["qk", "--k", "2", "--l", "2", "--emit", str(target)])
+    assert code == 2
+    assert doc["error"]["code"] == "emit_failed"
+    assert doc["error"]["details"]["path"] == str(target)
+    validate(doc, schema("error"))
 
 
 def test_table_format(capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import types
 
 import pytest
 
@@ -22,7 +23,6 @@ from zefc.nfc import (
     check_network_admissible,
     classify_cut,
     cutset_bound_formula,
-    enumerate_cuts,
     global_functions,
     guang_bound,
     inverse_transform,
@@ -30,7 +30,6 @@ from zefc.nfc import (
     n_cf,
     network_to_json,
     nontightness_report,
-    strong_partitions,
     transform_code,
 )
 
@@ -51,6 +50,28 @@ BOUND_TABLE = {
     (5, 1): (3.7855785214287447, 3.52371901428583, 0.2618595071429146),
     (5, 2): (4.4165082750002025, 3.8927892607143724, 0.5237190142858301),
     (6, 1): (4.4165082750002025, 4.154648767857287, 0.2618595071429155),
+}
+
+# Bound value, witness cut and its class count for every cap pair with c1+c2 <= 8,
+# as the exhaustive subset search (<= 20 edges) and the per-bundle count search
+# (> 20 edges) reported them. The `nfc` report prints all three.
+GUANG_TABLE = {
+    (1, 1): (1.0, "d1", 2),
+    (2, 1): (1.8927892607143724, "e1 e2 e3", 3),
+    (3, 1): (2.52371901428583, "e1 e2 e3 e4", 3),
+    (2, 2): (2.0, "d1 d2", 2),
+    (4, 1): (3.1546487678572874, "e1 e2 e3 e4 e5", 3),
+    (3, 2): (3.0, "d1 d2 d3", 2),
+    (5, 1): (3.7855785214287447, "e1 e2 e3 e4 e5 e6", 3),
+    (4, 2): (3.7855785214287447, "e1 e2 e3 e4 e5 e6", 3),
+    (3, 3): (3.0, "d1 d2 d3", 2),
+    (6, 1): (4.4165082750002025, "e1 e2 e3 e4 e5 e6 e7", 3),
+    (5, 2): (4.4165082750002025, "e1 e2 e3 e4 e5 e6 e7", 3),
+    (4, 3): (4.0, "d1 d2 d3 d4", 2),
+    (7, 1): (5.04743802857166, "e1 e2 e3 e4 e5 e6 e7 e8", 3),
+    (6, 2): (5.04743802857166, "e1 e2 e3 e4 e5 e6 e7 e8", 3),
+    (5, 3): (5.0, "e1 e2 e3 e4 e5", 2),
+    (4, 4): (4.0, "d1 d2 d3 d4", 2),
 }
 
 
@@ -76,6 +97,16 @@ def test_network_shape_32():
     net = build_network(ChannelCaps.of("3", "2"))
     assert len(net.edges) == 14
     assert [len(ids) for _, ids in net.bundles()] == [3, 3, 3, 3, 2]
+
+
+def test_build_network_refuses_oversized_networks():
+    with pytest.raises(ZefcError) as err:
+        build_network(ChannelCaps.of("500", "1"))
+    assert err.value.code == "too_many_edges"
+    assert err.value.details["edges"] == 2001
+    with pytest.raises(ZefcError) as err:
+        build_network(ChannelCaps.of("1e30", "1"))
+    assert err.value.code == "too_many_edges"
 
 
 def test_network_rejects_fractional_caps():
@@ -121,37 +152,14 @@ def test_classify_matches_oracle_on_all_subsets_21():
     net = build_network(CAPS21)
     edges = net_edges(2, 1)
     ids = [e[0] for e in edges]
+    cuts = 0
     for r in range(1, len(ids) + 1):
         for cut in itertools.combinations(ids, r):
             ours = classify_cut(net, cut)
             i_c, j_c, k_c = classify(edges, cut)
             assert (ours.i_c, ours.j_c, ours.k_c) == (i_c, j_c, k_c)
-
-
-def test_enumerate_cut_counts():
-    assert len(enumerate_cuts(build_network(CAPS21))) == 269
-    assert len(enumerate_cuts(build_network(CAPS11))) == 27
-    assert all(cls.is_cut for cls in enumerate_cuts(build_network(CAPS11)))
-
-
-def test_enumerate_cuts_refuses_large_networks():
-    with pytest.raises(ZefcError) as err:
-        enumerate_cuts(build_network(ChannelCaps.of("5", "1")))
-    assert err.value.code == "too_many_edges"
-
-
-def test_strong_partitions_examples():
-    net = build_network(CAPS21)
-    split_cut = classify_cut(net, ("d1", "d2", "d3", "d4", "e3"))
-    parts = strong_partitions(net, split_cut)
-    assert parts[0] == (("d1", "d2", "d3", "d4", "e3"),)
-    assert len(parts) == 2
-    assert sorted(map(sorted, parts[1])) == [["d1", "d2"], ["d3", "d4", "e3"]]
-    sink_cut = classify_cut(net, ("e1", "e2", "e3"))
-    assert strong_partitions(net, sink_cut) == [(("e1", "e2", "e3"),)]
-    with pytest.raises(ZefcError) as err:
-        strong_partitions(net, classify_cut(net, ("d1",)))
-    assert err.value.code == "not_a_cut"
+            cuts += ours.is_cut
+    assert cuts == 269
 
 
 def test_class_count_examples():
@@ -181,8 +189,15 @@ def test_class_count_matches_oracle_21():
 def test_class_count_matches_oracle_11():
     net = build_network(CAPS11)
     edges = net_edges(1, 1)
-    for cls in enumerate_cuts(net):
-        assert n_cf(net, cls) == class_count_oracle(edges, cls.cut), cls.cut
+    ids = [e[0] for e in edges]
+    cuts = 0
+    for r in range(1, len(ids) + 1):
+        for cut in itertools.combinations(ids, r):
+            if not classify_cut(net, cut).is_cut:
+                continue
+            cuts += 1
+            assert n_cf(net, cut) == class_count_oracle(edges, cut), cut
+    assert cuts == 27
 
 
 def test_guang_bound_21():
@@ -205,15 +220,20 @@ def test_guang_bound_11():
     assert bound.witness == oracle_witness
 
 
-def test_guang_bound_modes_agree():
-    for c1, c2 in BOUND_TABLE:
-        if 4 * c1 + c2 > 20:
-            continue
-        net = build_network(ChannelCaps.of(str(c1), str(c2)))
-        by_subset = guang_bound(net, mode="subset")
-        by_signature = guang_bound(net, mode="signature")
-        assert abs(by_subset.value - by_signature.value) < 1e-12, (c1, c2)
-        assert by_subset.witness_ncf == by_signature.witness_ncf
+def test_guang_bound_frozen_table():
+    for (c1, c2), (value, witness, witness_ncf) in GUANG_TABLE.items():
+        bound = guang_bound(build_network(ChannelCaps.of(str(c1), str(c2))))
+        assert bound.value == value, (c1, c2)
+        assert bound.witness == tuple(witness.split()), (c1, c2)
+        assert bound.witness_ncf == witness_ncf, (c1, c2)
+
+
+def test_guang_bound_matches_closed_form_sweep():
+    for total in range(2, 21):
+        for c2 in range(1, total // 2 + 1):
+            caps = ChannelCaps.of(str(total - c2), str(c2))
+            bound = guang_bound(build_network(caps))
+            assert abs(bound.value - cutset_bound_formula(caps)) < 1e-9, caps.as_strings()
 
 
 def test_bound_table_matches_closed_form():
@@ -244,6 +264,15 @@ def test_nontightness_report_21_details():
     assert report.witness_ncf == 3
     assert abs(report.gap - 0.26185950714291484) < 1e-12
     assert report.caps == ("2", "1")
+
+
+def test_nontightness_report_raises_on_gap_sign_violation(monkeypatch):
+    # A capacity equal to the bound leaves no gap although c1 > c2.
+    bound = GUANG_TABLE[(2, 1)][0]
+    monkeypatch.setattr("zefc.nfc.capacity", lambda query: types.SimpleNamespace(value=bound))
+    with pytest.raises(ZefcError) as err:
+        nontightness_report(CAPS21)
+    assert err.value.code == "gap_sign_mismatch"
 
 
 def test_transform_split_code_k3():
