@@ -148,6 +148,22 @@ def test_classify_canonical_order_and_unknown_edge():
     assert err.value.code == "unknown_edge"
 
 
+def test_enumerate_cut_counts():
+    def cut_sets(net):
+        ids = [e.id for e in net.edges]
+        return [
+            combo
+            for r in range(1, len(ids) + 1)
+            for combo in itertools.combinations(ids, r)
+            if classify_cut(net, combo).is_cut
+        ]
+
+    assert len(cut_sets(build_network(CAPS21))) == 269
+    cuts11 = cut_sets(build_network(CAPS11))
+    assert len(cuts11) == 27
+    assert all(classify(net_edges(1, 1), cut)[0] for cut in cuts11)
+
+
 def test_classify_matches_oracle_on_all_subsets_21():
     net = build_network(CAPS21)
     edges = net_edges(2, 1)
