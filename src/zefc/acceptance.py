@@ -121,7 +121,7 @@ def run_criterion_2(threads=None):
         acct = rate_account(code, caps)
         rates[k] = str(acct.rate)
         if k <= 8:
-            outcome = check_admissible(code, threads=threads)
+            outcome = check_admissible(code)
             if not outcome.ok:
                 failures.append(f"k={k}: inadmissible at {outcome.counterexample}")
     acct = rate_account(build_split_code_01(100, caps), caps)
@@ -241,7 +241,7 @@ def run_criterion_7(threads=None):
 
 
 def _exact_chromatic(vertices, adjacent):
-    """Exact chromatic number by backtracking over increasing color counts."""
+    """Exact chromatic number by backtracking over color counts from a greedy clique's size up."""
     vertices = list(vertices)
     if not vertices:
         return 0
@@ -264,7 +264,12 @@ def _exact_chromatic(vertices, adjacent):
 
         return place(0)
 
-    n = 1
+    # A clique needs one color per vertex, so no count below its size can succeed.
+    clique = []
+    for v in vertices:
+        if all(adjacent(u, v) for u in clique):
+            clique.append(v)
+    n = len(clique)
     while not colorable(n):
         n += 1
     return n

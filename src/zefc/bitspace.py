@@ -45,6 +45,17 @@ def word_to_string(value, k, radix):
     return "".join(str(d) for d in digits_of(value, k, radix))
 
 
+@lru_cache(maxsize=None)
+def digit_strings(k, radix):
+    """word_to_string(v, k, radix) for every v in range(radix**k), in order of v."""
+    _check_k(k)
+    out = [""]
+    for _ in range(k):
+        # v = radix * rest + d puts digit d in front of rest's string
+        out = [d + s for s in out for d in "0123456789"[:radix]]
+    return tuple(out)
+
+
 def word_from_string(s, radix):
     if not s or any(ch not in "0123456789" for ch in s):
         raise ZefcError("bad_digit_string", "expected a nonempty digit string", text=s)
@@ -197,16 +208,6 @@ def ternary_to_base4_table(k):
     for t in range(1, 3 ** k):
         out[t] = (t % 3) + 4 * out[t // 3]
     return tuple(out)
-
-
-def embed_base3(value, width):
-    """Base-3 packing of a binary word of arbitrary width (no table)."""
-    out = 0
-    p = 1
-    for i in range(width):
-        out += ((value >> i) & 1) * p
-        p *= 3
-    return out
 
 
 def add(x: BitVector, y: BitVector) -> TernaryVector:

@@ -19,7 +19,7 @@ from .coloring import (
     verify_sumset_lower_bound,
 )
 from .errors import ZefcError
-from .nfc import build_network, nontightness_report
+from .nfc import nontightness_report
 
 MAX_QK_TABLE_K = 10
 
@@ -31,14 +31,28 @@ class _Parser(argparse.ArgumentParser):
         raise ZefcError("bad_arguments", message)
 
 
+_ROUNDED = (float, dict, list, tuple)
+
+
 def _rounded(obj):
-    """Round every float to 12 decimal places for stable output."""
+    """obj with every float rounded to 12 decimal places and tuples as lists.
+
+    Only floats, dicts, lists and tuples are visited, and a dict holding none of
+    them comes back as it is, so the code tables are neither walked call by call
+    nor copied.
+    """
     if isinstance(obj, float):
         return round(obj, 12)
     if isinstance(obj, dict):
-        return {key: _rounded(value) for key, value in obj.items()}
+        nested = [key for key, value in obj.items() if isinstance(value, _ROUNDED)]
+        if not nested:
+            return obj
+        out = dict(obj)
+        for key in nested:
+            out[key] = _rounded(out[key])
+        return out
     if isinstance(obj, (list, tuple)):
-        return [_rounded(value) for value in obj]
+        return [_rounded(value) if isinstance(value, _ROUNDED) else value for value in obj]
     return obj
 
 
@@ -78,7 +92,7 @@ def _cmd_construct(args):
     acct = rate_account(code, caps)
     admissible = None
     if args.k <= 8:
-        admissible = check_admissible(code, threads=args.threads).ok
+        admissible = check_admissible(code).ok
     return {
         "version": __version__,
         "query": {
@@ -216,11 +230,10 @@ def _cmd_gamma_pair(args):
 def _cmd_nfc(args):
     caps = _caps_of(args)
     report = nontightness_report(caps)
-    net = build_network(caps)
     return {
         "version": __version__,
         "query": {"command": "nfc", "c1": args.c1, "c2": args.c2},
-        "edges": len(net.edges),
+        "edges": report.edges,
         "capacity": report.capacity,
         "bound_enum": report.bound_enum,
         "bound_formula": report.bound_formula,
@@ -297,8 +310,8 @@ def build_parser():
     sub.add_argument("--c1", required=True)
     sub.add_argument("--c2", required=True)
     sub.add_argument("--k", type=int, required=True)
-    common(sub)
-    sub.set_defaults(handler=_cmd_construct)
+    common(sub, threads=False)
+    sub.set_defaults(handler=_cmd_construct, threads=None)
 
     sub = commands.add_parser("verify", help="property checks with reports")
     checks = sub.add_subparsers(dest="check", required=True)

@@ -3,15 +3,15 @@
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
-from .bitspace import binary_to_base3_table, embed_base3, word_from_string, word_to_string
+import numpy as np
+
+from .bitspace import binary_to_base3_table, digit_strings, word_to_string
 from .errors import ZefcError
-from ._parallel import chunked_map, split_range
 
 MAX_EXHAUSTIVE_K = 10
 MAX_CAP_DENOMINATOR = 64
-_TABLE_K = 20
 
 
 @dataclass(frozen=True)
@@ -105,16 +105,47 @@ class ChannelCaps:
 
 @dataclass(frozen=True, eq=False)
 class KShotCode:
-    """A k-shot code: encoders phi1/phi2 and decoder psi over packed integer words."""
+    """A k-shot code as tables over packed integer words.
+
+    phi1[x, y] and phi2[x, y] are the labels the two encoders send for the k-bit
+    words x and y, with values in range(im1) and range(im2); psi[a, b] is the packed
+    base-3 sum decoded from the label pair (a, b). Above MAX_EXHAUSTIVE_K the three
+    tables are None and the code carries only its image sizes, which is all rate
+    accounting needs.
+    """
 
     k: int
     switches: SwitchPair
-    phi1: Callable[[int, int], int]
-    phi2: Callable[[int, int], int]
-    psi: Callable[[int, int], int]
+    phi1: Optional[np.ndarray]
+    phi2: Optional[np.ndarray]
+    psi: Optional[np.ndarray]
     im1: int
     im2: int
     name: str
+
+    def __post_init__(self):
+        tables = (self.phi1, self.phi2, self.psi)
+        if all(table is None for table in tables):
+            return
+        size = 1 << self.k
+        specs = (
+            ("phi1", (size, size), self.im1),
+            ("phi2", (size, size), self.im2),
+            ("psi", (self.im1, self.im2), 3 ** self.k),
+        )
+        for table, (name, shape, top) in zip(tables, specs):
+            if (
+                table is None
+                or table.shape != shape
+                or not np.issubdtype(table.dtype, np.integer)
+                or table.min() < 0
+                or table.max() >= top
+            ):
+                raise ZefcError(
+                    "bad_code",
+                    f"{name} must be a {shape[0]}x{shape[1]} integer table over range({top})",
+                    k=self.k,
+                )
 
 
 @dataclass(frozen=True)
@@ -136,53 +167,49 @@ class RateAccount:
     rate: Fraction
 
 
-def _to_base3(k):
-    """Binary word -> componentwise base-3 embedding, table-backed for small k."""
-    if k <= _TABLE_K:
-        table = binary_to_base3_table(k)
-        return lambda v: table[v]
-    return lambda v: embed_base3(v, k)
+def _base3(width):
+    """Packed base-3 form of every width-bit word, as an array; width 0 is the empty word."""
+    if width == 0:
+        return np.zeros(1, dtype=np.int64)
+    return np.array(binary_to_base3_table(width), dtype=np.int64)
 
 
-def check_admissible(code, threads=None):
-    """Exhaustively verify psi(phi1, phi2) = x + y over all pairs, k <= 10."""
+def _sums(k):
+    """sums[x, y]: the packed base-3 sum of the k-bit words x and y."""
+    t3 = _base3(k)
+    return t3[:, None] + t3[None, :]
+
+
+def _tables(code, what):
+    """The code's phi1, phi2 and psi tables; a rate-only code is refused."""
     if code.k > MAX_EXHAUSTIVE_K:
-        raise ZefcError(
-            "k_too_large",
-            f"exhaustive admissibility checking is limited to k<={MAX_EXHAUSTIVE_K}",
-            k=code.k,
-        )
+        raise ZefcError("k_too_large", f"{what} is limited to k<={MAX_EXHAUSTIVE_K}", k=code.k)
+    return code.phi1, code.phi2, code.psi
+
+
+def check_admissible(code):
+    """Verify psi[phi1, phi2] = x + y over all 4^k pairs at once, k <= 10.
+
+    The counterexample is the first failing pair, x major and y minor.
+    """
+    phi1, phi2, psi = _tables(code, "exhaustive admissibility checking")
     k = code.k
-    size = 1 << k
-    to3 = _to_base3(k)
-    phi1, phi2, psi = code.phi1, code.phi2, code.psi
-
-    def scan(span):
-        start, stop = span
-        for x in range(start, stop):
-            x3 = to3(x)
-            for y in range(size):
-                want = x3 + to3(y)
-                if psi(phi1(x, y), phi2(x, y)) != want:
-                    return x, y, want
-        return None
-
-    chunks = split_range(size, min(size, 8))
-    for hit in chunked_map(scan, chunks, threads):
-        if hit is not None:
-            x, y, want = hit
-            got = psi(phi1(x, y), phi2(x, y))
-            return AdmissibilityResult(
-                ok=False,
-                pairs_checked=size * size,
-                counterexample={
-                    "x": word_to_string(x, k, 2),
-                    "y": word_to_string(y, k, 2),
-                    "expected": word_to_string(want, k, 3),
-                    "decoded": word_to_string(got, k, 3),
-                },
-            )
-    return AdmissibilityResult(ok=True, pairs_checked=size * size)
+    want = _sums(k)
+    got = psi[phi1, phi2]
+    bad = np.flatnonzero(got != want)
+    if bad.size == 0:
+        return AdmissibilityResult(ok=True, pairs_checked=want.size)
+    x, y = divmod(int(bad[0]), 1 << k)
+    return AdmissibilityResult(
+        ok=False,
+        pairs_checked=want.size,
+        counterexample={
+            "x": word_to_string(x, k, 2),
+            "y": word_to_string(y, k, 2),
+            "expected": word_to_string(int(want[x, y]), k, 3),
+            "decoded": word_to_string(int(got[x, y]), k, 3),
+        },
+    )
 
 
 def least_uses(image_size, cap):
@@ -221,17 +248,16 @@ def build_identity_code(k):
     """Case-00 code: each encoder forwards its own word unchanged."""
     if k < 1:
         raise ZefcError("bad_k", "block length must be at least 1", k=k)
-    to3 = _to_base3(k)
-    return KShotCode(
-        k=k,
-        switches=SwitchPair(0, 0),
-        phi1=lambda x, y: x,
-        phi2=lambda x, y: y,
-        psi=lambda a, b: to3(a) + to3(b),
-        im1=1 << k,
-        im2=1 << k,
-        name="identity",
-    )
+    size = 1 << k
+    tables = (None, None, None)
+    if k <= MAX_EXHAUSTIVE_K:
+        words = np.arange(size)
+        tables = (
+            np.broadcast_to(words[:, None], (size, size)),
+            np.broadcast_to(words[None, :], (size, size)),
+            _sums(k),
+        )
+    return KShotCode(k, SwitchPair(0, 0), *tables, im1=size, im2=size, name="identity")
 
 
 def lift_code(code, switches):
@@ -281,7 +307,6 @@ def build_packing_code_11(k, caps):
     if k < 1:
         raise ZefcError("bad_k", "block length must be at least 1", k=k)
     caps.require_bounded()
-    to3 = _to_base3(k)
     total = 3 ** k
     n = least_uses(total, caps.c1 + caps.c2)
     while True:
@@ -290,17 +315,12 @@ def build_packing_code_11(k, caps):
         if least_uses(wide, caps.c1) <= n:
             break
         n += 1
-    top = total - 1
-    return KShotCode(
-        k=k,
-        switches=SwitchPair(1, 1),
-        phi1=lambda x, y, d=narrow: (to3(x) + to3(y)) // d,
-        phi2=lambda x, y, d=narrow: (to3(x) + to3(y)) % d,
-        psi=lambda a, b, d=narrow: min(a * d + b, top),
-        im1=wide,
-        im2=narrow,
-        name="packing11",
-    )
+    tables = (None, None, None)
+    if k <= MAX_EXHAUSTIVE_K:
+        sums = _sums(k)
+        packed = np.arange(wide)[:, None] * narrow + np.arange(narrow)[None, :]
+        tables = (sums // narrow, sums % narrow, np.minimum(packed, total - 1))
+    return KShotCode(k, SwitchPair(1, 1), *tables, im1=wide, im2=narrow, name="packing11")
 
 
 def split_index(k, caps):
@@ -326,60 +346,69 @@ def split_index(k, caps):
 
 
 def build_split_code_01(k, caps):
-    """Case-01 code: sum the first k1-1 coordinates at encoder 1, forward the rest raw."""
+    """Case-01 code: sum the first k1-1 coordinates at encoder 1, forward the rest raw.
+
+    Encoder 1 sends the base-3 sum of the low coordinates plus base times its own high
+    word; encoder 2 sends its high word; psi adds the two high words in base 3.
+    """
     if k < 1:
         raise ZefcError("bad_k", "block length must be at least 1", k=k)
     caps.require_bounded()
-    k1 = split_index(k, caps)
-    low = k1 - 1
-    mask = (1 << low) - 1
+    low = split_index(k, caps) - 1
     base = 3 ** low
-    to3_low = _to_base3(low) if low else (lambda v: 0)
     hi_width = k - low
-    to3_hi = _to_base3(hi_width)
-    return KShotCode(
-        k=k,
-        switches=SwitchPair(0, 1),
-        phi1=lambda x, y: to3_low(x & mask) + to3_low(y & mask) + base * (x >> low),
-        phi2=lambda x, y: y >> low,
-        psi=lambda a, b: a % base + base * (to3_hi(a // base) + to3_hi(b)),
-        im1=base * (1 << (k - low)),
-        im2=1 << (k - low),
-        name="split01",
-    )
+    im1, im2 = base << hi_width, 1 << hi_width
+    tables = (None, None, None)
+    if k <= MAX_EXHAUSTIVE_K:
+        size = 1 << k
+        words = np.arange(size)
+        low3 = _base3(low)[words & ((1 << low) - 1)]
+        hi3 = _base3(hi_width)
+        a = np.arange(im1)
+        tables = (
+            (low3 + base * (words >> low))[:, None] + low3[None, :],
+            np.broadcast_to((words >> low)[None, :], (size, size)),
+            (a % base + base * hi3[a // base])[:, None] + base * hi3[None, :],
+        )
+    return KShotCode(k, SwitchPair(0, 1), *tables, im1=im1, im2=im2, name="split01")
 
 
 def code_from_partition(partition, colorings=None):
-    """Assemble a case-01 code from a partition of y-space with per-block colorings."""
+    """Assemble a case-01 code from a partition of y-space with per-block colorings.
+
+    Encoder 2 sends the block of y, encoder 1 the color of (x, y) in that block. A
+    coloring maps every (x, y) of its block to a label; by default the label is the
+    rank of x + y among the block's sums.
+    """
     if not partition:
         raise ZefcError("not_a_partition", "partition must have at least one block")
     k = partition[0].k
     if k > MAX_EXHAUSTIVE_K:
         raise ZefcError("k_too_large", f"partition codes are limited to k<={MAX_EXHAUSTIVE_K}", k=k)
     size = 1 << k
-    block_of = {}
+    block_of = np.full(size, -1, dtype=np.int64)
     for i, block in enumerate(partition):
         if block.k != k or block.radix != 2 or not block.members:
             raise ZefcError("not_a_partition", "blocks must be nonempty binary sets of equal length")
         for y in block.members:
-            if y in block_of:
+            if block_of[y] >= 0:
                 raise ZefcError("not_a_partition", "blocks overlap", value=word_to_string(y, k, 2))
             block_of[y] = i
-    if len(block_of) != size:
+    if (block_of < 0).any():
         raise ZefcError("not_a_partition", "blocks do not cover the whole space")
 
-    to3 = _to_base3(k)
+    sums = _sums(k).tolist()
     if colorings is None:
         colorings = []
         for block in partition:
-            sums = sorted({to3(x) + to3(y) for x in range(size) for y in block.members})
-            index = {s: i for i, s in enumerate(sums)}
-            colorings.append({(x, y): index[to3(x) + to3(y)] for x in range(size) for y in block.members})
+            pairs = [(x, y) for x in range(size) for y in block.members]
+            rank = {s: i for i, s in enumerate(sorted({sums[x][y] for x, y in pairs}))}
+            colorings.append({(x, y): rank[sums[x][y]] for x, y in pairs})
     if len(colorings) != len(partition):
         raise ZefcError("invalid_coloring", "need exactly one coloring per block")
 
-    decode = {}
-    labels = set()
+    phi1 = np.zeros((size, size), dtype=np.int64)
+    ids, decode = {}, {}  # label -> phi1 symbol; (symbol, block) -> decoded sum
     for i, block in enumerate(partition):
         by_label = {}
         for x in range(size):
@@ -393,7 +422,7 @@ def code_from_partition(partition, colorings=None):
                         x=word_to_string(x, k, 2),
                         y=word_to_string(y, k, 2),
                     )
-                s = to3(x) + to3(y)
+                s = sums[x][y]
                 if by_label.setdefault(label, s) != s:
                     raise ZefcError(
                         "invalid_coloring",
@@ -401,89 +430,79 @@ def code_from_partition(partition, colorings=None):
                         block=i,
                         label=label,
                     )
+                phi1[x, y] = ids.setdefault(label, len(ids))
         for label, s in by_label.items():
-            decode[(label, i)] = s
-            labels.add(label)
+            decode[ids[label], i] = s
 
-    phi1_map = {
-        (x, y): colorings[block_of[y]][(x, y)] for x in range(size) for y in range(size)
-    }
+    psi = np.zeros((len(ids), len(partition)), dtype=np.int64)
+    for pair, s in decode.items():
+        psi[pair] = s
     return KShotCode(
         k=k,
         switches=SwitchPair(0, 1),
-        phi1=lambda x, y: phi1_map[(x, y)],
-        phi2=lambda x, y: block_of[y],
-        psi=lambda a, b: decode.get((a, b), 0),
-        im1=len(labels),
+        phi1=phi1,
+        phi2=np.broadcast_to(block_of[None, :], (size, size)),
+        psi=psi,
+        im1=len(ids),
         im2=len(partition),
         name="partition",
     )
 
 
 def _canonical_labels(code):
-    """First-seen relabeling of both encoders over ascending sweeps of their domains."""
-    size = 1 << code.k
-    order1, order2 = {}, {}
-    for x in range(size):
-        for y in range(size) if code.switches.s2 == 1 else (0,):
-            a = code.phi1(x, y)
-            if a not in order1:
-                order1[a] = len(order1)
-    for y in range(size):
-        for x in range(size) if code.switches.s1 == 1 else (0,):
-            b = code.phi2(x, y)
-            if b not in order2:
-                order2[b] = len(order2)
-    if len(order1) != code.im1 or len(order2) != code.im2:
+    """First-seen relabeling of both encoders over ascending sweeps of their domains.
+
+    Encoder 1 sweeps x, then y if it sees y; encoder 2 sweeps y, then x if it sees x.
+    Returns, per encoder, its relabeled sweep and the old label of each new label.
+    """
+    phi1, phi2, _ = _tables(code, "serialization")
+    sweeps = (
+        phi1 if code.switches.s2 == 1 else phi1[:, :1],
+        (phi2 if code.switches.s1 == 1 else phi2[:1, :]).T,
+    )
+    out = []
+    for sweep in sweeps:
+        flat = sweep.ravel()
+        values, first = np.unique(flat, return_index=True)
+        old = values[np.argsort(first)]
+        rank = np.zeros(int(values[-1]) + 1, dtype=np.int64)
+        rank[old] = np.arange(old.size)
+        out.append((rank[flat], old))
+    realized = [old.size for _, old in out]
+    if realized != [code.im1, code.im2]:
         raise ZefcError(
             "bad_image_count",
             "declared image sizes do not match realized label sets",
             declared=[code.im1, code.im2],
-            realized=[len(order1), len(order2)],
+            realized=realized,
         )
-    return order1, order2
+    return out
+
+
+def _pair_keys(major, minor):
+    """The keys 'a,b' for a in major and b in minor, a major."""
+    minor = [str(b) for b in minor]
+    return [head + b for head in [f"{a}," for a in major] for b in minor]
 
 
 def code_to_json(code):
     """Serialize a code as tables over digit strings with first-seen canonical labels."""
-    if code.k > MAX_EXHAUSTIVE_K:
-        raise ZefcError("k_too_large", f"serialization is limited to k<={MAX_EXHAUSTIVE_K}", k=code.k)
+    (labels1, old1), (labels2, old2) = _canonical_labels(code)
     k = code.k
-    size = 1 << k
-    order1, order2 = _canonical_labels(code)
-    sees_y = code.switches.s2 == 1
-    sees_x = code.switches.s1 == 1
-
-    phi1_table = {}
-    for x in range(size):
-        xs = word_to_string(x, k, 2)
-        if sees_y:
-            for y in range(size):
-                phi1_table[f"{xs},{word_to_string(y, k, 2)}"] = order1[code.phi1(x, y)]
-        else:
-            phi1_table[xs] = order1[code.phi1(x, 0)]
-    phi2_table = {}
-    for y in range(size):
-        ys = word_to_string(y, k, 2)
-        if sees_x:
-            for x in range(size):
-                phi2_table[f"{word_to_string(x, k, 2)},{ys}"] = order2[code.phi2(x, y)]
-        else:
-            phi2_table[ys] = order2[code.phi2(0, y)]
-
-    old1 = {new: old for old, new in order1.items()}
-    old2 = {new: old for old, new in order2.items()}
-    psi_table = {
-        f"{a},{b}": word_to_string(code.psi(old1[a], old2[b]), k, 3)
-        for a in range(code.im1)
-        for b in range(code.im2)
-    }
+    words = digit_strings(k, 2)
+    keys1 = _pair_keys(words, words) if code.switches.s2 == 1 else words
+    # Encoder 2's table runs y major, but its keys still read "x,y".
+    keys2 = [f"{xs},{ys}" for ys in words for xs in words] if code.switches.s1 == 1 else words
+    ternary = digit_strings(k, 3)
+    decoded = code.psi[np.ix_(old1, old2)].ravel().tolist()
     return {
         "k": k,
         "switches": code.switches.as_string(),
-        "phi1": phi1_table,
-        "phi2": phi2_table,
-        "psi": psi_table,
+        "phi1": dict(zip(keys1, labels1.tolist())),
+        "phi2": dict(zip(keys2, labels2.tolist())),
+        "psi": dict(
+            zip(_pair_keys(range(code.im1), range(code.im2)), [ternary[v] for v in decoded])
+        ),
         "images": [code.im1, code.im2],
     }
 
@@ -494,57 +513,54 @@ def code_from_json(doc):
         k = int(doc["k"])
         switches = SwitchPair.from_string(doc["switches"])
         im1, im2 = (int(v) for v in doc["images"])
-        raw1, raw2, raw_psi = doc["phi1"], doc["phi2"], doc["psi"]
+        raw1, raw2, raw_psi = (dict(doc[name]) for name in ("phi1", "phi2", "psi"))
     except (KeyError, TypeError, ValueError):
         raise ZefcError("bad_code_json", "missing or malformed code fields")
-
-    def parse_domain(table, paired):
-        out = {}
-        for key, label in table.items():
-            if paired:
-                xs, ys = key.split(",")
-                out[(word_from_string(xs, 2)[0], word_from_string(ys, 2)[0])] = int(label)
-            else:
-                out[word_from_string(key, 2)[0]] = int(label)
-        return out
-
-    phi1_map = parse_domain(raw1, switches.s2 == 1)
-    phi2_map = parse_domain(raw2, switches.s1 == 1)
-    psi_map = {}
-    for key, word in raw_psi.items():
-        a, b = (int(part) for part in key.split(","))
-        psi_map[(a, b)] = word_from_string(word, 3)[0]
-
+    if k < 1:
+        raise ZefcError("bad_code_json", "block length must be at least 1", k=k)
+    if k > MAX_EXHAUSTIVE_K:
+        raise ZefcError("k_too_large", f"code tables are limited to k<={MAX_EXHAUSTIVE_K}", k=k)
     size = 1 << k
-    want1 = size * size if switches.s2 == 1 else size
-    want2 = size * size if switches.s1 == 1 else size
-    if len(phi1_map) != want1 or len(phi2_map) != want2:
-        raise ZefcError("bad_code_json", "encoder tables must cover their full domains")
+    word = {s: v for v, s in enumerate(digit_strings(k, 2))}
+    ternary = {s: v for v, s in enumerate(digit_strings(k, 3))}
 
-    if switches.s2 == 1:
-        phi1 = lambda x, y: phi1_map[(x, y)]
-    else:
-        phi1 = lambda x, y: phi1_map[x]
-    if switches.s1 == 1:
-        phi2 = lambda x, y: phi2_map[(x, y)]
-    else:
-        phi2 = lambda x, y: phi2_map[y]
-    realized1 = len(set(phi1_map.values()))
-    realized2 = len(set(phi2_map.values()))
-    if realized1 != im1 or realized2 != im2:
+    def parse_encoder(table, paired):
+        """Raw labels over (x, y) for a paired table, else over the one word it reads."""
+        if len(table) != (size * size if paired else size):
+            raise ZefcError("bad_code_json", "encoder tables must cover their full domains")
+        raw = np.zeros((size, size) if paired else size, dtype=np.int64)
+        try:
+            for key, label in table.items():
+                index = tuple(word[part] for part in key.split(","))
+                if len(index) != raw.ndim:
+                    raise KeyError(key)
+                raw[index] = int(label)
+        except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError):
+            raise ZefcError("bad_code_json", f"encoder keys must be {k}-digit binary words")
+        values, dense = np.unique(raw, return_inverse=True)
+        return values, dense.reshape(raw.shape)
+
+    values1, dense1 = parse_encoder(raw1, switches.s2 == 1)
+    values2, dense2 = parse_encoder(raw2, switches.s1 == 1)
+    if (values1.size, values2.size) != (im1, im2):
         raise ZefcError(
             "bad_code_json",
             "declared image sizes disagree with tables",
             declared=[im1, im2],
-            realized=[realized1, realized2],
+            realized=[values1.size, values2.size],
         )
+    phi1 = dense1 if dense1.ndim == 2 else np.broadcast_to(dense1[:, None], (size, size))
+    phi2 = dense2 if dense2.ndim == 2 else np.broadcast_to(dense2[None, :], (size, size))
+    new1 = {int(v): i for i, v in enumerate(values1)}
+    new2 = {int(v): i for i, v in enumerate(values2)}
+    psi = np.zeros((im1, im2), dtype=np.int64)
+    try:
+        for key, value in raw_psi.items():
+            a, b = (int(part) for part in key.split(","))
+            if a in new1 and b in new2:
+                psi[new1[a], new2[b]] = ternary[value]
+    except (AttributeError, KeyError, TypeError, ValueError):
+        raise ZefcError("bad_code_json", f"psi must map 'a,b' label pairs to {k}-digit ternary words")
     return KShotCode(
-        k=k,
-        switches=switches,
-        phi1=phi1,
-        phi2=phi2,
-        psi=lambda a, b: psi_map.get((a, b), 0),
-        im1=im1,
-        im2=im2,
-        name="from-json",
+        k=k, switches=switches, phi1=phi1, phi2=phi2, psi=psi, im1=im1, im2=im2, name="from-json"
     )

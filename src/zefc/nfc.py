@@ -1,12 +1,15 @@
 """Network view of the 01 case: the N(c1,c2) family, cut bounds, code transforms."""
 
+import collections
 import functools
 import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .bitspace import binary_to_base3_table, embed_base3
+import numpy as np
+
+from .bitspace import binary_to_base3_table
 from .capacity import CapacityQuery, capacity
 from .codec import KShotCode, SwitchPair, rate_account
 from .errors import ZefcError
@@ -55,6 +58,17 @@ class Network:
 
     def bundles(self):
         """Edge ids grouped by the five parallel bundles, in layout order."""
+        return self._bundles
+
+    def in_edges(self, node):
+        return self._in_edges.get(node, ())
+
+    # The lookups below are built once per network: the cut search and the
+    # validation ask for them once per cut, state or edge. A dict lookup keyed by
+    # the network itself would hash all of its edges each time.
+
+    @functools.cached_property
+    def _bundles(self):
         d = [e.id for e in self.edges if e.id.startswith("d")]
         e = [e.id for e in self.edges if e.id.startswith("e")]
         return (
@@ -65,8 +79,40 @@ class Network:
             ("v2->rho", tuple(e[self.c1 :])),
         )
 
-    def in_edges(self, node):
-        return tuple(e for e in self.edges if e.head == node)
+    @functools.cached_property
+    def _in_edges(self):
+        groups = {}
+        for e in self.edges:
+            groups.setdefault(e.head, []).append(e)
+        return {node: tuple(group) for node, group in groups.items()}
+
+    @functools.cached_property
+    def arc_of(self):
+        """The (tail, head) pair of each edge id."""
+        return {e.id: (e.tail, e.head) for e in self.edges}
+
+    @functools.cached_property
+    def arcs(self):
+        """Number of parallel edges from each tail to each head."""
+        return collections.Counter(self.arc_of.values())
+
+    @functools.cached_property
+    def position(self):
+        """Index of each edge id in the edge order."""
+        return {e.id: i for i, e in enumerate(self.edges)}
+
+    @functools.cached_property
+    def state_classes(self):
+        """Classification of every bundle state, at most 3**5 of them.
+
+        Kept because guang_bound calls n_cf once per state and every n_cf call
+        looks up the states of its blocks.
+        """
+        counts = [sorted({0, 1, len(ids)}) for _, ids in self.bundles()]
+        return {
+            state: classify_cut(self, _state_cut(self, state))
+            for state in itertools.product(*counts)
+        }
 
 
 @dataclass(frozen=True)
@@ -127,6 +173,7 @@ class NontightnessReport:
     witness_cut: tuple
     witness_ncf: int
     gap: float
+    edges: int
 
 
 def build_network(caps):
@@ -162,47 +209,52 @@ def _validate_network(net):
             raise ZefcError("bad_network", "sources must have no incoming edges", node=s)
     if any(e.tail == net.sink for e in net.edges):
         raise ZefcError("bad_network", "the sink must have no outgoing edges")
-    order, remaining = [], {e.id: e for e in net.edges}
+    remaining = {e.id: e for e in net.edges}
     placed = set()
     while remaining:
-        progress = [
-            eid
-            for eid, e in remaining.items()
-            if all(f.id in placed for f in net.in_edges(e.tail))
-        ]
+        # An edge can be placed once every edge into its tail is placed.
+        tails = {e.tail for e in remaining.values()}
+        ready = {node for node in tails if all(f.id in placed for f in net.in_edges(node))}
+        progress = [eid for eid, e in remaining.items() if e.tail in ready]
         if not progress:
             raise ZefcError("bad_network", "edge relation has a cycle")
         for eid in progress:
             placed.add(eid)
-            order.append(remaining.pop(eid))
+            del remaining[eid]
     for node in net.nodes:
         if node != net.sink and net.sink not in _reachable(net, frozenset(), node):
             raise ZefcError("bad_network", "every non-sink node must reach the sink", node=node)
 
 
 def _reachable(net, removed, start):
-    """Nodes reachable from start after deleting the removed edge ids."""
+    """Nodes reachable from start after deleting the removed edge ids.
+
+    Parallel edges form one arc, which stays while any of its edges does, so the
+    cost grows with the cut, not with the network.
+    """
+    cut = collections.Counter(map(net.arc_of.__getitem__, removed))
+    arcs = [arc for arc, count in net.arcs.items() if count > cut[arc]]
     seen = {start}
     frontier = [start]
     while frontier:
         node = frontier.pop()
-        for e in net.edges:
-            if e.id not in removed and e.tail == node and e.head not in seen:
-                seen.add(e.head)
-                frontier.append(e.head)
+        for tail, head in arcs:
+            if tail == node and head not in seen:
+                seen.add(head)
+                frontier.append(head)
     return seen
 
 
 def classify_cut(net, cut):
     """I/J/K source sets for an edge subset."""
-    index = {e.id: i for i, e in enumerate(net.edges)}
+    index = net.position
     for eid in cut:
         if eid not in index:
             raise ZefcError("unknown_edge", "edge id is not part of this network", id=eid)
     canonical = tuple(sorted(set(cut), key=index.__getitem__))
     removed = frozenset(canonical)
     i_c = frozenset(s for s in net.sources if net.sink not in _reachable(net, removed, s))
-    tails = {e.tail for e in net.edges if e.id in removed}
+    tails = {net.arc_of[eid][0] for eid in removed}
     k_c = frozenset(s for s in net.sources if tails & _reachable(net, frozenset(), s))
     return CutClassification(cut=canonical, i_c=i_c, j_c=k_c - i_c, k_c=k_c)
 
@@ -262,19 +314,6 @@ def _state_cut(net, state):
     return tuple(eid for (_, ids), count in zip(net.bundles(), state) for eid in ids[:count])
 
 
-@functools.lru_cache(maxsize=16)
-def _state_classes(net):
-    """Classification of every bundle state of a network, at most 3**5 of them.
-
-    Cached because guang_bound calls n_cf once per state and every n_cf call looks
-    up the states of its blocks.
-    """
-    counts = [sorted({0, 1, len(ids)}) for _, ids in net.bundles()]
-    return {
-        state: classify_cut(net, _state_cut(net, state)) for state in itertools.product(*counts)
-    }
-
-
 def _splits(count, size):
     """Ways one bundle's share of a cut divides between two blocks, as block states.
 
@@ -295,7 +334,7 @@ def n_cf(net, cls, fn=ARITHMETIC_SUM):
         cls = classify_cut(net, tuple(cls))
     if not cls.is_cut:
         raise ZefcError("not_a_cut", "the class count is defined for cut sets only")
-    classes = _state_classes(net)
+    classes = net.state_classes
     sources = net.sources
     i_set, j_list = cls.i_c, tuple(sorted(cls.j_c))
     rest = tuple(s for s in sources if s not in cls.k_c)
@@ -326,10 +365,10 @@ def guang_bound(net, fn=ARITHMETIC_SUM):
     Cuts in one bundle state share n_cf, so the minimum is reached at the smallest
     cut of some state, and only those are scored.
     """
-    classes = _state_classes(net)
+    classes = net.state_classes
     states = list(classes)
     if len(net.edges) <= EDGE_ORDER_WITNESS_EDGES:
-        index = {e.id: i for i, e in enumerate(net.edges)}
+        index = net.position
         states.sort(key=lambda st: (sum(st), [index[eid] for eid in _state_cut(net, st)]))
     best, witness, witness_ncf, seen = None, None, None, 0
     for state in states:
@@ -422,24 +461,15 @@ def transform_code(code, caps):
     c1, c2 = net.c1, net.c2
     k = code.k
     acct = rate_account(code, caps)
-    size = 1 << k
-    dense1, dense2 = {}, {}
-    phi1_table, phi2_table = {}, {}
-    for x in range(size):
-        for y in range(size):
-            v = code.phi1(x, y)
-            phi1_table[(x, y)] = dense1.setdefault(v, len(dense1))
-    for y in range(size):
-        v = code.phi2(0, y)
-        phi2_table[y] = dense2.setdefault(v, len(dense2))
-    if len(dense1) != code.im1 or len(dense2) != code.im2:
+    # Encoder 2 of a case-01 code reads y alone, so its table is any one row.
+    realized = (np.unique(code.phi1).size, np.unique(code.phi2[0]).size)
+    if realized != (code.im1, code.im2):
         raise ZefcError(
             "bad_image_count",
             "declared image sizes disagree with the realized encoder images",
-            realized=(len(dense1), len(dense2)),
+            realized=realized,
         )
-    back1 = {d: v for v, d in dense1.items()}
-    back2 = {d: v for v, d in dense2.items()}
+    phi1, phi2, psi = code.phi1.tolist(), code.phi2[0].tolist(), code.psi.tolist()
     word_chunks = _chunk_layout(k, c1)
     label1_chunks = _chunk_layout(_bits_for(code.im1), c1)
     label2_chunks = _chunk_layout(_bits_for(code.im2), c2)
@@ -465,10 +495,10 @@ def transform_code(code, caps):
     def v1_label(incoming):
         x = assemble(incoming[:c1], word_chunks)
         y = assemble(incoming[c1:], word_chunks)
-        return phi1_table[(x, y)]
+        return phi1[x][y]
 
     def v2_label(incoming):
-        return phi2_table[assemble(incoming, word_chunks)]
+        return phi2[assemble(incoming, word_chunks)]
 
     for i, eid in enumerate(bundles["v1->rho"]):
         theta[eid] = lambda incoming, i=i: chunk(v1_label(incoming), label1_chunks, i)
@@ -478,9 +508,9 @@ def transform_code(code, caps):
     def decoder(symbols):
         a = assemble(symbols[:c1], label1_chunks)
         b = assemble(symbols[c1:], label2_chunks)
-        if a not in back1 or b not in back2:
+        if a >= code.im1 or b >= code.im2:
             return 0
-        return code.psi(back1[a], back2[b])
+        return psi[a][b]
 
     ncode = make_network_code(net, k, theta, decoder)
     if ncode.n != acct.n:
@@ -499,13 +529,12 @@ def check_network_admissible(ncode):
     net = ncode.network
     g = global_functions(net, k, ncode.theta)
     sink_feed = [g[e.id] for e in net.in_edges(net.sink)]
-    table = binary_to_base3_table(k) if k <= 16 else None
-    to3 = (lambda v: table[v]) if table else (lambda v: embed_base3(v, k))
+    t3 = binary_to_base3_table(k)
     size = 1 << k
     for x in range(size):
         for y in range(size):
             got = ncode.decoder(tuple(f(x, y) for f in sink_feed))
-            if got != to3(x) + to3(y):
+            if got != t3[x] + t3[y]:
                 return False
     return True
 
@@ -519,32 +548,24 @@ def inverse_transform(ncode):
     wide = [g[eid] for eid in bundles["v1->rho"]]
     narrow = [g[eid] for eid in bundles["v2->rho"]]
     size = 1 << k
+    # Each distinct tuple of symbols on a bundle is one label, numbered first seen.
     label1, label2 = {}, {}
-    phi1_map, phi2_map = {}, {}
+    phi1, phi2 = [], {}
     for x in range(size):
         for y in range(size):
-            t1 = tuple(f(x, y) for f in wide)
-            if t1 not in label1:
-                label1[t1] = len(label1)
-            phi1_map[(x, y)] = label1[t1]
-            t2 = tuple(f(x, y) for f in narrow)
-            if t2 not in label2:
-                label2[t2] = len(label2)
-            if phi2_map.setdefault(y, label2[t2]) != label2[t2]:
+            phi1.append(label1.setdefault(tuple(f(x, y) for f in wide), len(label1)))
+            b = label2.setdefault(tuple(f(x, y) for f in narrow), len(label2))
+            if phi2.setdefault(y, b) != b:
                 raise ZefcError(
                     "bad_network_code", "the narrow-channel message must not depend on x"
                 )
-    rep1 = {label: t for t, label in label1.items()}
-    rep2 = {label: t for t, label in label2.items()}
-    psi_map = {
-        (a, b): ncode.decoder(rep1[a] + rep2[b]) for a in rep1 for b in rep2
-    }
+    psi = [[ncode.decoder(t1 + t2) for t2 in label2] for t1 in label1]
     return KShotCode(
         k=k,
         switches=SwitchPair(0, 1),
-        phi1=lambda x, y: phi1_map[(x, y)],
-        phi2=lambda x, y: phi2_map[y],
-        psi=lambda a, b: psi_map.get((a, b), 0),
+        phi1=np.array(phi1, dtype=np.int64).reshape(size, size),
+        phi2=np.broadcast_to(np.array([phi2[y] for y in range(size)])[None, :], (size, size)),
+        psi=np.array(psi, dtype=np.int64),
         im1=len(label1),
         im2=len(label2),
         name="inverse-transform",
@@ -589,4 +610,5 @@ def nontightness_report(caps, fn=ARITHMETIC_SUM):
         witness_cut=bound.witness,
         witness_ncf=bound.witness_ncf,
         gap=gap,
+        edges=len(net.edges),
     )

@@ -25,7 +25,7 @@ def raw_sumset(m, l):
 
 
 def chromatic_number(vertices, adjacent):
-    """Exact chromatic number by backtracking over color counts."""
+    """Exact chromatic number by backtracking over color counts from a greedy clique's size up."""
     vertices = list(vertices)
     if not vertices:
         return 0
@@ -48,7 +48,12 @@ def chromatic_number(vertices, adjacent):
 
         return place(0)
 
-    n = 1
+    # A clique needs one color per vertex, so no count below its size can succeed.
+    clique = []
+    for v in vertices:
+        if all(adjacent(u, v) for u in clique):
+            clique.append(v)
+    n = len(clique)
     while not colorable(n):
         n += 1
     return n
@@ -111,6 +116,70 @@ def mixed_min_pair_bruteforce(k):
         if best is None or size < best:
             best, wit = size, (y1, y2)
     return best, wit
+
+
+# --- slow serializer for k-shot codes ------------------------------------------
+
+
+def digit_string(value, k, radix):
+    """The k base-radix digits of value, position 1 first."""
+    out = []
+    for _ in range(k):
+        out.append(str(value % radix))
+        value //= radix
+    return "".join(out)
+
+
+def code_to_json_oracle(k, switches, phi1, phi2, psi, im1, im2):
+    """JSON form of a code given as closures, one (x, y) pair at a time.
+
+    switches is the two-character case string; phi1(x, y), phi2(x, y) and psi(a, b)
+    work on packed integer words. Labels are renumbered in first-seen order over
+    ascending sweeps: encoder 1 over x, then y if it sees y; encoder 2 over y, then
+    x if it sees x.
+    """
+    size = 1 << k
+    sees_x, sees_y = switches[0] == "1", switches[1] == "1"
+    order1, order2 = {}, {}
+    for x in range(size):
+        for y in range(size) if sees_y else (0,):
+            order1.setdefault(phi1(x, y), len(order1))
+    for y in range(size):
+        for x in range(size) if sees_x else (0,):
+            order2.setdefault(phi2(x, y), len(order2))
+    assert (len(order1), len(order2)) == (im1, im2), "declared image sizes differ"
+
+    phi1_table = {}
+    for x in range(size):
+        xs = digit_string(x, k, 2)
+        if sees_y:
+            for y in range(size):
+                phi1_table[f"{xs},{digit_string(y, k, 2)}"] = order1[phi1(x, y)]
+        else:
+            phi1_table[xs] = order1[phi1(x, 0)]
+    phi2_table = {}
+    for y in range(size):
+        ys = digit_string(y, k, 2)
+        if sees_x:
+            for x in range(size):
+                phi2_table[f"{digit_string(x, k, 2)},{ys}"] = order2[phi2(x, y)]
+        else:
+            phi2_table[ys] = order2[phi2(0, y)]
+    old1 = {new: old for old, new in order1.items()}
+    old2 = {new: old for old, new in order2.items()}
+    psi_table = {
+        f"{a},{b}": digit_string(psi(old1[a], old2[b]), k, 3)
+        for a in range(im1)
+        for b in range(im2)
+    }
+    return {
+        "k": k,
+        "switches": switches,
+        "phi1": phi1_table,
+        "phi2": phi2_table,
+        "psi": psi_table,
+        "images": [im1, im2],
+    }
 
 
 # --- independent network-side oracle -----------------------------------------

@@ -11,8 +11,8 @@ from zefc.bitspace import (
     VectorSet,
     add,
     binary_to_base3_table,
+    digit_strings,
     digits_of,
-    embed_base3,
     pack_digits,
     sumset,
     validate_source_model,
@@ -111,11 +111,22 @@ def test_add_matches_oracle_and_counts():
     assert len(sums) == 3 ** k
 
 
-def test_embed_base3_matches_table():
+def test_base3_table_matches_digitwise_packing():
     for k in (1, 4, 7):
         table = binary_to_base3_table(k)
-        for x in range(1 << k):
-            assert embed_base3(x, k) == table[x]
+        for xa in oracles.all_words(2, k):
+            x = sum(b << i for i, b in enumerate(xa))
+            assert table[x] == sum(b * 3**i for i, b in enumerate(xa))
+
+
+def test_digit_strings_match_word_to_string():
+    for radix in (2, 3):
+        for k in (1, 2, 5):
+            strings = digit_strings(k, radix)
+            assert len(strings) == radix**k
+            assert all(strings[v] == word_to_string(v, k, radix) for v in range(radix**k))
+    with pytest.raises(ZefcError):
+        digit_strings(0, 2)
 
 
 def test_sumset_single_and_full_k1():

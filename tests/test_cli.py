@@ -65,6 +65,14 @@ def test_construct_report(capsys):
     validate(doc, schema("construct"))
 
 
+def test_construct_has_no_threads_option(capsys):
+    argv = ["construct", "--case", "01", "--c1", "2", "--c2", "1", "--k", "3", "--threads", "2"]
+    code, doc = run_cli(capsys, argv)
+    assert code == 2
+    assert doc["error"]["code"] == "bad_arguments"
+    validate(doc, schema("error"))
+
+
 def test_construct_skips_admissibility_beyond_exhaustive_range(capsys):
     code, doc = run_cli(
         capsys, ["construct", "--case", "11", "--c1", "1", "--c2", "1", "--k", "9"]

@@ -1,10 +1,15 @@
 """Code constructions, admissibility checking, rate accounting, serialization."""
 
+import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zefc.bitspace import VectorSet
+from zefc.capacity import construct_for_case
 from zefc.codec import (
     ChannelCaps,
     KShotCode,
@@ -193,12 +198,13 @@ def test_packing_fractional_caps_budget_sweep():
 
 
 def test_admissibility_counterexample_and_refusal():
+    zeros = np.zeros((4, 4), dtype=np.int64)
     bad = KShotCode(
         k=2,
         switches=SwitchPair(1, 1),
-        phi1=lambda x, y: 0,
-        phi2=lambda x, y: 0,
-        psi=lambda a, b: 0,
+        phi1=zeros,
+        phi2=zeros,
+        psi=np.zeros((1, 1), dtype=np.int64),
         im1=1,
         im2=1,
         name="constant",
@@ -224,7 +230,7 @@ def test_admissibility_matches_oracle_on_all_builders():
                     x = sum(b << i for i, b in enumerate(xa))
                     y = sum(b << i for i, b in enumerate(ya))
                     want = sum(t * 3 ** i for i, t in enumerate(oracles.tuple_add(xa, ya)))
-                    assert code.psi(code.phi1(x, y), code.phi2(x, y)) == want
+                    assert code.psi[code.phi1[x, y], code.phi2[x, y]] == want
 
 
 def test_partition_code_single_block():
@@ -313,3 +319,89 @@ def test_split_rate_capped_and_doubling_improves():
         assert gap_2k <= gap_k + 1e-9
     doubling = [float(rates[1 << j]) for j in range(8)]
     assert all(a <= b + 1e-12 for a, b in zip(doubling, doubling[1:]))
+
+
+def test_code_tables_are_validated():
+    zeros = np.zeros((4, 4), dtype=np.int64)
+    psi = np.zeros((1, 1), dtype=np.int64)
+    for phi1, psi_table in ((zeros + 1, psi), (zeros[:2], psi), (zeros, psi + 9)):
+        with pytest.raises(ZefcError) as err:
+            KShotCode(2, SwitchPair(1, 1), phi1, zeros, psi_table, im1=1, im2=1, name="bad")
+        assert err.value.code == "bad_code"
+
+
+def test_rate_only_codes_refuse_table_consumers():
+    for case in ("00", "01", "10", "11"):
+        code = construct_for_case(SwitchPair.from_string(case), 200, CAPS21)
+        assert code.phi1 is None and code.phi2 is None and code.psi is None
+        assert rate_account(code, CAPS21).n >= 1
+        for consumer in (code_to_json, check_admissible):
+            with pytest.raises(ZefcError) as err:
+                consumer(code)
+            assert err.value.code == "k_too_large"
+    assert rate_account(build_split_code_01(200, CAPS21), CAPS21).n == 123
+
+
+def _to3(word, width):
+    """Base-3 packing of a width-bit word, one digit at a time."""
+    return sum(((word >> i) & 1) * 3**i for i in range(width))
+
+
+def closure_code(case, k, caps):
+    """The case's construction as per-pair closures: phi1, phi2, psi, im1, im2."""
+    if case in ("00", "10"):
+        return (
+            lambda x, y: x,
+            lambda x, y: y,
+            lambda a, b: _to3(a, k) + _to3(b, k),
+            1 << k,
+            1 << k,
+        )
+    if case == "01":
+        low = split_index(k, caps) - 1
+        mask, base, high = (1 << low) - 1, 3**low, k - low
+        return (
+            lambda x, y: _to3(x & mask, low) + _to3(y & mask, low) + base * (x >> low),
+            lambda x, y: y >> low,
+            lambda a, b: a % base + base * (_to3(a // base, high) + _to3(b, high)),
+            base << high,
+            1 << high,
+        )
+    packing = build_packing_code_11(k, caps)
+    narrow, top = packing.im2, 3**k - 1
+    return (
+        lambda x, y: (_to3(x, k) + _to3(y, k)) // narrow,
+        lambda x, y: (_to3(x, k) + _to3(y, k)) % narrow,
+        lambda a, b: min(a * narrow + b, top),
+        packing.im1,
+        narrow,
+    )
+
+
+def test_code_json_matches_closure_oracle():
+    for c1, c2 in [("1", "1"), ("2", "1"), ("3", "2"), ("3/2", "1"), ("7/3", "5/4")]:
+        caps = ChannelCaps.of(c1, c2)
+        for case in ("00", "01", "10", "11"):
+            for k in range(1, 7):
+                code = construct_for_case(SwitchPair.from_string(case), k, caps)
+                want = oracles.code_to_json_oracle(k, case, *closure_code(case, k, caps))
+                # json.dumps also compares key order, which the CLI output depends on.
+                assert json.dumps(code_to_json(code)) == json.dumps(want), (case, c1, c2, k)
+
+
+CAP_VALUES = st.builds(Fraction, st.integers(1, 12), st.integers(1, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from(["00", "01", "10", "11"]),
+    c1=CAP_VALUES,
+    c2=CAP_VALUES,
+    k=st.integers(1, 5),
+)
+def test_code_json_round_trip_is_a_fixed_point(case, c1, c2, k):
+    caps = ChannelCaps.of(c1, c2)
+    doc = code_to_json(construct_for_case(SwitchPair.from_string(case), k, caps))
+    back = code_from_json(doc)
+    assert json.dumps(code_to_json(back)) == json.dumps(doc)
+    assert check_admissible(back).ok

@@ -291,6 +291,15 @@ def test_nontightness_report_raises_on_gap_sign_violation(monkeypatch):
     assert err.value.code == "gap_sign_mismatch"
 
 
+def test_network_lookups_match_edge_scans():
+    net = build_network(ChannelCaps.of("3", "2"))
+    for node in net.nodes:
+        assert net.in_edges(node) == tuple(e for e in net.edges if e.head == node)
+    assert [net.position[e.id] for e in net.edges] == list(range(len(net.edges)))
+    assert net.arcs == {("s1", "v1"): 3, ("s2", "v1"): 3, ("s2", "v2"): 3, ("v1", "rho"): 3, ("v2", "rho"): 2}
+    assert net.bundles() is net.bundles()
+
+
 def test_transform_split_code_k3():
     code = build_split_code_01(3, CAPS21)
     ncode = transform_code(code, CAPS21)
