@@ -8,7 +8,6 @@ digit string with position 1 leftmost, so "011" is the word (0, 1, 1).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -63,70 +62,6 @@ def word_from_string(s, radix):
     if any(d >= radix for d in digits):
         raise ZefcError("bad_digit_string", f"digit out of range for radix {radix}", text=s)
     return pack_digits(digits, radix), len(digits)
-
-
-@dataclass(frozen=True)
-class BitVector:
-    """A length-k word over {0,1}, packed as a k-bit integer."""
-
-    value: int
-    k: int
-
-    def __post_init__(self):
-        _check_k(self.k)
-        if not 0 <= self.value < (1 << self.k):
-            raise ZefcError("bad_value", "packed value out of range", value=self.value, k=self.k)
-
-    @classmethod
-    def from_bits(cls, bits):
-        bits = tuple(bits)
-        if any(b not in (0, 1) for b in bits):
-            raise ZefcError("bad_value", "every component must be 0 or 1", bits=bits)
-        return cls(pack_digits(bits, 2), len(bits))
-
-    @classmethod
-    def from_string(cls, s):
-        value, k = word_from_string(s, 2)
-        return cls(value, k)
-
-    @property
-    def bits(self):
-        return digits_of(self.value, self.k, 2)
-
-    def to_string(self):
-        return word_to_string(self.value, self.k, 2)
-
-
-@dataclass(frozen=True)
-class TernaryVector:
-    """A length-k word over {0,1,2}, packed in base 3."""
-
-    value: int
-    k: int
-
-    def __post_init__(self):
-        _check_k(self.k)
-        if not 0 <= self.value < 3 ** self.k:
-            raise ZefcError("bad_value", "packed value out of range", value=self.value, k=self.k)
-
-    @classmethod
-    def from_trits(cls, trits):
-        trits = tuple(trits)
-        if any(t not in (0, 1, 2) for t in trits):
-            raise ZefcError("bad_value", "every component must be 0, 1 or 2", trits=trits)
-        return cls(pack_digits(trits, 3), len(trits))
-
-    @classmethod
-    def from_string(cls, s):
-        value, k = word_from_string(s, 3)
-        return cls(value, k)
-
-    @property
-    def trits(self):
-        return digits_of(self.value, self.k, 3)
-
-    def to_string(self):
-        return word_to_string(self.value, self.k, 3)
 
 
 @dataclass(frozen=True)
@@ -210,14 +145,6 @@ def ternary_to_base4_table(k):
     return tuple(out)
 
 
-def add(x: BitVector, y: BitVector) -> TernaryVector:
-    """Componentwise integer sum of two binary words."""
-    if x.k != y.k:
-        raise ZefcError("length_mismatch", "operands must share one length", kx=x.k, ky=y.k)
-    t3 = binary_to_base3_table(x.k)
-    return TernaryVector(t3[x.value] + t3[y.value], x.k)
-
-
 def sumset(m: VectorSet, l: VectorSet) -> VectorSet:
     """All pairwise componentwise sums of m (binary) and l (binary or ternary)."""
     if m.k != l.k:
@@ -237,37 +164,3 @@ def sumset(m: VectorSet, l: VectorSet) -> VectorSet:
     q_l = ternary_to_base4_table(m.k)
     sums = {q_m[a] + q_l[b] for a in m.members for b in l.members}
     return VectorSet(m.k, 4, frozenset(sums))
-
-
-@dataclass(frozen=True)
-class SourceModel:
-    """A 2x2 joint probability table for the two binary sources."""
-
-    pxy: tuple
-
-    def entries(self):
-        try:
-            flat = [self.pxy[i][j] for i in range(2) for j in range(2)]
-        except (TypeError, IndexError, KeyError):
-            raise ZefcError("bad_shape", "pxy must be a 2x2 table") from None
-        return flat
-
-    def sum_entropy(self):
-        """Entropy (bits) of the induced single-letter sum distribution."""
-        p00, p01, p10, p11 = self.entries()
-        dist = (p00, p01 + p10, p11)
-        return -sum(p * math.log2(p) for p in dist if p > 0)
-
-
-def validate_source_model(m: SourceModel):
-    """Accept iff all four entries are strictly positive and sum to 1."""
-    flat = m.entries()
-    for e in flat:
-        if not isinstance(e, (int, float)):
-            raise ZefcError("bad_shape", "pxy entries must be numbers")
-        if e <= 0:
-            raise ZefcError("nonpositive_entry", "every probability must be strictly positive", entry=e)
-    total = sum(flat)
-    if abs(total - 1.0) > 1e-12:
-        raise ZefcError("not_normalized", "probabilities must sum to 1", total=total)
-    return True

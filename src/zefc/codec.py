@@ -12,6 +12,10 @@ from .errors import ZefcError
 
 MAX_EXHAUSTIVE_K = 10
 MAX_CAP_DENOMINATOR = 64
+# Largest exponent split_index raises 2 to, after dividing both exponents by their
+# gcd, when neither is at least twice the other. One comparison at this size takes
+# about 0.1 s; caps (2,1) stay below it up to k of about 1.7 million.
+MAX_SPLIT_EXPONENT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -222,7 +226,8 @@ def least_uses(image_size, cap):
     target = image_size ** q
 
     def enough(n):
-        return (1 << (n * p)) >= target
+        # image_size < 2^bit_length, so n*p >= q*bit_length settles a large cap at once.
+        return n * p >= q * image_size.bit_length() or (1 << (n * p)) >= target
 
     n = max(0, math.floor(math.log2(image_size) / float(cap)) - 2)
     while not enough(n):
@@ -310,7 +315,8 @@ def build_packing_code_11(k, caps):
     total = 3 ** k
     n = least_uses(total, caps.c1 + caps.c2)
     while True:
-        narrow = min(exact_pow2_floor(n, caps.c2), total)
+        # least_uses settles a large c2 without building 2^(n*c2).
+        narrow = total if least_uses(total, caps.c2) <= n else exact_pow2_floor(n, caps.c2)
         wide = -(-total // narrow)
         if least_uses(wide, caps.c1) <= n:
             break
@@ -332,9 +338,23 @@ def split_index(k, caps):
     b = caps.c2
 
     def enough(k1):
-        return 3 ** (k1 * b.numerator * a.denominator) >= 2 ** (
-            a.numerator * b.denominator * (k - k1)
-        )
+        """3^e3 >= 2^e2, decided from the exponents alone when one is far larger."""
+        e3 = k1 * b.numerator * a.denominator
+        e2 = a.numerator * b.denominator * (k - k1)
+        g = math.gcd(e3, e2)
+        e3, e2 = e3 // g, e2 // g
+        if e3 >= e2:
+            return True
+        if e2 >= 2 * e3:
+            return False  # 3^e3 < 4^e3 <= 2^e2
+        if e2 > MAX_SPLIT_EXPONENT:
+            raise ZefcError(
+                "split_too_costly",
+                f"the case-01 split compares powers of 2 and 3 up to exponent {MAX_SPLIT_EXPONENT}",
+                k=k,
+                caps=caps.as_strings(),
+            )
+        return 3**e3 >= 2**e2
 
     seed = float(a) * k / (float(a) + float(b) * math.log2(3))
     k1 = min(max(1, math.ceil(seed - 1e-9)), k)

@@ -152,12 +152,17 @@ class GuangBound:
 
 @dataclass(frozen=True, eq=False)
 class KShotNetworkCode:
-    """Per-edge local encoders plus a sink decoder, with realized use counts."""
+    """Per-edge symbol tables plus a sink decoder, with realized use counts.
+
+    symbols[e][x, y] is the symbol edge e carries for the k-bit source words x and
+    y. decoder maps each tuple of sink symbols that occurs, in in_edges(sink) order,
+    to the packed base-3 sum it decodes to.
+    """
 
     network: Network
     k: int
-    theta: dict
-    decoder: Callable[[tuple], int]
+    symbols: dict
+    decoder: dict
     n_e: dict
     n: int
 
@@ -408,47 +413,74 @@ def _bits_for(count):
     return (count - 1).bit_length() if count > 1 else 0
 
 
-def make_network_code(net, k, theta, decoder):
-    """Assemble a network code, deriving realized per-edge use counts."""
+def _tuple_ids(symbols, edges):
+    """Number of the tuple of symbols the edges carry at each (x, y), x major.
+
+    Tuples are numbered in order of first appearance; they are returned in that order.
+    """
+    rows = np.stack([symbols[e.id].ravel() for e in edges], axis=1)
+    tuples, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rank[inverse.reshape(-1)], tuples[order]
+
+
+def make_network_code(net, k, symbols, decoder):
+    """Assemble a network code from per-edge symbol tables, deriving use counts.
+
+    Each edge needs a (2^k, 2^k) integer table that its tail can compute: a function
+    of x out of s1, of y out of s2, and of the symbols on the edges into its tail
+    out of any other node.
+    """
     if k > MAX_TRANSFORM_K:
         raise ZefcError("k_too_large", f"network codes are limited to k<={MAX_TRANSFORM_K}", k=k)
-    g = global_functions(net, k, theta)
     size = 1 << k
-    images = {eid: set() for eid in g}
-    for x in range(size):
-        for y in range(size):
-            for eid, fn in g.items():
-                images[eid].add(fn(x, y))
-    n_e = {eid: _bits_for(len(values)) for eid, values in images.items()}
+    for edge in net.edges:
+        table = symbols.get(edge.id)
+        if (
+            not isinstance(table, np.ndarray)
+            or table.shape != (size, size)
+            or not np.issubdtype(table.dtype, np.integer)
+        ):
+            raise ZefcError(
+                "bad_network_code",
+                f"each edge needs a {size}x{size} integer symbol table",
+                edge=edge.id,
+            )
+    words = np.arange(size)
+    # What each node sees at each (x, y), x major, as numbers: s1 sees x and s2 sees y.
+    seen = {"s1": np.repeat(words, size), "s2": np.tile(words, size)}
+    for edge in net.edges:
+        if edge.tail not in seen:
+            seen[edge.tail] = _tuple_ids(symbols, net.in_edges(edge.tail))[0]
+        feed, table = seen[edge.tail], symbols[edge.id].ravel()
+        # The edge is computable iff it holds one symbol per value its tail sees.
+        value = np.empty(feed.max() + 1, dtype=table.dtype)
+        value[feed] = table
+        if (value[feed] != table).any():
+            raise ZefcError(
+                "bad_network_code",
+                "an edge's symbols must follow from what its tail sees",
+                edge=edge.id,
+            )
+    n_e = {e.id: _bits_for(np.unique(symbols[e.id]).size) for e in net.edges}
     return KShotNetworkCode(
-        network=net, k=k, theta=dict(theta), decoder=decoder, n_e=n_e, n=max(n_e.values())
+        network=net,
+        k=k,
+        symbols={e.id: symbols[e.id] for e in net.edges},
+        decoder=dict(decoder),
+        n_e=n_e,
+        n=max(n_e.values()),
     )
 
 
-def global_functions(net, k, theta):
-    """Compose local encoders into end-to-end per-edge functions of (x, y)."""
-    g = {}
-
-    def for_edge(edge):
-        if edge.id in g:
-            return g[edge.id]
-        fn = theta[edge.id]
-        if edge.tail == "s1":
-            g[edge.id] = lambda x, y, fn=fn: fn(x)
-        elif edge.tail == "s2":
-            g[edge.id] = lambda x, y, fn=fn: fn(y)
-        else:
-            feeders = [for_edge(e) for e in net.in_edges(edge.tail)]
-            g[edge.id] = lambda x, y, fn=fn, fs=tuple(feeders): fn(tuple(f(x, y) for f in fs))
-        return g[edge.id]
-
-    for edge in net.edges:
-        for_edge(edge)
-    return g
-
-
 def transform_code(code, caps):
-    """Express a case-01 code as a network code over the matching network."""
+    """Express a case-01 code as a network code over the matching network.
+
+    The d edges carry balanced chunks of x and y, the v1->rho edges chunks of
+    encoder 1's label and the v2->rho edges chunks of encoder 2's label.
+    """
     if code.switches.as_string() != "01":
         raise ZefcError(
             "bad_switches",
@@ -461,58 +493,42 @@ def transform_code(code, caps):
     c1, c2 = net.c1, net.c2
     k = code.k
     acct = rate_account(code, caps)
+    size = 1 << k
     # Encoder 2 of a case-01 code reads y alone, so its table is any one row.
-    realized = (np.unique(code.phi1).size, np.unique(code.phi2[0]).size)
+    phi2 = np.broadcast_to(code.phi2[:1], (size, size))
+    realized = (np.unique(code.phi1).size, np.unique(phi2[0]).size)
     if realized != (code.im1, code.im2):
         raise ZefcError(
             "bad_image_count",
             "declared image sizes disagree with the realized encoder images",
             realized=realized,
         )
-    phi1, phi2, psi = code.phi1.tolist(), code.phi2[0].tolist(), code.psi.tolist()
     word_chunks = _chunk_layout(k, c1)
     label1_chunks = _chunk_layout(_bits_for(code.im1), c1)
     label2_chunks = _chunk_layout(_bits_for(code.im2), c2)
     if max(w for _, w in label1_chunks) > acct.n1 or max(w for _, w in label2_chunks) > acct.n2:
         raise ZefcError("image_over_budget", "encoder image does not fit the channel bundle")
 
-    def chunk(value, layout, i):
-        offset, width = layout[i]
-        return (value >> offset) & ((1 << width) - 1)
-
-    def assemble(symbols, layout):
-        return sum(s << layout[i][0] for i, s in enumerate(symbols))
-
-    theta = {}
+    words = np.arange(size)
+    x = np.broadcast_to(words[:, None], (size, size))
+    y = np.broadcast_to(words[None, :], (size, size))
     bundles = dict(net.bundles())
-    for i, eid in enumerate(bundles["s1->v1"]):
-        theta[eid] = lambda x, i=i: chunk(x, word_chunks, i)
-    for i, eid in enumerate(bundles["s2->v1"]):
-        theta[eid] = lambda y, i=i: chunk(y, word_chunks, i)
-    for i, eid in enumerate(bundles["s2->v2"]):
-        theta[eid] = lambda y, i=i: chunk(y, word_chunks, i)
-
-    def v1_label(incoming):
-        x = assemble(incoming[:c1], word_chunks)
-        y = assemble(incoming[c1:], word_chunks)
-        return phi1[x][y]
-
-    def v2_label(incoming):
-        return phi2[assemble(incoming, word_chunks)]
-
-    for i, eid in enumerate(bundles["v1->rho"]):
-        theta[eid] = lambda incoming, i=i: chunk(v1_label(incoming), label1_chunks, i)
-    for i, eid in enumerate(bundles["v2->rho"]):
-        theta[eid] = lambda incoming, i=i: chunk(v2_label(incoming), label2_chunks, i)
-
-    def decoder(symbols):
-        a = assemble(symbols[:c1], label1_chunks)
-        b = assemble(symbols[c1:], label2_chunks)
-        if a >= code.im1 or b >= code.im2:
-            return 0
-        return psi[a][b]
-
-    ncode = make_network_code(net, k, theta, decoder)
+    symbols = {}
+    for name, values, layout in (
+        ("s1->v1", x, word_chunks),
+        ("s2->v1", y, word_chunks),
+        ("s2->v2", y, word_chunks),
+        ("v1->rho", code.phi1, label1_chunks),
+        ("v2->rho", phi2, label2_chunks),
+    ):
+        for eid, (offset, width) in zip(bundles[name], layout):
+            symbols[eid] = (values >> offset) & ((1 << width) - 1)
+    # Each sink tuple spells out one label pair, which decodes through psi.
+    ids, tuples = _tuple_ids(symbols, net.in_edges(SINK))
+    sums = np.empty(len(tuples), dtype=np.int64)
+    sums[ids] = code.psi[code.phi1, phi2].ravel()
+    decoder = dict(zip(map(tuple, tuples.tolist()), sums.tolist()))
+    ncode = make_network_code(net, k, symbols, decoder)
     if ncode.n != acct.n:
         raise ZefcError(
             "transform_rate_mismatch",
@@ -523,51 +539,48 @@ def transform_code(code, caps):
     return ncode
 
 
+def _decoded(ncode):
+    """What the sink decodes for each (x, y), x major; -1 where the decoder has no entry."""
+    ids, tuples = _tuple_ids(ncode.symbols, ncode.network.in_edges(SINK))
+    values = [ncode.decoder.get(t, -1) for t in map(tuple, tuples.tolist())]
+    return np.array(values, dtype=np.int64)[ids]
+
+
 def check_network_admissible(ncode):
     """Exhaustively verify the sink decodes the componentwise sum."""
-    k = ncode.k
-    net = ncode.network
-    g = global_functions(net, k, ncode.theta)
-    sink_feed = [g[e.id] for e in net.in_edges(net.sink)]
-    t3 = binary_to_base3_table(k)
-    size = 1 << k
-    for x in range(size):
-        for y in range(size):
-            got = ncode.decoder(tuple(f(x, y) for f in sink_feed))
-            if got != t3[x] + t3[y]:
-                return False
-    return True
+    t3 = np.array(binary_to_base3_table(ncode.k), dtype=np.int64)
+    return bool((_decoded(ncode) == (t3[:, None] + t3[None, :]).ravel()).all())
 
 
 def inverse_transform(ncode):
-    """Recover a two-encoder code from a network code's sink-facing functions."""
-    net = ncode.network
-    k = ncode.k
-    g = global_functions(net, k, ncode.theta)
-    bundles = dict(net.bundles())
-    wide = [g[eid] for eid in bundles["v1->rho"]]
-    narrow = [g[eid] for eid in bundles["v2->rho"]]
-    size = 1 << k
-    # Each distinct tuple of symbols on a bundle is one label, numbered first seen.
-    label1, label2 = {}, {}
-    phi1, phi2 = [], {}
-    for x in range(size):
-        for y in range(size):
-            phi1.append(label1.setdefault(tuple(f(x, y) for f in wide), len(label1)))
-            b = label2.setdefault(tuple(f(x, y) for f in narrow), len(label2))
-            if phi2.setdefault(y, b) != b:
-                raise ZefcError(
-                    "bad_network_code", "the narrow-channel message must not depend on x"
-                )
-    psi = [[ncode.decoder(t1 + t2) for t2 in label2] for t1 in label1]
+    """Recover a two-encoder code from a network code's sink-facing symbols.
+
+    Each encoder's label is the tuple of symbols on its relay's edges into the sink,
+    numbered in order of first appearance.
+    """
+    size = 1 << ncode.k
+    sink_edges = ncode.network.in_edges(SINK)
+    (phi1, wide), (phi2, narrow) = (
+        _tuple_ids(ncode.symbols, [e for e in sink_edges if e.tail == relay])
+        for relay in ("v1", "v2")
+    )
+    phi1, phi2 = phi1.reshape(size, size), phi2.reshape(size, size)
+    if (phi2 != phi2[:1]).any():
+        raise ZefcError("bad_network_code", "the narrow-channel message must not depend on x")
+    decoded = _decoded(ncode)
+    if (decoded < 0).any():
+        raise ZefcError("bad_network_code", "the decoder must cover every sink tuple that occurs")
+    # Label pairs that never occur together decode to 0.
+    psi = np.zeros((len(wide), len(narrow)), dtype=np.int64)
+    psi[phi1.ravel(), phi2.ravel()] = decoded
     return KShotCode(
-        k=k,
+        k=ncode.k,
         switches=SwitchPair(0, 1),
-        phi1=np.array(phi1, dtype=np.int64).reshape(size, size),
-        phi2=np.broadcast_to(np.array([phi2[y] for y in range(size)])[None, :], (size, size)),
-        psi=np.array(psi, dtype=np.int64),
-        im1=len(label1),
-        im2=len(label2),
+        phi1=phi1,
+        phi2=phi2,
+        psi=psi,
+        im1=len(wide),
+        im2=len(narrow),
         name="inverse-transform",
     )
 

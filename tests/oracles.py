@@ -298,3 +298,19 @@ def guang_bound_oracle(c1, c2, max_cut_size=None):
             if best is None or ratio < best - 1e-12:
                 best, wit = ratio, cut
     return best, wit
+
+
+def network_admissible_oracle(k, sink_tables, decoder):
+    """Whether a sink decodes the componentwise sum, one (x, y) pair at a time.
+
+    sink_tables[i][x][y] is the symbol the i-th edge into the sink carries for the
+    k-bit words x and y (nested lists); decoder maps each tuple of sink symbols to
+    a packed base-3 sum. A tuple the decoder lacks decodes to nothing.
+    """
+    for x in range(1 << k):
+        for y in range(1 << k):
+            symbols = tuple(table[x][y] for table in sink_tables)
+            want = sum((((x >> i) & 1) + ((y >> i) & 1)) * 3**i for i in range(k))
+            if decoder.get(symbols) != want:
+                return False
+    return True

@@ -1,21 +1,16 @@
-"""Vector types, packing conventions, sumsets, and the source-model validator."""
+"""Packing conventions, digit strings, base-3 sums and sumsets."""
 
 import itertools
 
 import pytest
 
 from zefc.bitspace import (
-    BitVector,
-    SourceModel,
-    TernaryVector,
     VectorSet,
-    add,
     binary_to_base3_table,
     digit_strings,
     digits_of,
     pack_digits,
     sumset,
-    validate_source_model,
     word_from_string,
     word_to_string,
 )
@@ -34,17 +29,15 @@ def subset_of(k, values):
 
 def test_string_round_trip():
     for s in ("0", "1", "011", "1101", "00000"):
-        v = BitVector.from_string(s)
-        assert v.to_string() == s
-        assert v.k == len(s)
-    assert TernaryVector.from_string("120").to_string() == "120"
+        value, k = word_from_string(s, 2)
+        assert word_to_string(value, k, 2) == s
+        assert k == len(s)
+    assert word_to_string(*word_from_string("120", 3), 3) == "120"
 
 
 def test_position_one_is_least_significant():
-    v = BitVector.from_string("011")
-    assert v.value == 0 + 2 * 1 + 4 * 1
-    t = TernaryVector.from_string("120")
-    assert t.value == 1 + 3 * 2 + 9 * 0
+    assert word_from_string("011", 2) == (0 + 2 * 1 + 4 * 1, 3)
+    assert word_from_string("120", 3) == (1 + 3 * 2 + 9 * 0, 3)
 
 
 def test_pack_digit_round_trip():
@@ -55,59 +48,51 @@ def test_pack_digit_round_trip():
 
 
 def test_vector_validation():
-    with pytest.raises(ZefcError):
-        BitVector(4, 2)
-    with pytest.raises(ZefcError):
-        BitVector(0, 0)
-    with pytest.raises(ZefcError):
-        BitVector(0, 21)
-    with pytest.raises(ZefcError):
-        TernaryVector(9, 2)
-    with pytest.raises(ZefcError):
-        BitVector.from_bits((0, 2))
-    with pytest.raises(ZefcError):
-        word_from_string("012", 2)
-    with pytest.raises(ZefcError):
-        word_from_string("", 2)
+    for k in (0, 21):
+        with pytest.raises(ZefcError) as err:
+            VectorSet.of(k, 2, [])
+        assert err.value.code == "bad_block_length"
+    for text, radix in (("012", 2), ("", 2), ("1a", 2), ("013", 3)):
+        with pytest.raises(ZefcError) as err:
+            word_from_string(text, radix)
+        assert err.value.code == "bad_digit_string"
 
 
 def test_equality_requires_equal_length():
-    assert BitVector(1, 2) != BitVector(1, 3)
-    assert BitVector(1, 2) == BitVector(1, 2)
-    assert BitVector(1, 2) != TernaryVector(1, 2)
+    assert word_from_string("1", 2) != word_from_string("10", 2)
+    assert word_from_string("1", 2)[0] == word_from_string("10", 2)[0]
+    assert VectorSet.of(2, 2, [1]) != VectorSet.of(3, 2, [1])
+    assert VectorSet.of(2, 2, [1]) != VectorSet.of(2, 3, [1])
 
 
 def test_add_componentwise():
-    x = BitVector.from_string("011")
-    y = BitVector.from_string("110")
-    assert add(x, y).to_string() == "121"
+    t3 = binary_to_base3_table(3)
+    (x, _), (y, _) = word_from_string("011", 2), word_from_string("110", 2)
+    assert word_to_string(t3[x] + t3[y], 3, 3) == "121"
 
 
 def test_add_zero_embeds():
     for k in (1, 3, 5):
-        zero = BitVector(0, k)
+        t3 = binary_to_base3_table(k)
         for value in range(1 << k):
-            y = BitVector(value, k)
-            assert add(zero, y).trits == y.bits
+            assert digits_of(t3[0] + t3[value], k, 3) == digits_of(value, k, 2)
 
 
 def test_add_length_mismatch():
     with pytest.raises(ZefcError) as err:
-        add(BitVector(0, 2), BitVector(0, 3))
+        sumset(VectorSet.of(2, 2, [0]), VectorSet.of(3, 2, [0]))
     assert err.value.code == "length_mismatch"
 
 
 def test_add_matches_oracle_and_counts():
     k = 2
-    words = oracles.all_words(2, k)
+    t3 = binary_to_base3_table(k)
     sums = set()
-    for xa in words:
-        for ya in words:
-            x = BitVector.from_bits(xa)
-            y = BitVector.from_bits(ya)
-            z = add(x, y)
-            assert z.trits == oracles.tuple_add(xa, ya)
-            sums.add(z.value)
+    for xa in oracles.all_words(2, k):
+        for ya in oracles.all_words(2, k):
+            z = t3[pack_digits(xa, 2)] + t3[pack_digits(ya, 2)]
+            assert digits_of(z, k, 3) == oracles.tuple_add(xa, ya)
+            sums.add(z)
     assert len(sums) == 3 ** k
 
 
@@ -237,26 +222,6 @@ def test_vector_set_helpers():
         VectorSet.of(1, 5, [0])
     with pytest.raises(ZefcError):
         VectorSet.of(1, 2, [2])
-
-
-def test_source_model_validation():
-    uniform = SourceModel(((0.25, 0.25), (0.25, 0.25)))
-    assert validate_source_model(uniform)
-    with pytest.raises(ZefcError) as err:
-        validate_source_model(SourceModel(((0.5, 0.5), (0.0, 0.0))))
-    assert err.value.code == "nonpositive_entry"
-    with pytest.raises(ZefcError) as err:
-        validate_source_model(SourceModel(((0.5, 0.5), (0.5, 0.5))))
-    assert err.value.code == "not_normalized"
-    with pytest.raises(ZefcError):
-        validate_source_model(SourceModel((0.25, 0.25, 0.25)))
-
-
-def test_sum_entropy():
-    uniform = SourceModel(((0.25, 0.25), (0.25, 0.25)))
-    assert abs(uniform.sum_entropy() - 1.5) < 1e-12
-    skewed = SourceModel(((0.97, 0.01), (0.01, 0.01)))
-    assert 0 < skewed.sum_entropy() < 1.5
 
 
 def test_word_to_string_width():

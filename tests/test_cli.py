@@ -185,6 +185,29 @@ def test_nfc_past_20_edges(capsys):
     validate(doc, schema("nfc"))
 
 
+# Caps far beyond any channel: each once raised OverflowError or ran for minutes on
+# 2^(n*c) and 3^(k1*c) powers.
+HUGE_CAP_REQUESTS = (
+    "capacity --case 00 --c1 1e30 --c2 1 --k 5",
+    "capacity --case 01 --c1 1e30 --c2 1 --k 5",
+    "capacity --case 01 --c1 2e30 --c2 1e30 --k 5",
+    "capacity --case 11 --c1 1e30 --c2 1 --k 5",
+    "capacity --case 11 --c1 1e30 --c2 1e30 --k 5",
+    "capacity --case 01 --c1 2000000000000000000000000000003"
+    " --c2 1000000000000000000000000000001 --k 5",
+    "construct --case 01 --c1 1e30 --c2 1 --k 3",
+    "construct --case 11 --c1 1e30 --c2 1 --k 3",
+)
+
+
+@pytest.mark.parametrize("request_text", HUGE_CAP_REQUESTS)
+def test_huge_caps_answer_or_refuse(capsys, request_text):
+    argv = request_text.split()
+    code, doc = run_cli(capsys, argv)
+    assert code in (0, 2)
+    validate(doc, schema(argv[0] if code == 0 else "error"))
+
+
 def test_bad_caps_and_bad_arguments(capsys):
     code, doc = run_cli(capsys, ["capacity", "--case", "01", "--c1", "abc", "--c2", "1"])
     assert code == 2

@@ -92,6 +92,39 @@ def test_least_uses_exact_boundaries():
     assert err.value.code == "empty_image"
 
 
+def test_exponent_shortcuts_match_exact_powers():
+    caps = [
+        ChannelCaps.of(Fraction(a, b), Fraction(c, d))
+        for a in range(1, 9)
+        for b in (1, 2, 3)
+        for c in range(1, 9)
+        for d in (1, 4)
+        if Fraction(a, b) >= Fraction(c, d)
+    ]
+    for cap in caps:
+        a, b = cap.c1 - cap.c2, cap.c2
+        for k in (1, 2, 5, 13, 30):
+            want = 1 if a == 0 else next(
+                k1
+                for k1 in range(1, k + 1)
+                if 3 ** (k1 * b.numerator * a.denominator)
+                >= 2 ** (a.numerator * b.denominator * (k - k1))
+            )
+            assert split_index(k, cap) == want, (cap, k)
+        p, q = cap.c1.numerator, cap.c1.denominator
+        for size in (2, 3, 9, 17, 3**13):
+            want = next(n for n in range(10**4) if 2 ** (n * p) >= size**q)
+            assert least_uses(size, cap.c1) == want, (cap, size)
+
+
+def test_split_index_refuses_costly_exponents():
+    huge = ChannelCaps.of(2 * 10**30 + 3, 10**30 + 1)
+    with pytest.raises(ZefcError) as err:
+        split_index(5, huge)
+    assert err.value.code == "split_too_costly"
+    assert split_index(5, ChannelCaps.of("2e30", "1e30")) == split_index(5, ChannelCaps.of(2, 1))
+
+
 def test_exact_pow2_floor():
     assert exact_pow2_floor(3, Fraction(2)) == 64
     assert exact_pow2_floor(3, Fraction(1, 2)) == 2

@@ -4,9 +4,16 @@ import itertools
 import math
 import types
 
+import numpy as np
 import pytest
 
-from oracles import class_count_oracle, classify, guang_bound_oracle, net_edges
+from oracles import (
+    class_count_oracle,
+    classify,
+    guang_bound_oracle,
+    net_edges,
+    network_admissible_oracle,
+)
 from zefc.codec import (
     ChannelCaps,
     SwitchPair,
@@ -23,7 +30,6 @@ from zefc.nfc import (
     check_network_admissible,
     classify_cut,
     cutset_bound_formula,
-    global_functions,
     guang_bound,
     inverse_transform,
     make_network_code,
@@ -326,15 +332,43 @@ def test_transform_sink_information_budget():
     for k in range(1, 6):
         code = build_split_code_01(k, CAPS21)
         ncode = transform_code(code, CAPS21)
-        g = global_functions(ncode.network, k, ncode.theta)
         sink_ids = [e.id for e in ncode.network.in_edges("rho")]
-        sizes = {eid: set() for eid in sink_ids}
-        for x in range(1 << k):
-            for y in range(1 << k):
-                for eid in sink_ids:
-                    sizes[eid].add(g[eid](x, y))
-        product = math.prod(len(v) for v in sizes.values())
+        product = math.prod(np.unique(ncode.symbols[eid]).size for eid in sink_ids)
         assert product >= 3**k
+
+
+def _sink_tables(ncode):
+    return [ncode.symbols[e.id].tolist() for e in ncode.network.in_edges("rho")]
+
+
+def test_network_admissibility_matches_oracle():
+    for caps in (CAPS21, ChannelCaps.of("3", "2")):
+        for k in range(1, 6):
+            ncode = transform_code(build_split_code_01(k, caps), caps)
+            want = network_admissible_oracle(k, _sink_tables(ncode), ncode.decoder)
+            assert want is check_network_admissible(ncode) is True, (caps.as_strings(), k)
+    ncode = transform_code(build_split_code_01(3, CAPS21), CAPS21)
+    first = next(iter(ncode.decoder))
+    for decoder in (
+        {**ncode.decoder, first: ncode.decoder[first] + 1},
+        {t: v for t, v in ncode.decoder.items() if t != first},
+    ):
+        bad = make_network_code(ncode.network, 3, ncode.symbols, decoder)
+        assert network_admissible_oracle(3, _sink_tables(bad), decoder) is False
+        assert check_network_admissible(bad) is False
+
+
+def test_make_network_code_refuses_unrealizable_tables():
+    ncode = transform_code(build_split_code_01(2, CAPS11), CAPS11)
+    x = np.broadcast_to(np.arange(4)[:, None], (4, 4))
+    y = np.broadcast_to(np.arange(4)[None, :], (4, 4))
+    # v2 sees only y; d1 leaves s1, which sees only x; and a 2x4 table fits no k.
+    for eid, table in (("e2", x), ("d1", x + y), ("d1", np.zeros((2, 4), dtype=np.int64))):
+        with pytest.raises(ZefcError) as err:
+            make_network_code(ncode.network, 2, {**ncode.symbols, eid: table}, ncode.decoder)
+        assert err.value.code == "bad_network_code"
+        assert err.value.payload()["details"]["edge"] == eid
+    assert make_network_code(ncode.network, 2, ncode.symbols, ncode.decoder).n == ncode.n
 
 
 def test_transform_rejects_other_cases():
@@ -351,7 +385,7 @@ def test_transform_k_guard():
     assert err.value.code == "k_too_large"
     net = build_network(CAPS11)
     with pytest.raises(ZefcError) as err:
-        make_network_code(net, 11, {}, lambda symbols: 0)
+        make_network_code(net, 11, {}, {})
     assert err.value.code == "k_too_large"
 
 
@@ -364,14 +398,10 @@ def test_inverse_transform_rejects_x_dependent_narrow_edge():
         Edge("e2", "v2", "rho"),
     )
     net = Network(c1=1, c2=1, edges=edges)
-    theta = {
-        "d1": lambda x: x,
-        "d2": lambda y: y,
-        "d3": lambda x: x,
-        "e1": lambda incoming: incoming[0] + incoming[1],
-        "e2": lambda incoming: incoming[0],
-    }
-    ncode = make_network_code(net, 1, theta, lambda symbols: symbols[0])
+    x = np.broadcast_to(np.arange(2)[:, None], (2, 2))
+    y = np.broadcast_to(np.arange(2)[None, :], (2, 2))
+    symbols = {"d1": x, "d2": y, "d3": x, "e1": x + y, "e2": x}
+    ncode = make_network_code(net, 1, symbols, {(a, b): a for a in range(3) for b in range(2)})
     with pytest.raises(ZefcError) as err:
         inverse_transform(ncode)
     assert err.value.code == "bad_network_code"
