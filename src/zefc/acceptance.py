@@ -177,7 +177,7 @@ def run_criterion_5(threads=None):
     """Sumset lower bound, exhaustive over every nonempty subset up to k = 4."""
     started = time.perf_counter()
     failures = []
-    report = verify_sumset_lower_bound(4, threads=threads)
+    report = verify_sumset_lower_bound(4)
     for entry in report.entries:
         if entry["mode"] != "exhaustive":
             failures.append(f"k={entry['k']} fell back to sampling")
@@ -232,7 +232,7 @@ def run_criterion_7(threads=None):
     failures = []
     values = {}
     for k in range(1, 9):
-        result = mixed_min_pair_sumset(k, threads=threads)
+        result = mixed_min_pair_sumset(k)
         values[k] = result.value
         if result.value != 3 * (1 << (k - 1)):
             failures.append(f"k={k}: {result.value} != {3 * (1 << (k - 1))}")

@@ -19,6 +19,7 @@ from .coloring import (
     verify_sumset_lower_bound,
 )
 from .errors import ZefcError
+from ._parallel import thread_count
 from .nfc import nontightness_report
 
 MAX_QK_TABLE_K = 10
@@ -126,9 +127,7 @@ def _cmd_verify(args):
             "violation_examples": list(report.violations[:10]),
             "counterexample_above_tau": report.tau_maximality,
         }, 0
-    report = verify_sumset_lower_bound(
-        args.k_max, samples=args.samples, seed=args.seed, threads=args.threads
-    )
+    report = verify_sumset_lower_bound(args.k_max, samples=args.samples, seed=args.seed)
     entries = []
     for entry in report.entries:
         row = {
@@ -218,7 +217,7 @@ def _cmd_chim(args):
 
 
 def _cmd_gamma_pair(args):
-    result = mixed_min_pair_sumset(args.k, threads=args.threads)
+    result = mixed_min_pair_sumset(args.k)
     return {
         "version": __version__,
         "query": {"command": "gamma-pair", "k": args.k},
@@ -362,6 +361,7 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        thread_count(args.threads)
         started = time.perf_counter()
         payload, exit_code = args.handler(args)
         if getattr(args, "timings", False):

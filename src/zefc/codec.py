@@ -16,6 +16,11 @@ MAX_CAP_DENOMINATOR = 64
 # gcd, when neither is at least twice the other. One comparison at this size takes
 # about 0.1 s; caps (2,1) stay below it up to k of about 1.7 million.
 MAX_SPLIT_EXPONENT = 1 << 20
+# Budget of the case-11 construction: k*log2(3), the size in bits of 3^k, times
+# the denominator q of c2. It divides 3^k by floor(2^(n*c2)), a q-th root of a
+# number of about that many bits. Caps (2,1) reach it at k of about 660 000 and
+# (127/64, 63/64) at about 10 000; either takes about 1 s.
+MAX_PACKING_BITS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -223,11 +228,23 @@ def least_uses(image_size, cap):
     if image_size == 1 or cap is None:
         return 0
     p, q = cap.numerator, cap.denominator
-    target = image_size ** q
+    bits = image_size.bit_length()
+    # image_size lies in [top, top + 1) * 2^shift with top of 64 bits, so
+    # image_size^q lies in [low, high) * 2^(q*shift); only a power of two inside
+    # that bracket needs image_size^q itself.
+    shift = max(0, bits - 64)
+    top = image_size >> shift
+    low = top**q
+    high = low if top << shift == image_size else (top + 1) ** q
 
     def enough(n):
-        # image_size < 2^bit_length, so n*p >= q*bit_length settles a large cap at once.
-        return n * p >= q * image_size.bit_length() or (1 << (n * p)) >= target
+        # image_size < 2^bits, so n*p >= q*bits settles a large cap at once.
+        if n * p >= q * bits:
+            return True
+        e = n * p - q * shift
+        if e < 0 or (1 << e) < low:
+            return False
+        return (1 << e) >= high or (1 << (n * p)) >= image_size**q
 
     n = max(0, math.floor(math.log2(image_size) / float(cap)) - 2)
     while not enough(n):
@@ -312,6 +329,13 @@ def build_packing_code_11(k, caps):
     if k < 1:
         raise ZefcError("bad_k", "block length must be at least 1", k=k)
     caps.require_bounded()
+    if math.ceil(k * math.log2(3)) * caps.c2.denominator > MAX_PACKING_BITS:
+        raise ZefcError(
+            "packing_too_costly",
+            f"the case-11 code is limited to k*log2(3) * denominator(c2) <= {MAX_PACKING_BITS} bits",
+            k=k,
+            caps=caps.as_strings(),
+        )
     total = 3 ** k
     n = least_uses(total, caps.c1 + caps.c2)
     while True:

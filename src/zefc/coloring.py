@@ -16,6 +16,12 @@ TAU = math.log2(3) - 1
 EXACT_QK_LIMIT = 4
 EXACT_CHIM_LIMIT = 3
 MIXED_PAIR_LIMIT = 8
+# The superadditivity check visits about l_max^2 / 4 splits; 4096 takes about 2 s.
+MAX_AITCH_L = 4096
+# The sumset bound checks all 2^(2^k) subsets up to this k and samples beyond it.
+# Its sum masks cost O(4^k) at every k: k_max = 10 takes about 2.5 s.
+EXACT_SUMSET_BOUND_K = 4
+MAX_SUMSET_BOUND_K = 10
 
 
 @dataclass(frozen=True)
@@ -257,6 +263,12 @@ def verify_aitch_superadditivity(l_max, tau=None):
     """Check 2*h(l_a) + h(l_b) >= 2*h(l) over every split of every l <= l_max."""
     if l_max < 1:
         raise ZefcError("bad_ell", "l_max must be at least 1", l_max=l_max)
+    if l_max > MAX_AITCH_L:
+        raise ZefcError(
+            "l_too_large",
+            f"the check is O(l_max^2); l_max is limited to {MAX_AITCH_L}",
+            l_max=l_max,
+        )
     used_tau = TAU if tau is None else tau
     violations = []
     checked = 0
@@ -290,110 +302,146 @@ def verify_aitch_superadditivity(l_max, tau=None):
     )
 
 
-def verify_sumset_lower_bound(k_max, samples=200, seed=0, threads=None):
+_POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def _union_counts(k):
+    """Sizes |A^k + L| and |L| for every subset mask L of the 2^k binary words.
+
+    Column y of the sum table is the bitmask of A^k + y over the 3^k sum values,
+    as 64-bit words; the union table doubles, U[:, 2^b + m] = U[:, m] | column b,
+    so a mask's column is the union over its set bits.
+    """
+    table = np.asarray(binary_to_base3_table(k))
+    size = 1 << k
+    present = np.zeros((size, 64 * -(-(3**k) // 64)), dtype=bool)
+    present[np.arange(size)[:, None], table[None, :] + table[:, None]] = True
+    columns = np.packbits(present, axis=1).view(np.uint64).T
+    union = np.zeros((len(columns), 1 << size), dtype=np.uint64)
+    ells = np.zeros(1 << size, dtype=np.uint8)
+    for b in range(size):
+        half = 1 << b
+        np.bitwise_or(union[:, :half], columns[:, b : b + 1], out=union[:, half : 2 * half])
+        ells[half : 2 * half] = ells[:half] + 1
+    counts = np.zeros(1 << size, dtype=np.int16)
+    for word in union:
+        counts += _POPCOUNT8[word.view(np.uint8)].reshape(-1, 8).sum(axis=1, dtype=np.int16)
+    return counts, ells
+
+
+def _exhaustive_entry(k):
+    """Every nonempty subset of A^k checked against the 2^k*h(l) bound, in mask order."""
+    size = 1 << k
+    counts, ells = _union_counts(k)
+    bounds = np.array([qk_lower_bound(k, l) for l in range(size + 1)], dtype=np.int16)[ells]
+    power = (ells & (ells - 1)) == 0
+    power[0] = False  # the empty mask, which is not checked
+    violations = [(int(m), int(ells[m]), int(counts[m])) for m in np.nonzero(counts < bounds)[0]]
+    words = [word_to_string(y, k, 2) for y in range(size)]
+    subsets = {}
+    for mask in map(int, np.nonzero(power & (counts == bounds))[0]):
+        subsets.setdefault(int(ells[mask]), []).append(
+            [words[y] for y in range(size) if (mask >> y) & 1]
+        )
+    return {
+        "k": k,
+        "mode": "exhaustive",
+        "subsets_checked": (1 << size) - 1,
+        "violations": violations,
+        "equality_counts": {l: len(subsets[l]) for l in sorted(subsets)},
+        "equality_subsets": {l: subsets[l] for l in sorted(subsets)},
+    }
+
+
+def verify_sumset_lower_bound(k_max, samples=200, seed=0):
     """Confirm |A^k + L| >= 2^k * h(|L|): exhaustive for k <= 4, sampled beyond."""
     if k_max < 1:
         raise ZefcError("bad_k", "k_max must be at least 1", k_max=k_max)
+    if k_max > MAX_SUMSET_BOUND_K:
+        raise ZefcError(
+            "k_too_large",
+            f"the sum masks grow as 4^k; k_max is limited to {MAX_SUMSET_BOUND_K}",
+            k_max=k_max,
+        )
     entries = []
     for k in range(1, k_max + 1):
+        if k <= EXACT_SUMSET_BOUND_K:
+            entries.append(_exhaustive_entry(k))
+            continue
         masks, size = _sum_masks(k)
-        if k <= 4:
-            bounds = [qk_lower_bound(k, l) for l in range(size + 1)]
-
-            def scan(span, masks=masks, bounds=bounds, size=size):
-                violations, equalities = [], []
-                for mask in range(span[0], span[1]):
-                    acc, l = 0, 0
-                    rest = mask
-                    while rest:
-                        y = (rest & -rest).bit_length() - 1
-                        acc |= masks[y]
-                        rest &= rest - 1
-                        l += 1
-                    got = acc.bit_count()
-                    if got < bounds[l]:
-                        violations.append((mask, l, got))
-                    elif l & (l - 1) == 0 and got == bounds[l]:
-                        equalities.append((mask, l))
-                return violations, equalities
-
-            violations, counts, subsets = [], {}, {}
-            spans = split_range((1 << size) - 1, 8)
-            for vio, eqs in chunked_map(
-                lambda span: scan((span[0] + 1, span[1] + 1)), spans, threads
-            ):
-                violations.extend(vio)
-                for mask, l in eqs:
-                    counts[l] = counts.get(l, 0) + 1
-                    subsets.setdefault(l, []).append(
-                        [word_to_string(y, k, 2) for y in range(size) if (mask >> y) & 1]
-                    )
-            entries.append(
-                {
-                    "k": k,
-                    "mode": "exhaustive",
-                    "subsets_checked": (1 << size) - 1,
-                    "violations": violations,
-                    "equality_counts": dict(sorted(counts.items())),
-                    "equality_subsets": {l: subsets[l] for l in sorted(subsets)},
-                }
-            )
-        else:
-            rng = random.Random(seed + k)
-            violations = []
-            for _ in range(samples):
-                l = rng.randint(1, size)
-                subset = rng.sample(range(size), l)
-                acc = 0
-                for y in subset:
-                    acc |= masks[y]
-                got = acc.bit_count()
-                if got < qk_lower_bound(k, l):
-                    violations.append((sorted(subset), l, got))
-            entries.append(
-                {
-                    "k": k,
-                    "mode": "sampled",
-                    "subsets_checked": samples,
-                    "violations": violations,
-                }
-            )
+        rng = random.Random(seed + k)
+        violations = []
+        for _ in range(samples):
+            l = rng.randint(1, size)
+            subset = rng.sample(range(size), l)
+            acc = 0
+            for y in subset:
+                acc |= masks[y]
+            got = acc.bit_count()
+            if got < qk_lower_bound(k, l):
+                violations.append((sorted(subset), l, got))
+        entries.append(
+            {
+                "k": k,
+                "mode": "sampled",
+                "subsets_checked": samples,
+                "violations": violations,
+            }
+        )
     return SumsetBoundReport(k_max=k_max, entries=tuple(entries))
 
 
-_OVERLAP = np.array([[2, 1, 0], [1, 2, 1], [0, 1, 2]], dtype=np.int64)
+_OVERLAP = np.array([[2, 1, 0], [1, 2, 1], [0, 1, 2]], dtype=np.int16)
+# Rows per block of the pair scan: 3^4 rows by at most 3^8 columns of int16.
+_PAIR_BLOCK_DIGITS = 4
 
 
-def mixed_min_pair_sumset(k, threads=None):
-    """Minimum |A^k + {y1, y2}| over distinct ternary words, via overlap products."""
+def _overlap_matrix(k):
+    """M_k[y1, y2] = prod_i _OVERLAP[y1_i, y2_i] = |(A^k + y1) & (A^k + y2)| over packed words.
+
+    With y = lo + 3^j * hi, M_k = kron(M_(k-j), M_j); at most 2^8 fits in int16.
+    """
+    out = np.ones((1, 1), dtype=np.int16)
+    for _ in range(k):
+        out = np.kron(_OVERLAP, out)
+    return out
+
+
+def _best_in_block(low, high_row, not_above):
+    """First maximum, in row-major order, of kron(high_row, low) where y2 > y1.
+
+    The block's leading square holds the pairs of its own rows, so not_above
+    masks those with y2 <= y1. Returns (value, row, column within the block).
+    """
+    rows = len(low)
+    block = (low[:, None, :] * high_row[:, None]).reshape(rows, -1)
+    block[:, :rows][not_above] = -1
+    row, col = divmod(int(block.argmax()), block.shape[1])
+    return int(block[row, col]), row, col
+
+
+def mixed_min_pair_sumset(k):
+    """Minimum |A^k + {y1, y2}| over distinct ternary words, via overlap products.
+
+    Every pair y1 < y2 is scored. Rows are taken in blocks of 3^j rows that share
+    their high word hi1; the block is kron(M_(k-j)[hi1, hi1:], M_j), the columns
+    from 3^j * hi1 on. Blocks are compared in order and replace the best only
+    when strictly larger, so the witness is the first maximum in row-major
+    order, as a row-by-row scan finds.
+    """
     if k < 1:
         raise ZefcError("bad_k", "k must be at least 1", k=k)
     if k > MIXED_PAIR_LIMIT:
         raise ZefcError("k_too_large", f"pair enumeration is limited to k<={MIXED_PAIR_LIMIT}", k=k)
-    total = 3 ** k
-    digits = np.zeros((total, k), dtype=np.int8)
-    v = np.arange(total)
-    for i in range(k):
-        digits[:, i] = v % 3
-        v //= 3
-
-    def scan(span):
-        best, pair = -1, None
-        for y1 in range(span[0], span[1]):
-            others = digits[y1 + 1 :]
-            if not len(others):
-                continue
-            products = _OVERLAP[digits[y1][None, :], others].prod(axis=1)
-            top = int(products.max())
-            if top > best:
-                best = top
-                pair = (y1, y1 + 1 + int(products.argmax()))
-        return best, pair
-
+    j = min(k, _PAIR_BLOCK_DIGITS)
+    rows = 3**j
+    low, high = _overlap_matrix(j), _overlap_matrix(k - j)
+    not_above = np.tril(np.ones((rows, rows), dtype=bool))
     best, pair = -1, None
-    for got, cand in chunked_map(scan, split_range(total - 1, 8), threads):
-        if got > best:
-            best, pair = got, cand
+    for hi in range(len(high)):
+        top, row, col = _best_in_block(low, high[hi, hi:], not_above)
+        if top > best:
+            best, pair = top, (hi * rows + row, hi * rows + col)
     value = (1 << (k + 1)) - best
     witness = (word_to_string(pair[0], k, 3), word_to_string(pair[1], k, 3))
     return MixedPairResult(k=k, value=value, witness=witness)

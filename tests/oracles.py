@@ -82,6 +82,32 @@ def qk_bruteforce(k, l):
     return best, wit
 
 
+def sumset_bound_oracle(k):
+    """Exhaustive 2^k * h(l) check over every nonempty subset, one subset at a time.
+
+    Subset mask bit y picks the y-th word of all_words(2, k). Returns the
+    violations as (mask, l, size), and per power-of-two l the subsets meeting
+    the bound with equality, as digit strings, in mask order.
+    """
+    words = all_words(2, k)
+
+    def bound(l):
+        if l & (l - 1) == 0:
+            j = l.bit_length() - 1
+            return 3**j * 2 ** (k - j)
+        return math.ceil(2**k * l ** (LOG2_3 - 1) - 1e-9)
+
+    violations, equalities = [], {}
+    for mask in range(1, 1 << len(words)):
+        subset = [w for y, w in enumerate(words) if (mask >> y) & 1]
+        l, size = len(subset), len(raw_sumset(words, subset))
+        if size < bound(l):
+            violations.append((mask, l, size))
+        elif l & (l - 1) == 0 and size == bound(l):
+            equalities.setdefault(l, []).append(["".join(map(str, w)) for w in subset])
+    return violations, dict(sorted(equalities.items()))
+
+
 def set_partitions(items):
     """All set partitions of a list, blocks in first-seen order."""
     if not items:

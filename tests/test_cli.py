@@ -208,6 +208,61 @@ def test_huge_caps_answer_or_refuse(capsys, request_text):
     validate(doc, schema(argv[0] if code == 0 else "error"))
 
 
+# Costly requests refused before any work is done; each ran for seconds to minutes.
+COSTLY_REQUESTS = (
+    ("verify sumset-bound --k-max 11", "k_too_large"),
+    ("verify sumset-bound --k-max 22 --samples 1", "k_too_large"),
+    ("verify aitch --l-max 4097", "l_too_large"),
+    ("verify aitch --l-max 200000", "l_too_large"),
+    ("capacity --case 11 --c1 2 --c2 1 --k 100000000", "packing_too_costly"),
+    ("capacity --case 11 --c1 127/64 --c2 63/64 --k 100000", "packing_too_costly"),
+)
+
+
+@pytest.mark.parametrize("request_text,error", COSTLY_REQUESTS)
+def test_costly_requests_are_refused(capsys, request_text, error):
+    code, doc = run_cli(capsys, request_text.split())
+    assert code == 2
+    assert doc["error"]["code"] == error
+    validate(doc, schema("error"))
+
+
+def test_largest_budgets_still_answer(capsys):
+    code, doc = run_cli(capsys, ["verify", "aitch", "--l-max", "4096"])
+    assert code == 0 and doc["violations"] == 0
+    code, doc = run_cli(capsys, ["verify", "sumset-bound", "--k-max", "10", "--samples", "2"])
+    assert code == 0 and [e["k"] for e in doc["entries"]] == list(range(1, 11))
+    code, doc = run_cli(capsys, "capacity --case 11 --c1 2 --c2 1 --k 600000".split())
+    assert code == 0 and doc["achieved"] <= doc["converse_bound"]
+
+
+# Every subcommand that takes --threads, with a cheap request.
+THREADED_REQUESTS = (
+    "qk --k 2 --l 1",
+    "gamma-pair --k 2",
+    "verify sumset-bound --k-max 2",
+    "nfc --c1 1 --c2 1",
+    "reproduce",
+)
+
+
+@pytest.mark.parametrize("request_text", THREADED_REQUESTS)
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_is_checked_for_every_subcommand(capsys, request_text, threads):
+    code, doc = run_cli(capsys, request_text.split() + ["--threads", threads])
+    assert code == 2
+    assert doc["error"]["code"] == "bad_threads"
+    validate(doc, schema("error"))
+
+
+@pytest.mark.parametrize("request_text", THREADED_REQUESTS[:-1])
+def test_threads_one_is_accepted(capsys, request_text):
+    argv = request_text.split()
+    code, doc = run_cli(capsys, argv + ["--threads", "1"])
+    assert code == 0
+    assert doc == run_cli(capsys, argv)[1]
+
+
 def test_bad_caps_and_bad_arguments(capsys):
     code, doc = run_cli(capsys, ["capacity", "--case", "01", "--c1", "abc", "--c2", "1"])
     assert code == 2

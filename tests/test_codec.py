@@ -1,6 +1,7 @@
 """Code constructions, admissibility checking, rate accounting, serialization."""
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from zefc.bitspace import VectorSet
 from zefc.capacity import construct_for_case
 from zefc.codec import (
+    MAX_PACKING_BITS,
     ChannelCaps,
     KShotCode,
     SwitchPair,
@@ -115,6 +117,32 @@ def test_exponent_shortcuts_match_exact_powers():
         for size in (2, 3, 9, 17, 3**13):
             want = next(n for n in range(10**4) if 2 ** (n * p) >= size**q)
             assert least_uses(size, cap.c1) == want, (cap, size)
+
+
+def test_least_uses_above_64_bits_matches_exact_powers():
+    sizes = [3**200, 2**300, 2**300 + 1, 2**300 - 1, 3**41 * 2**64, 5**90]
+    caps = [Fraction(1), Fraction(2), Fraction(3, 2), Fraction(63, 64), Fraction(127, 4032)]
+    for size in sizes:
+        for cap in caps:
+            p, q = cap.numerator, cap.denominator
+            target = size**q
+            want = -(-q * (size.bit_length() - 1) // p)  # 2^(n*p) >= 2^(q*(bits-1))
+            while 2 ** (want * p) < target:
+                want += 1
+            assert least_uses(size, cap) == want, (size, cap)
+
+
+def test_packing_code_refuses_costly_block_lengths():
+    with pytest.raises(ZefcError) as err:
+        build_packing_code_11(10**8, CAPS21)
+    assert err.value.code == "packing_too_costly"
+    # The budget counts the bits of 3^k times the denominator of c2.
+    caps = ChannelCaps.of("127/64", "63/64")
+    k = next(k for k in range(1, 10**6) if math.ceil(k * math.log2(3)) * 64 > MAX_PACKING_BITS)
+    with pytest.raises(ZefcError) as err:
+        build_packing_code_11(k, caps)
+    assert err.value.code == "packing_too_costly"
+    assert rate_account(build_packing_code_11(1000, caps), caps).n == 534
 
 
 def test_split_index_refuses_costly_exponents():

@@ -1,9 +1,12 @@
 """Q_k, chi_m, the h-function checks, and the mixed-alphabet pair minimum."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zefc.bitspace import VectorSet, pack_digits, sumset, word_from_string
 from zefc.coloring import (
+    MAX_AITCH_L,
     TAU,
     ConflictGraphSpec,
     aitch,
@@ -208,6 +211,12 @@ def test_aitch_superadditivity_holds():
     assert report.checked == sum(l // 2 + 1 for l in range(1, 257))
 
 
+def test_aitch_refuses_large_l_max():
+    with pytest.raises(ZefcError) as err:
+        verify_aitch_superadditivity(MAX_AITCH_L + 1)
+    assert err.value.code == "l_too_large"
+
+
 def test_aitch_tau_maximality_counterexample():
     report = verify_aitch_superadditivity(64)
     assert report.tau_maximality is not None
@@ -241,6 +250,22 @@ def test_sumset_lower_bound_equality_subsets_check_out():
             assert size == qk_lower_bound(2, l)
 
 
+def test_sumset_lower_bound_matches_oracle():
+    for k in (1, 2, 3):
+        entry = verify_sumset_lower_bound(k).entries[k - 1]
+        violations, equalities = oracles.sumset_bound_oracle(k)
+        assert entry["violations"] == violations
+        assert entry["equality_subsets"] == equalities
+        assert entry["equality_counts"] == {l: len(s) for l, s in equalities.items()}
+        assert entry["subsets_checked"] == (1 << (1 << k)) - 1
+
+
+def test_sumset_lower_bound_refuses_large_k_max():
+    with pytest.raises(ZefcError) as err:
+        verify_sumset_lower_bound(11, samples=1)
+    assert err.value.code == "k_too_large"
+
+
 def test_sumset_lower_bound_sampled_mode():
     report = verify_sumset_lower_bound(5, samples=60, seed=11)
     entry = report.entries[4]
@@ -250,18 +275,33 @@ def test_sumset_lower_bound_sampled_mode():
 
 
 def test_mixed_pair_values():
-    for k in range(1, 7):
+    for k in range(1, 9):
         res = mixed_min_pair_sumset(k)
         assert res.value == 3 * 2 ** (k - 1)
+        # Words 0 and 1 already reach the minimum, and no pair comes first in packed order.
+        assert res.witness == ("0" * k, "1" + "0" * (k - 1))
         assert res.witness[0] != res.witness[1]
         pair = VectorSet.of(k, 3, [word_from_string(s, 3)[0] for s in res.witness])
         assert len(sumset(VectorSet.full_binary(k), pair)) == res.value
 
 
 def test_mixed_pair_matches_bruteforce():
-    for k in (1, 2, 3):
-        want, _ = oracles.mixed_min_pair_bruteforce(k)
-        assert mixed_min_pair_sumset(k).value == want
+    # all_words lists words in packed order, so both return the first minimum pair.
+    for k in (1, 2, 3, 4):
+        want, pair = oracles.mixed_min_pair_bruteforce(k)
+        res = mixed_min_pair_sumset(k)
+        assert res.value == want
+        assert res.witness == tuple("".join(map(str, word)) for word in pair)
+
+
+K8_PAIR = mixed_min_pair_sumset(8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 3**8 - 1), min_size=2, max_size=2, unique=True))
+def test_mixed_pair_minimum_is_never_beaten_at_k8(pair):
+    size = len(sumset(VectorSet.full_binary(8), VectorSet.of(8, 3, pair)))
+    assert size >= K8_PAIR.value
 
 
 def test_mixed_pair_limit():
