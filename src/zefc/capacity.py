@@ -1,4 +1,4 @@
-"""Closed-form compression capacities and the achievability/converse sandwich."""
+"""Closed-form compression capacities, with finite-k witnesses and converse bounds."""
 
 import math
 from dataclasses import dataclass
@@ -16,7 +16,6 @@ from .errors import ZefcError
 
 LOG2_3 = math.log2(3)
 TARGETS = ("arithmetic_sum", "identity")
-MAX_SANDWICH_K = 200
 
 
 @dataclass(frozen=True)
@@ -53,16 +52,6 @@ class CapacityResult:
     formula: str
     achievable_witness: Optional[float] = None
     converse_bound: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class SandwichReport:
-    """Per-k achieved rates against the capacity ceiling."""
-
-    case: str
-    caps: tuple
-    capacity: float
-    rows: tuple
 
 
 def construct_for_case(switches, k, caps):
@@ -131,54 +120,9 @@ def capacity(q, witness_k=None):
     )
 
 
-def f_k_evaluate(k, caps, t):
-    """Two-branch converse envelope: channel uses needed if encoder 2 sends t bits."""
-    caps.require_bounded()
-    c1, c2 = float(caps.c1), float(caps.c2)
-    return max((k * LOG2_3 - (LOG2_3 - 1) * t) / c1, t / c2)
-
-
 def f_k_min(k, caps):
     """Minimizing point and value of the converse envelope over real t."""
     caps.require_bounded()
     c1, c2 = float(caps.c1), float(caps.c2)
     t_star = k * c2 * LOG2_3 / ((c1 - c2) + c2 * LOG2_3)
     return t_star, k * LOG2_3 / ((c1 - c2) + c2 * LOG2_3)
-
-
-def sandwich_report(q, k_list):
-    """Build the case's code at each k and compare its rate to the capacity ceiling."""
-    if q.target != "arithmetic_sum":
-        raise ZefcError("unsupported_query", "sandwich reporting covers the arithmetic sum only")
-    ks = list(k_list)
-    for k in ks:
-        if not 1 <= k <= MAX_SANDWICH_K:
-            raise ZefcError("bad_k", f"sandwich k values must lie in [1, {MAX_SANDWICH_K}]", k=k)
-    value, _ = _closed_form(q)
-    rows = []
-    for k in ks:
-        code = construct_for_case(q.switches, k, q.caps)
-        acct = rate_account(code, q.caps)
-        achieved = float(acct.rate)
-        if achieved > value + 1e-12:
-            raise ZefcError(
-                "rate_above_bound",
-                "the achieved rate must not exceed the capacity",
-                k=k,
-                achieved=achieved,
-                capacity=value,
-            )
-        rows.append(
-            {
-                "k": k,
-                "n1": acct.n1,
-                "n2": acct.n2,
-                "n": acct.n,
-                "rate": f"{acct.rate.numerator}/{acct.rate.denominator}",
-                "achieved": achieved,
-                "gap": value - achieved,
-            }
-        )
-    return SandwichReport(
-        case=q.switches.as_string(), caps=q.caps.as_strings(), capacity=value, rows=tuple(rows)
-    )

@@ -21,6 +21,10 @@ MAX_SPLIT_EXPONENT = 1 << 20
 # number of about that many bits. Caps (2,1) reach it at k of about 660 000 and
 # (127/64, 63/64) at about 10 000; either takes about 1 s.
 MAX_PACKING_BITS = 1 << 20
+# Budget of the case-00 and case-10 codes: their images hold 2^k words, a k-bit
+# integer. At this k, capacity with a witness takes about 0.04 s and 17 MB; at
+# k = 10^11 it would need 12.5 GB.
+MAX_IDENTITY_K = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -270,6 +274,8 @@ def build_identity_code(k):
     """Case-00 code: each encoder forwards its own word unchanged."""
     if k < 1:
         raise ZefcError("bad_k", "block length must be at least 1", k=k)
+    if k > MAX_IDENTITY_K:
+        raise ZefcError("k_too_large", f"the identity code is limited to k<={MAX_IDENTITY_K}", k=k)
     size = 1 << k
     tables = (None, None, None)
     if k <= MAX_EXHAUSTIVE_K:

@@ -22,6 +22,15 @@ MAX_AITCH_L = 4096
 # Its sum masks cost O(4^k) at every k: k_max = 10 takes about 2.5 s.
 EXACT_SUMSET_BOUND_K = 4
 MAX_SUMSET_BOUND_K = 10
+# Sampled subsets per k beyond EXACT_SUMSET_BOUND_K. Each costs up to about 1 ms at
+# k = 10: k_max = 10 with 2000 samples takes about 5 s, and 10^8 samples would run
+# for hours.
+MAX_SUMSET_SAMPLES = 2000
+# 2^k as a float overflows from k = 1024 on; below it, qk_lower_bound refuses the l
+# whose float bound 2^k * h(l) does.
+MAX_BRACKET_K = 1023
+# l^tau and twice it stay finite for every l <= MAX_AITCH_L = 2^12 while |tau| <= 64.
+MAX_ABS_TAU = 64
 
 
 @dataclass(frozen=True)
@@ -125,25 +134,37 @@ def qk_lower_bound(k, l):
     if l & (l - 1) == 0:
         j = l.bit_length() - 1
         return 3 ** j * (1 << (k - j))
-    return math.ceil((1 << k) * aitch(l) - 1e-9)
+    bound = (1 << k) * aitch(l)
+    if math.isinf(bound):
+        raise ZefcError("k_too_large", "the bound 2^k * h(l) exceeds the float range", k=k, l=l)
+    return math.ceil(bound - 1e-9)
 
 
 def colex_prefix_value(k, l):
-    """Sumset size |A^k + {0, ..., l-1}|, by the prefix recursion."""
+    """Sumset size |A^k + {0, ..., l-1}|, by the prefix recursion run as a loop.
+
+    With half = 2^(k-1), the size is 2 * |A^(k-1) + {0..l-1}| when l <= half, and
+    2 * 3^(k-1) + |A^(k-1) + {0..l-half-1}| otherwise; at k = 0 it is 1.
+    """
     if l == 0:
         return 0
-    if k == 0:
-        return 1
-    half = 1 << (k - 1)
-    if l <= half:
-        return 2 * colex_prefix_value(k - 1, l)
-    return 2 * 3 ** (k - 1) + colex_prefix_value(k - 1, l - half)
+    value, scale = 0, 1
+    for j in range(k - 1, -1, -1):
+        half = 1 << j
+        if l <= half:
+            scale *= 2
+        else:
+            value += scale * 2 * 3**j
+            l -= half
+    return value + scale
 
 
 def q_k(k, l, bracket=False, threads=None):
     """Minimum |A^k + L| over subsets of size l: exact for k <= 4, else bracketed."""
     if k < 1:
         raise ZefcError("bad_k", "k must be at least 1", k=k)
+    if k > MAX_BRACKET_K:
+        raise ZefcError("k_too_large", f"Q_k is limited to k<={MAX_BRACKET_K}", k=k)
     if not 0 <= l <= (1 << k):
         raise ZefcError("bad_ell", "subset size must lie in [0, 2^k]", k=k, l=l)
     if l == 0:
@@ -269,6 +290,10 @@ def verify_aitch_superadditivity(l_max, tau=None):
             f"the check is O(l_max^2); l_max is limited to {MAX_AITCH_L}",
             l_max=l_max,
         )
+    if tau is not None and not abs(tau) <= MAX_ABS_TAU:
+        raise ZefcError(
+            "bad_tau", f"tau must be a number in [-{MAX_ABS_TAU}, {MAX_ABS_TAU}]", tau=str(tau)
+        )
     used_tau = TAU if tau is None else tau
     violations = []
     checked = 0
@@ -362,6 +387,12 @@ def verify_sumset_lower_bound(k_max, samples=200, seed=0):
             "k_too_large",
             f"the sum masks grow as 4^k; k_max is limited to {MAX_SUMSET_BOUND_K}",
             k_max=k_max,
+        )
+    if not 0 <= samples <= MAX_SUMSET_SAMPLES:
+        raise ZefcError(
+            "bad_samples",
+            f"samples must lie in [0, {MAX_SUMSET_SAMPLES}]",
+            samples=samples,
         )
     entries = []
     for k in range(1, k_max + 1):

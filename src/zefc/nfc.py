@@ -1,11 +1,9 @@
 """Network view of the 01 case: the N(c1,c2) family, cut bounds, code transforms."""
 
-import collections
 import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -25,6 +23,14 @@ EDGE_ORDER_WITNESS_EDGES = 20
 MAX_TRANSFORM_K = 10
 SOURCES = ("s1", "s2")
 SINK = "rho"
+# The bundles, in layout order, are s1->v1, s2->v1, s2->v2, v1->rho and v2->rho.
+# A source is cut off from the sink when every one of its paths crosses a fully
+# cut bundle: s1 has the one path s1->v1->rho, s2 the two s2->v1->rho and
+# s2->v2->rho.
+_PATHS = {"s1": ((0, 3),), "s2": ((1, 3), (2, 4))}
+# A source is upstream of a cut when the cut touches a bundle whose tail the
+# source reaches: s1 reaches s1 and v1, s2 reaches s2, v1 and v2.
+_UPSTREAM = {"s1": (0, 3), "s2": (1, 2, 3, 4)}
 
 
 @dataclass(frozen=True)
@@ -48,14 +54,6 @@ class Network:
     def nodes(self):
         return ("s1", "s2", "v1", "v2", SINK)
 
-    @property
-    def sources(self):
-        return SOURCES
-
-    @property
-    def sink(self):
-        return SINK
-
     def bundles(self):
         """Edge ids grouped by the five parallel bundles, in layout order."""
         return self._bundles
@@ -63,8 +61,8 @@ class Network:
     def in_edges(self, node):
         return self._in_edges.get(node, ())
 
-    # The lookups below are built once per network: the cut search and the
-    # validation ask for them once per cut, state or edge. A dict lookup keyed by
+    # The lookups below are built once per network: the cut search and the code
+    # transforms ask for them once per cut, state or edge. A dict lookup keyed by
     # the network itself would hash all of its edges each time.
 
     @functools.cached_property
@@ -85,16 +83,6 @@ class Network:
         for e in self.edges:
             groups.setdefault(e.head, []).append(e)
         return {node: tuple(group) for node, group in groups.items()}
-
-    @functools.cached_property
-    def arc_of(self):
-        """The (tail, head) pair of each edge id."""
-        return {e.id: (e.tail, e.head) for e in self.edges}
-
-    @functools.cached_property
-    def arcs(self):
-        """Number of parallel edges from each tail to each head."""
-        return collections.Counter(self.arc_of.values())
 
     @functools.cached_property
     def position(self):
@@ -127,17 +115,6 @@ class CutClassification:
     @property
     def is_cut(self):
         return bool(self.i_c)
-
-
-@dataclass(frozen=True, eq=False)
-class FunctionSpec:
-    """A target function on one bit per source."""
-
-    name: str
-    value: Callable[[tuple], int]
-
-
-ARITHMETIC_SUM = FunctionSpec(name="arithmetic_sum", value=lambda bits: bits[0] + bits[1])
 
 
 @dataclass(frozen=True)
@@ -203,69 +180,27 @@ def build_network(caps):
         edges.append(Edge(f"e{i + 1}", "v1", SINK))
     for i in range(c2):
         edges.append(Edge(f"e{c1 + i + 1}", "v2", SINK))
-    net = Network(c1=c1, c2=c2, edges=tuple(edges))
-    _validate_network(net)
-    return net
-
-
-def _validate_network(net):
-    for s in net.sources:
-        if net.in_edges(s):
-            raise ZefcError("bad_network", "sources must have no incoming edges", node=s)
-    if any(e.tail == net.sink for e in net.edges):
-        raise ZefcError("bad_network", "the sink must have no outgoing edges")
-    remaining = {e.id: e for e in net.edges}
-    placed = set()
-    while remaining:
-        # An edge can be placed once every edge into its tail is placed.
-        tails = {e.tail for e in remaining.values()}
-        ready = {node for node in tails if all(f.id in placed for f in net.in_edges(node))}
-        progress = [eid for eid, e in remaining.items() if e.tail in ready]
-        if not progress:
-            raise ZefcError("bad_network", "edge relation has a cycle")
-        for eid in progress:
-            placed.add(eid)
-            del remaining[eid]
-    for node in net.nodes:
-        if node != net.sink and net.sink not in _reachable(net, frozenset(), node):
-            raise ZefcError("bad_network", "every non-sink node must reach the sink", node=node)
-
-
-def _reachable(net, removed, start):
-    """Nodes reachable from start after deleting the removed edge ids.
-
-    Parallel edges form one arc, which stays while any of its edges does, so the
-    cost grows with the cut, not with the network.
-    """
-    cut = collections.Counter(map(net.arc_of.__getitem__, removed))
-    arcs = [arc for arc, count in net.arcs.items() if count > cut[arc]]
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        node = frontier.pop()
-        for tail, head in arcs:
-            if tail == node and head not in seen:
-                seen.add(head)
-                frontier.append(head)
-    return seen
+    return Network(c1=c1, c2=c2, edges=tuple(edges))
 
 
 def classify_cut(net, cut):
-    """I/J/K source sets for an edge subset."""
+    """I/J/K source sets for an edge subset, read off its bundle state."""
     index = net.position
     for eid in cut:
         if eid not in index:
             raise ZefcError("unknown_edge", "edge id is not part of this network", id=eid)
     canonical = tuple(sorted(set(cut), key=index.__getitem__))
-    removed = frozenset(canonical)
-    i_c = frozenset(s for s in net.sources if net.sink not in _reachable(net, removed, s))
-    tails = {net.arc_of[eid][0] for eid in removed}
-    k_c = frozenset(s for s in net.sources if tails & _reachable(net, frozenset(), s))
+    state = _cut_state(net, canonical)
+    full = [count == len(ids) for count, (_, ids) in zip(state, net.bundles())]
+    i_c = frozenset(
+        s for s, paths in _PATHS.items() if all(any(full[b] for b in path) for path in paths)
+    )
+    k_c = frozenset(s for s, bundles in _UPSTREAM.items() if any(state[b] for b in bundles))
     return CutClassification(cut=canonical, i_c=i_c, j_c=k_c - i_c, k_c=k_c)
 
 
-def _class_product(fn, sources, blocks_i, j_list, leftover, rest, a_j, a_l):
-    """Product over blocks of the number of distinguishable source assignments."""
+def _class_product(blocks_i, j_list, leftover, rest, a_j, a_l):
+    """Product over blocks of the number of distinguishable values of x + y."""
     prod = 1
     for li, group in enumerate(blocks_i):
         others = [b for j, b in enumerate(blocks_i) if j != li]
@@ -282,21 +217,19 @@ def _class_product(fn, sources, blocks_i, j_list, leftover, rest, a_j, a_l):
                 assign.update(zip(j_list, a_j))
                 for d in itertools.product((0, 1), repeat=len(rest)):
                     assign.update(zip(rest, d))
-                    sig.append(fn.value(tuple(assign[s] for s in sources)))
+                    sig.append(assign["s1"] + assign["s2"])
             keys.add(tuple(sig))
         prod *= len(keys)
     return prod
 
 
 @functools.lru_cache(maxsize=None)
-def _structure_count(fn, sources, blocks_i, j_list, leftover, rest):
+def _structure_count(blocks_i, j_list, leftover, rest):
     """Best class product over side-context values, by source-set structure alone."""
     best = 0
     for a_j in itertools.product((0, 1), repeat=len(j_list)):
         for a_l in itertools.product((0, 1), repeat=len(leftover)):
-            best = max(
-                best, _class_product(fn, sources, blocks_i, j_list, leftover, rest, a_j, a_l)
-            )
+            best = max(best, _class_product(blocks_i, j_list, leftover, rest, a_j, a_l))
     return best
 
 
@@ -333,22 +266,21 @@ def _splits(count, size):
     return ((count, 0), (0, count))
 
 
-def n_cf(net, cls, fn=ARITHMETIC_SUM):
+def n_cf(net, cls):
     """Best class-tuple count over strong partitions and side contexts."""
     if isinstance(cls, (tuple, list, set, frozenset)):
         cls = classify_cut(net, tuple(cls))
     if not cls.is_cut:
         raise ZefcError("not_a_cut", "the class count is defined for cut sets only")
     classes = net.state_classes
-    sources = net.sources
     i_set, j_list = cls.i_c, tuple(sorted(cls.j_c))
-    rest = tuple(s for s in sources if s not in cls.k_c)
+    rest = tuple(s for s in SOURCES if s not in cls.k_c)
 
     def score(block_infos):
         blocks_i = tuple(tuple(sorted(info.i_c)) for info in block_infos)
         covered = {s for b in blocks_i for s in b}
         leftover = tuple(sorted(s for s in i_set if s not in covered))
-        return _structure_count(fn, sources, blocks_i, j_list, leftover, rest)
+        return _structure_count(blocks_i, j_list, leftover, rest)
 
     best = score([cls])
     sizes = [len(ids) for _, ids in net.bundles()]
@@ -364,7 +296,7 @@ def n_cf(net, cls, fn=ARITHMETIC_SUM):
     return best
 
 
-def guang_bound(net, fn=ARITHMETIC_SUM):
+def guang_bound(net):
     """Minimum |C| / log2(n_cf) over all cut sets.
 
     Cuts in one bundle state share n_cf, so the minimum is reached at the smallest
@@ -380,7 +312,7 @@ def guang_bound(net, fn=ARITHMETIC_SUM):
         cls = classes[state]
         if not cls.is_cut:
             continue
-        count = n_cf(net, cls, fn)
+        count = n_cf(net, cls)
         if count <= 1:
             continue
         seen += 1
@@ -585,20 +517,12 @@ def inverse_transform(ncode):
     )
 
 
-def network_to_json(net):
-    """Plain JSON form of the node and edge structure."""
-    return {
-        "nodes": list(net.nodes),
-        "edges": [{"id": e.id, "tail": e.tail, "head": e.head} for e in net.edges],
-    }
-
-
-def nontightness_report(caps, fn=ARITHMETIC_SUM):
+def nontightness_report(caps):
     """Capacity vs the cut-set bound; the gap is positive exactly when c1 > c2."""
     net = build_network(caps)
     query = CapacityQuery(SwitchPair(0, 1), caps, "arithmetic_sum")
     cap_value = capacity(query).value
-    bound = guang_bound(net, fn)
+    bound = guang_bound(net)
     formula = cutset_bound_formula(caps)
     if abs(bound.value - formula) > 1e-9:
         raise ZefcError(

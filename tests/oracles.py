@@ -69,6 +69,15 @@ def conflict_chromatic(m, l):
     return chromatic_number(verts, adjacent)
 
 
+def converse_envelope(k, c1, c2, t):
+    """Channel uses a case-01 code needs at block length k if encoder 2 sends t bits.
+
+    Two branches: encoder 1 carries the k*log2(3) bits of the sum less the
+    (log2(3) - 1)*t that encoder 2's t bits settle, and encoder 2 carries its t bits.
+    """
+    return max((k * LOG2_3 - (LOG2_3 - 1) * t) / c1, t / c2)
+
+
 def qk_bruteforce(k, l):
     """Exact minimum |A^k + L| over size-l subsets, with the first witness."""
     words = all_words(2, k)

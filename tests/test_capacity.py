@@ -1,18 +1,12 @@
-"""Closed-form capacities, converse envelope, and sandwich reports."""
+"""Closed-form capacities, converse envelope, and finite-k witnesses."""
 
 import math
 from fractions import Fraction
 
 import pytest
 
-from zefc.capacity import (
-    CapacityQuery,
-    capacity,
-    construct_for_case,
-    f_k_evaluate,
-    f_k_min,
-    sandwich_report,
-)
+from oracles import converse_envelope
+from zefc.capacity import CapacityQuery, capacity, construct_for_case, f_k_min
 from zefc.codec import ChannelCaps, SwitchPair, rate_account
 from zefc.errors import ZefcError
 
@@ -79,6 +73,10 @@ def test_capacity_with_witness():
         got = capacity(query(case, 2, 1), witness_k=12)
         assert got.achievable_witness <= got.value + 1e-12
         assert got.achievable_witness <= got.converse_bound + 1e-12
+    for case in ("00", "01", "10", "11"):
+        with pytest.raises(ZefcError) as err:
+            capacity(query(case, 2, 1), witness_k=0)
+        assert err.value.code == "bad_k"
 
 
 def test_witness_with_unbounded_identity():
@@ -106,62 +104,48 @@ def test_f_k_min_times_capacity_identity():
 
 
 def test_f_k_evaluate_grid():
+    # f_k_min against the envelope it minimizes, evaluated by the oracle over t in [0, k].
     for caps in (CAPS21, ChannelCaps.of(3, 2)):
         k = 5
         t_star, value = f_k_min(k, caps)
-        assert 0 <= t_star <= k
-        assert abs(f_k_evaluate(k, caps, t_star) - value) < 1e-12
         c1, c2 = float(caps.c1), float(caps.c2)
-        grid_min = None
-        for i in range(1000):
-            t = k * i / 999
-            got = f_k_evaluate(k, caps, t)
-            want = max((k * LOG2_3 - (LOG2_3 - 1) * t) / c1, t / c2)
-            assert got == want
-            assert got >= value - 1e-12
-            grid_min = got if grid_min is None else min(grid_min, got)
-        assert grid_min <= value + 0.05
+        assert 0 <= t_star <= k
+        assert abs(converse_envelope(k, c1, c2, t_star) - value) < 1e-12
+        grid = [converse_envelope(k, c1, c2, k * i / 999) for i in range(1000)]
+        assert min(grid) >= value - 1e-12
+        assert min(grid) <= value + 0.05
+
+
+def witness_gaps(case, ks):
+    """Capacity minus the witness rate at each k, at caps (2,1)."""
+    gaps = {}
+    for k in ks:
+        got = capacity(query(case, 2, 1), witness_k=k)
+        assert got.achievable_witness <= got.value + 1e-12, (case, k)
+        gaps[k] = got.value - got.achievable_witness
+    return gaps
 
 
 def test_sandwich_split_case():
     q = query("01", 2, 1)
-    ks = [1 << j for j in range(8)] + [100]
-    report = sandwich_report(q, ks)
-    assert report.case == "01" and report.caps == ("2", "1")
-    by_k = {row["k"]: row for row in report.rows}
-    assert by_k[100]["rate"] == "50/31"
-    assert Fraction(100, 62) == Fraction(50, 31)
-    assert by_k[100]["gap"] < 0.02 * report.capacity
-    for row in report.rows:
-        assert row["achieved"] <= report.capacity + 1e-12
-    doubles = [by_k[1 << j]["gap"] for j in range(8)]
+    got = capacity(q, witness_k=100)
+    assert got.achievable_witness == 50 / 31
+    assert got.value - got.achievable_witness < 0.02 * got.value
+    doubles = list(witness_gaps("01", [1 << j for j in range(8)]).values())
     assert all(b <= a + 1e-9 for a, b in zip(doubles, doubles[1:]))
 
 
 def test_sandwich_gap_doubling_all_cases():
     for case in ("01", "11"):
-        q = query(case, 2, 1)
-        report = sandwich_report(q, list(range(1, 101)) + [2 * k for k in range(51, 101)])
-        by_k = {row["k"]: row for row in report.rows}
+        gaps = witness_gaps(case, range(1, 201))
         for k in range(1, 101):
-            assert by_k[2 * k]["gap"] <= by_k[k]["gap"] + 1e-9
+            assert gaps[2 * k] <= gaps[k] + 1e-9, (case, k)
 
 
 def test_sandwich_identity_case_flat():
-    report = sandwich_report(query("00", 2, 1), [7])
-    assert report.rows[0]["achieved"] == 1.0
-    assert report.rows[0]["gap"] == 0.0
-
-
-def test_sandwich_validation():
-    with pytest.raises(ZefcError) as err:
-        sandwich_report(query("01", 2, 1), [0])
-    assert err.value.code == "bad_k"
-    with pytest.raises(ZefcError):
-        sandwich_report(query("01", 2, 1), [201])
-    with pytest.raises(ZefcError) as err:
-        sandwich_report(CapacityQuery(SwitchPair(0, 0), CAPS21, "identity"), [4])
-    assert err.value.code == "unsupported_query"
+    got = capacity(query("00", 2, 1), witness_k=7)
+    assert got.achievable_witness == 1.0
+    assert got.value - got.achievable_witness == 0.0
 
 
 def test_construct_for_case_switch_mapping():

@@ -13,10 +13,14 @@ from zefc.cli import main
 SCHEMAS = pathlib.Path(__file__).resolve().parent.parent / "schemas"
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def run_cli(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
-    return code, json.loads(out)
+    return code, json.loads(out, parse_constant=_reject_constant)
 
 
 def schema(name):
@@ -216,10 +220,24 @@ COSTLY_REQUESTS = (
     ("verify aitch --l-max 200000", "l_too_large"),
     ("capacity --case 11 --c1 2 --c2 1 --k 100000000", "packing_too_costly"),
     ("capacity --case 11 --c1 127/64 --c2 63/64 --k 100000", "packing_too_costly"),
+    ("verify sumset-bound --k-max 8 --samples 100000000", "bad_samples"),
+    ("capacity --case 00 --c1 1 --c2 1 --k 100000000000", "k_too_large"),
+    ("capacity --case 10 --c1 1 --c2 1 --k 100000000000", "k_too_large"),
+)
+
+# Inputs that printed NaN or Infinity, or exited 1 with a traceback.
+BAD_INPUTS = (
+    ("verify aitch --l-max 10 --tau nan", "bad_tau"),
+    ("verify aitch --l-max 10 --tau inf", "bad_tau"),
+    ("verify aitch --l-max 10 --tau=-inf", "bad_tau"),
+    ("verify aitch --l-max 10 --tau 1e308", "bad_tau"),
+    ("verify sumset-bound --samples -1", "bad_samples"),
+    ("qk --k 5000 --bracket --l 5", "k_too_large"),
+    (f"qk --k 800 --bracket --l {(1 << 800) - 1}", "k_too_large"),
 )
 
 
-@pytest.mark.parametrize("request_text,error", COSTLY_REQUESTS)
+@pytest.mark.parametrize("request_text,error", COSTLY_REQUESTS + BAD_INPUTS)
 def test_costly_requests_are_refused(capsys, request_text, error):
     code, doc = run_cli(capsys, request_text.split())
     assert code == 2
@@ -234,6 +252,15 @@ def test_largest_budgets_still_answer(capsys):
     assert code == 0 and [e["k"] for e in doc["entries"]] == list(range(1, 11))
     code, doc = run_cli(capsys, "capacity --case 11 --c1 2 --c2 1 --k 600000".split())
     assert code == 0 and doc["achieved"] <= doc["converse_bound"]
+    for case in ("00", "10"):
+        code, doc = run_cli(capsys, f"capacity --case {case} --c1 1 --c2 1 --k 1000000".split())
+        assert code == 0 and doc["achieved"] == 1.0
+    code, doc = run_cli(capsys, ["verify", "aitch", "--l-max", "64", "--tau", "-64"])
+    assert code == 0 and doc["query"]["tau"] == -64.0
+    code, doc = run_cli(capsys, "qk --k 1000 --bracket --l 5".split())
+    assert code == 0 and doc["rows"][0]["lower"] <= doc["rows"][0]["upper"]
+    code, doc = run_cli(capsys, "qk --k 1023 --bracket --l 3".split())
+    assert code == 0 and doc["rows"][0]["lower"] <= doc["rows"][0]["upper"]
 
 
 # Every subcommand that takes --threads, with a cheap request.

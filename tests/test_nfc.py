@@ -34,7 +34,6 @@ from zefc.nfc import (
     inverse_transform,
     make_network_code,
     n_cf,
-    network_to_json,
     nontightness_report,
     transform_code,
 )
@@ -95,6 +94,8 @@ def test_network_shape_21():
 
 def test_network_shape_11():
     net = build_network(CAPS11)
+    assert net.nodes == ("s1", "s2", "v1", "v2", "rho")
+    assert net.edges[0] == Edge("d1", "s1", "v1")
     assert [e.id for e in net.edges] == ["d1", "d2", "d3", "e1", "e2"]
     assert [(e.id, e.tail, e.head) for e in net.edges] == net_edges(1, 1)
 
@@ -122,13 +123,6 @@ def test_network_rejects_fractional_caps():
     with pytest.raises(ZefcError) as err:
         build_network(ChannelCaps.of("inf", "1"))
     assert err.value.code == "bad_caps"
-
-
-def test_network_json_shape():
-    doc = network_to_json(build_network(CAPS11))
-    assert doc["nodes"] == ["s1", "s2", "v1", "v2", "rho"]
-    assert doc["edges"][0] == {"id": "d1", "tail": "s1", "head": "v1"}
-    assert len(doc["edges"]) == 5
 
 
 def test_classify_examples():
@@ -171,17 +165,21 @@ def test_enumerate_cut_counts():
 
 
 def test_classify_matches_oracle_on_all_subsets_21():
-    net = build_network(CAPS21)
-    edges = net_edges(2, 1)
-    ids = [e[0] for e in edges]
-    cuts = 0
-    for r in range(1, len(ids) + 1):
-        for cut in itertools.combinations(ids, r):
-            ours = classify_cut(net, cut)
-            i_c, j_c, k_c = classify(edges, cut)
-            assert (ours.i_c, ours.j_c, ours.k_c) == (i_c, j_c, k_c)
-            cuts += ours.is_cut
-    assert cuts == 269
+    # classify_cut reads bundle states; the oracle walks the graph for every subset.
+    for (c1, c2), want in (
+        ((2, 1), 269), ((1, 1), 27), ((2, 2), None), ((3, 1), None), ((3, 2), None)
+    ):
+        net = build_network(ChannelCaps.of(str(c1), str(c2)))
+        edges = net_edges(c1, c2)
+        ids = [e[0] for e in edges]
+        cuts = 0
+        for r in range(1, len(ids) + 1):
+            for cut in itertools.combinations(ids, r):
+                ours = classify_cut(net, cut)
+                i_c, j_c, k_c = classify(edges, cut)
+                assert (ours.i_c, ours.j_c, ours.k_c) == (i_c, j_c, k_c), (c1, c2, cut)
+                cuts += ours.is_cut
+        assert want is None or cuts == want, (c1, c2)
 
 
 def test_class_count_examples():
@@ -302,7 +300,6 @@ def test_network_lookups_match_edge_scans():
     for node in net.nodes:
         assert net.in_edges(node) == tuple(e for e in net.edges if e.head == node)
     assert [net.position[e.id] for e in net.edges] == list(range(len(net.edges)))
-    assert net.arcs == {("s1", "v1"): 3, ("s2", "v1"): 3, ("s2", "v2"): 3, ("v1", "rho"): 3, ("v2", "rho"): 2}
     assert net.bundles() is net.bundles()
 
 
