@@ -67,7 +67,7 @@ def _finish(name, budget, started, failures, details):
     )
 
 
-def run_criterion_1(threads=None):
+def run_criterion_1():
     """Closed-form capacity values and tags for every case, under 1 ms per query."""
     started = time.perf_counter()
     failures, checked = [], 0
@@ -109,7 +109,7 @@ def _timed(fn):
     return time.perf_counter() - t0
 
 
-def run_criterion_2(threads=None):
+def run_criterion_2():
     """Split-code sandwich at caps (2,1): admissibility, k=100 rate, 2% gap."""
     started = time.perf_counter()
     failures = []
@@ -133,13 +133,13 @@ def run_criterion_2(threads=None):
     return _finish("split_sandwich", 10.0, started, failures, details)
 
 
-def run_criterion_3(threads=None):
+def run_criterion_3():
     """Exact Q_k versus the ceiling bound, and chi_m versus the Q_k reduction."""
     started = time.perf_counter()
     failures = []
     tau = LOG2_3 - 1
     for k in range(1, 5):
-        table = q_k_table(k, threads=threads)
+        table = q_k_table(k)
         for l in range(1, (1 << k) + 1):
             bound = math.ceil((1 << k) * l**tau - 1e-9)
             if table[l].value < bound:
@@ -156,24 +156,24 @@ def run_criterion_3(threads=None):
     return _finish("coloring_converse", 60.0, started, failures, details)
 
 
-def run_criterion_4(threads=None):
+def run_criterion_4():
     """Superadditivity of l^tau at tau = log2(3)-1, and failure just above it."""
     started = time.perf_counter()
     failures = []
     report = verify_aitch_superadditivity(1024)
     if report.violations:
-        failures.append(f"{len(report.violations)} violations at tau = log2(3)-1")
+        failures.append(f"{report.violations} violations at tau = log2(3)-1")
     if report.tau_maximality is None:
         failures.append("no counterexample found at tau + 0.01")
     details = {
         "checked": report.checked,
-        "violations": len(report.violations),
+        "violations": report.violations,
         "counterexample": report.tau_maximality,
     }
     return _finish("aitch_superadditivity", 5.0, started, failures, details)
 
 
-def run_criterion_5(threads=None):
+def run_criterion_5():
     """Sumset lower bound, exhaustive over every nonempty subset up to k = 4."""
     started = time.perf_counter()
     failures = []
@@ -190,7 +190,7 @@ def run_criterion_5(threads=None):
     return _finish("sumset_lower_bound", 30.0, started, failures, details)
 
 
-def run_criterion_6(threads=None):
+def run_criterion_6():
     """Cut-set bound non-tightness at (2,1) and closed-form agreement to c1+c2 = 7."""
     started = time.perf_counter()
     failures = []
@@ -226,7 +226,7 @@ def run_criterion_6(threads=None):
     return _finish("cutset_nontightness", 60.0, started, failures, details)
 
 
-def run_criterion_7(threads=None):
+def run_criterion_7():
     """Minimum mixed-pair sumset equals 3 * 2^(k-1) for k = 1..8."""
     started = time.perf_counter()
     failures = []
@@ -275,7 +275,7 @@ def _exact_chromatic(vertices, adjacent):
     return n
 
 
-def run_criterion_8(threads=None):
+def run_criterion_8():
     """Property suite: coloring agreement, transform round-trip, packing budget."""
     started = time.perf_counter()
     failures = []
@@ -333,6 +333,6 @@ CRITERIA = (
 )
 
 
-def run_all(threads=None):
+def run_all():
     """Every acceptance criterion, in order."""
-    return tuple(fn(threads=threads) for fn in CRITERIA)
+    return tuple(fn() for fn in CRITERIA)

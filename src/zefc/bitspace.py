@@ -1,15 +1,19 @@
-"""Length-k words over {0,1} and {0,1,2}, vector sets, and the sumset primitive.
+"""Length-k words over {0,1} and {0,1,2}, vector sets, and the componentwise sum.
 
 Vectors are packed into single integers: binary words as k-bit integers,
-ternary words in base 3 (and sums of binary+ternary words in base 4).
+ternary words, such as the sum x + y of two binary words, in base 3.
 Position 1 is the least significant digit.  The canonical text form is the
 digit string with position 1 leftmost, so "011" is the word (0, 1, 1).
+Only this module adds words: `sum_table` gives every x + y as an array,
+`sum_rows` each sumset A^k + y as a bitmask, and `sumset` the sums of two sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import ZefcError
 
@@ -74,8 +78,8 @@ class VectorSet:
 
     def __post_init__(self):
         _check_k(self.k)
-        if self.radix not in (2, 3, 4):
-            raise ZefcError("bad_radix", "radix must be 2, 3 or 4", radix=self.radix)
+        if self.radix not in (2, 3):
+            raise ZefcError("bad_radix", "radix must be 2 or 3", radix=self.radix)
         top = self.radix ** self.k
         if any(not (isinstance(v, int) and 0 <= v < top) for v in self.members):
             raise ZefcError("bad_value", "member out of range", k=self.k, radix=self.radix)
@@ -127,40 +131,37 @@ def binary_to_base3_table(k):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def binary_to_base4_table(k):
-    _check_k(k)
-    out = [0] * (1 << k)
-    for x in range(1, 1 << k):
-        out[x] = (x & 1) + 4 * out[x >> 1]
-    return tuple(out)
+def sum_table(k):
+    """sums[x, y]: the packed base-3 sum of the k-bit words x and y, as a 2^k x 2^k array."""
+    t3 = np.array(binary_to_base3_table(k), dtype=np.int64)
+    return t3[:, None] + t3[None, :]
 
 
-@lru_cache(maxsize=None)
-def ternary_to_base4_table(k):
-    _check_k(k)
-    out = [0] * (3 ** k)
-    for t in range(1, 3 ** k):
-        out[t] = (t % 3) + 4 * out[t // 3]
-    return tuple(out)
+def sum_rows(k):
+    """Row y: the sumset A^k + y as a bitmask over the 3^k packed sums.
+
+    Bit s of a row, little-endian, is set when s = x + y for some k-bit word x.
+    Rows are uint8 arrays padded to whole 64-bit words, so they can be viewed as
+    uint64 or read with int.from_bytes(row, "little"). They are packed one at a
+    time, so no 2^k x 3^k array of flags is ever held.
+    """
+    t3 = np.array(binary_to_base3_table(k), dtype=np.int64)
+    present = np.zeros(64 * -(-(3**k) // 64), dtype=bool)
+    row = np.empty_like(t3)
+    for shift in t3:
+        np.add(t3, shift, out=row)
+        present[row] = True
+        yield np.packbits(present, bitorder="little")
+        present[row] = False
 
 
 def sumset(m: VectorSet, l: VectorSet) -> VectorSet:
-    """All pairwise componentwise sums of m (binary) and l (binary or ternary)."""
+    """All pairwise componentwise sums of two binary sets, packed in base 3."""
     if m.k != l.k:
         raise ZefcError("length_mismatch", "operands must share one length", km=m.k, kl=l.k)
-    if m.radix != 2 or l.radix not in (2, 3):
+    if m.radix != 2 or l.radix != 2:
         raise ZefcError(
-            "unsupported_operands",
-            "first operand must be binary; second may be binary or ternary",
-            radix_m=m.radix,
-            radix_l=l.radix,
+            "unsupported_operands", "both operands must be binary", radix_m=m.radix, radix_l=l.radix
         )
-    if l.radix == 2:
-        t3 = binary_to_base3_table(m.k)
-        sums = {t3[a] + t3[b] for a in m.members for b in l.members}
-        return VectorSet(m.k, 3, frozenset(sums))
-    q_m = binary_to_base4_table(m.k)
-    q_l = ternary_to_base4_table(m.k)
-    sums = {q_m[a] + q_l[b] for a in m.members for b in l.members}
-    return VectorSet(m.k, 4, frozenset(sums))
+    t3 = binary_to_base3_table(m.k)
+    return VectorSet(m.k, 3, frozenset({t3[a] + t3[b] for a in m.members for b in l.members}))

@@ -123,8 +123,8 @@ def _cmd_verify(args):
                 "tau": report.tau,
             },
             "checked": report.checked,
-            "violations": len(report.violations),
-            "violation_examples": list(report.violations[:10]),
+            "violations": report.violations,
+            "violation_examples": list(report.violation_examples),
             "counterexample_above_tau": report.tau_maximality,
         }, 0
     report = verify_sumset_lower_bound(args.k_max, samples=args.samples, seed=args.seed)
@@ -243,7 +243,7 @@ def _cmd_nfc(args):
 
 
 def _cmd_reproduce(args):
-    results = run_all(threads=args.threads)
+    results = run_all()
     rows = []
     for result in results:
         row = {
@@ -288,12 +288,14 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def common(sub, threads=True):
+    def common(sub, threads=False):
         sub.add_argument("--format", choices=("json", "table"), default="json")
         sub.add_argument("--emit", metavar="PATH", help="also write the JSON report here")
         sub.add_argument("--timings", action="store_true", help="include elapsed_ms in output")
         if threads:
             sub.add_argument("--threads", type=int, default=None)
+        else:
+            sub.set_defaults(threads=None)
 
     sub = commands.add_parser("capacity", help="closed-form compression capacity")
     sub.add_argument("--case", required=True, choices=("00", "01", "10", "11"))
@@ -301,47 +303,47 @@ def build_parser():
     sub.add_argument("--c2", required=True)
     sub.add_argument("--k", type=int, default=None, help="also build a k-shot witness")
     sub.add_argument("--target", default="arithmetic_sum", choices=("arithmetic_sum", "identity"))
-    common(sub, threads=False)
-    sub.set_defaults(handler=_cmd_capacity, threads=None)
+    common(sub)
+    sub.set_defaults(handler=_cmd_capacity)
 
     sub = commands.add_parser("construct", help="explicit k-shot code for a case")
     sub.add_argument("--case", required=True, choices=("00", "01", "10", "11"))
     sub.add_argument("--c1", required=True)
     sub.add_argument("--c2", required=True)
     sub.add_argument("--k", type=int, required=True)
-    common(sub, threads=False)
-    sub.set_defaults(handler=_cmd_construct, threads=None)
+    common(sub)
+    sub.set_defaults(handler=_cmd_construct)
 
     sub = commands.add_parser("verify", help="property checks with reports")
     checks = sub.add_subparsers(dest="check", required=True)
     aitch = checks.add_parser("aitch", help="superadditivity of the l^tau bound shape")
     aitch.add_argument("--l-max", type=int, default=1024, dest="l_max")
     aitch.add_argument("--tau", type=float, default=None)
-    common(aitch, threads=False)
-    aitch.set_defaults(handler=_cmd_verify, threads=None)
+    common(aitch)
+    aitch.set_defaults(handler=_cmd_verify)
     sumset = checks.add_parser("sumset-bound", help="sumset size lower bound")
     sumset.add_argument("--k-max", type=int, default=4, dest="k_max")
     sumset.add_argument("--samples", type=int, default=200)
     sumset.add_argument("--seed", type=int, default=0)
-    common(sumset)
+    common(sumset, threads=True)
     sumset.set_defaults(handler=_cmd_verify)
 
     sub = commands.add_parser("qk", help="minimum sumset size over subsets of size l")
     sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--l", type=int, default=None)
     sub.add_argument("--bracket", action="store_true", help="bounds instead of exact values")
-    common(sub)
+    common(sub, threads=True)
     sub.set_defaults(handler=_cmd_qk)
 
     sub = commands.add_parser("chim", help="partition chromatic table")
     sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--m", type=int, default=None)
-    common(sub, threads=False)
-    sub.set_defaults(handler=_cmd_chim, threads=None)
+    common(sub)
+    sub.set_defaults(handler=_cmd_chim)
 
     sub = commands.add_parser("gamma-pair", help="minimum mixed-pair sumset size")
     sub.add_argument("--k", type=int, required=True)
-    common(sub)
+    common(sub, threads=True)
     sub.set_defaults(handler=_cmd_gamma_pair)
 
     sub = commands.add_parser("nfc", help="cut-set bound vs capacity on the relay network")

@@ -7,11 +7,14 @@ from typing import Optional
 
 import numpy as np
 
-from .bitspace import binary_to_base3_table, digit_strings, word_to_string
+from .bitspace import binary_to_base3_table, digit_strings, sum_table, word_to_string
 from .errors import ZefcError
 
 MAX_EXHAUSTIVE_K = 10
 MAX_CAP_DENOMINATOR = 64
+# Largest cap. Capacities are floats formed from c1 + c2 and k*c*log2(3), which
+# caps near the float limit, such as 1e308, overflow to inf or nan.
+MAX_CAP = Fraction(1 << 512)
 # Largest exponent split_index raises 2 to, after dividing both exponents by their
 # gcd, when neither is at least twice the other. One comparison at this size takes
 # about 0.1 s; caps (2,1) stay below it up to k of about 1.7 million.
@@ -64,6 +67,10 @@ def _parse_cap(text):
         if "/" in s:
             num, den = s.split("/", 1)
             return Fraction(int(num), int(den))
+        # float() reads the exponent without building 10^exponent as Fraction
+        # does, so a decimal outside the positive float range is refused first.
+        if not 0 < float(s) < math.inf:
+            raise ValueError(s)
         return Fraction(s)
     except (ValueError, ZeroDivisionError):
         raise ZefcError("bad_caps", "capacity must be a positive rational, decimal, or 'inf'", value=s)
@@ -81,8 +88,8 @@ class ChannelCaps:
         for name, cap in (("c1", self.c1), ("c2", self.c2)):
             if cap is None:
                 continue
-            if not isinstance(cap, Fraction) or cap <= 0:
-                raise ZefcError("bad_caps", "capacities must be positive", **{name: str(cap)})
+            if not isinstance(cap, Fraction) or not 0 < cap <= MAX_CAP:
+                raise ZefcError("bad_caps", "capacities must lie in (0, 2^512]", **{name: str(cap)})
             if cap.denominator > MAX_CAP_DENOMINATOR:
                 raise ZefcError(
                     "bad_caps",
@@ -187,12 +194,6 @@ def _base3(width):
     return np.array(binary_to_base3_table(width), dtype=np.int64)
 
 
-def _sums(k):
-    """sums[x, y]: the packed base-3 sum of the k-bit words x and y."""
-    t3 = _base3(k)
-    return t3[:, None] + t3[None, :]
-
-
 def _tables(code, what):
     """The code's phi1, phi2 and psi tables; a rate-only code is refused."""
     if code.k > MAX_EXHAUSTIVE_K:
@@ -207,7 +208,7 @@ def check_admissible(code):
     """
     phi1, phi2, psi = _tables(code, "exhaustive admissibility checking")
     k = code.k
-    want = _sums(k)
+    want = sum_table(k)
     got = psi[phi1, phi2]
     bad = np.flatnonzero(got != want)
     if bad.size == 0:
@@ -283,7 +284,7 @@ def build_identity_code(k):
         tables = (
             np.broadcast_to(words[:, None], (size, size)),
             np.broadcast_to(words[None, :], (size, size)),
-            _sums(k),
+            sum_table(k),
         )
     return KShotCode(k, SwitchPair(0, 0), *tables, im1=size, im2=size, name="identity")
 
@@ -353,7 +354,7 @@ def build_packing_code_11(k, caps):
         n += 1
     tables = (None, None, None)
     if k <= MAX_EXHAUSTIVE_K:
-        sums = _sums(k)
+        sums = sum_table(k)
         packed = np.arange(wide)[:, None] * narrow + np.arange(narrow)[None, :]
         tables = (sums // narrow, sums % narrow, np.minimum(packed, total - 1))
     return KShotCode(k, SwitchPair(1, 1), *tables, im1=wide, im2=narrow, name="packing11")
@@ -447,7 +448,7 @@ def code_from_partition(partition, colorings=None):
     if (block_of < 0).any():
         raise ZefcError("not_a_partition", "blocks do not cover the whole space")
 
-    sums = _sums(k).tolist()
+    sums = sum_table(k).tolist()
     if colorings is None:
         colorings = []
         for block in partition:

@@ -1,5 +1,6 @@
 """Converse machinery: sumset chromatic numbers, Q_k, chi_m, and the h-function."""
 
+import functools
 import itertools
 import math
 import random
@@ -8,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bitspace import VectorSet, binary_to_base3_table, sumset, word_to_string
+from .bitspace import VectorSet, sum_rows, sumset, word_to_string
 from .errors import ZefcError
 from ._parallel import chunked_map, split_range
 
@@ -19,12 +20,13 @@ MIXED_PAIR_LIMIT = 8
 # The superadditivity check visits about l_max^2 / 4 splits; 4096 takes about 2 s.
 MAX_AITCH_L = 4096
 # The sumset bound checks all 2^(2^k) subsets up to this k and samples beyond it.
-# Its sum masks cost O(4^k) at every k: k_max = 10 takes about 2.5 s.
+# Its sum masks hold 2^k rows of 3^k bits: 7.5 MB built in about 0.04 s at k = 10,
+# 45 MB at k = 11. k_max = 10 at the default 200 samples takes about 0.3 s.
 EXACT_SUMSET_BOUND_K = 4
 MAX_SUMSET_BOUND_K = 10
-# Sampled subsets per k beyond EXACT_SUMSET_BOUND_K. Each costs up to about 1 ms at
-# k = 10: k_max = 10 with 2000 samples takes about 5 s, and 10^8 samples would run
-# for hours.
+# Sampled subsets per k beyond EXACT_SUMSET_BOUND_K. Each ORs up to 2^k masks, about
+# 1 ms on average at k = 10: k_max = 10 with 2000 samples takes about 2.5 s, and
+# 10^8 samples would run for days.
 MAX_SUMSET_SAMPLES = 2000
 # 2^k as a float overflows from k = 1024 on; below it, qk_lower_bound refuses the l
 # whose float bound 2^k * h(l) does.
@@ -80,7 +82,8 @@ class AitchReport:
     l_max: int
     tau: float
     checked: int
-    violations: tuple
+    violations: int
+    violation_examples: tuple  # the first ten, in scan order
     tau_maximality: Optional[dict]
 
 
@@ -106,11 +109,11 @@ def chi(spec):
     return len(sumset(spec.m, spec.l))
 
 
-def _sum_masks(k):
-    """Per-y bitmask over 3^k sum values of the full binary sumset A^k + y."""
-    table = binary_to_base3_table(k)
-    size = 1 << k
-    return [sum(1 << (table[x] + table[y]) for x in range(size)) >> 0 for y in range(size)], size
+def _sum_ints(k):
+    """Per-y bitmask over the 3^k sums of the sumset A^k + y, as a Python int."""
+    # map frees each row before the next is packed, where a comprehension would
+    # hold two; at k = 10 that kept the peak RSS 0.8 MB above a plain int loop's.
+    return list(map(functools.partial(int.from_bytes, byteorder="little"), sum_rows(k)))
 
 
 def aitch(l):
@@ -187,8 +190,8 @@ def q_k(k, l, bracket=False, threads=None):
             exact=False,
             witness={"prefix_size": l},
         )
-    masks, size = _sum_masks(k)
-    combos = list(itertools.combinations(range(size), l))
+    masks = _sum_ints(k)
+    combos = list(itertools.combinations(range(1 << k), l))
 
     def scan(span):
         start, stop = span
@@ -250,20 +253,10 @@ def chi_m(k, m):
     size = 1 << k
     if not 1 <= m <= size:
         raise ZefcError("bad_m", "block count must lie in [1, 2^k]", k=k, m=m)
-    masks, _ = _sum_masks(k)
-    block_size = {}
-
-    def chi_of(block):
-        if block not in block_size:
-            acc = 0
-            for y in block:
-                acc |= masks[y]
-            block_size[block] = acc.bit_count()
-        return block_size[block]
-
+    counts = _union_counts(k)[0].tolist()
     best, pick = None, None
     for partition in _partitions_into(list(range(size)), m):
-        worst = max(chi_of(block) for block in partition)
+        worst = max(counts[sum(1 << y for y in block)] for block in partition)
         if best is None or worst < best:
             best, pick = worst, partition
     witness = tuple(tuple(word_to_string(y, k, 2) for y in block) for block in pick)
@@ -295,7 +288,7 @@ def verify_aitch_superadditivity(l_max, tau=None):
             "bad_tau", f"tau must be a number in [-{MAX_ABS_TAU}, {MAX_ABS_TAU}]", tau=str(tau)
         )
     used_tau = TAU if tau is None else tau
-    violations = []
+    violations, examples = 0, []
     checked = 0
     for l in range(1, l_max + 1):
         rhs = 2 * aitch_tau(used_tau, l)
@@ -304,7 +297,9 @@ def verify_aitch_superadditivity(l_max, tau=None):
             checked += 1
             lhs = 2 * aitch_tau(used_tau, la) + aitch_tau(used_tau, lb)
             if lhs < rhs - 1e-9:
-                violations.append({"l": l, "split": [la, lb], "lhs": lhs, "rhs": rhs})
+                violations += 1
+                if len(examples) < 10:
+                    examples.append({"l": l, "split": [la, lb], "lhs": lhs, "rhs": rhs})
     maximality = None
     if tau is None:
         bumped = TAU + 0.01
@@ -322,7 +317,8 @@ def verify_aitch_superadditivity(l_max, tau=None):
         l_max=l_max,
         tau=used_tau,
         checked=checked,
-        violations=tuple(violations),
+        violations=violations,
+        violation_examples=tuple(examples),
         tau_maximality=maximality,
     )
 
@@ -333,15 +329,12 @@ _POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 def _union_counts(k):
     """Sizes |A^k + L| and |L| for every subset mask L of the 2^k binary words.
 
-    Column y of the sum table is the bitmask of A^k + y over the 3^k sum values,
-    as 64-bit words; the union table doubles, U[:, 2^b + m] = U[:, m] | column b,
-    so a mask's column is the union over its set bits.
+    Column y is row y of sum_rows(k), the bitmask of A^k + y, as 64-bit words;
+    the union table doubles, U[:, 2^b + m] = U[:, m] | column b, so a mask's
+    column is the union over its set bits.
     """
-    table = np.asarray(binary_to_base3_table(k))
     size = 1 << k
-    present = np.zeros((size, 64 * -(-(3**k) // 64)), dtype=bool)
-    present[np.arange(size)[:, None], table[None, :] + table[:, None]] = True
-    columns = np.packbits(present, axis=1).view(np.uint64).T
+    columns = np.array(list(sum_rows(k))).view(np.uint64).T
     union = np.zeros((len(columns), 1 << size), dtype=np.uint64)
     ells = np.zeros(1 << size, dtype=np.uint8)
     for b in range(size):
@@ -385,7 +378,7 @@ def verify_sumset_lower_bound(k_max, samples=200, seed=0):
     if k_max > MAX_SUMSET_BOUND_K:
         raise ZefcError(
             "k_too_large",
-            f"the sum masks grow as 4^k; k_max is limited to {MAX_SUMSET_BOUND_K}",
+            f"the sum masks grow as 6^k bits; k_max is limited to {MAX_SUMSET_BOUND_K}",
             k_max=k_max,
         )
     if not 0 <= samples <= MAX_SUMSET_SAMPLES:
@@ -399,7 +392,7 @@ def verify_sumset_lower_bound(k_max, samples=200, seed=0):
         if k <= EXACT_SUMSET_BOUND_K:
             entries.append(_exhaustive_entry(k))
             continue
-        masks, size = _sum_masks(k)
+        masks, size = _sum_ints(k), 1 << k
         rng = random.Random(seed + k)
         violations = []
         for _ in range(samples):

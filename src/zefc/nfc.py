@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitspace import binary_to_base3_table
+from .bitspace import sum_table
 from .capacity import CapacityQuery, capacity
 from .codec import KShotCode, SwitchPair, rate_account
 from .errors import ZefcError
@@ -480,8 +480,7 @@ def _decoded(ncode):
 
 def check_network_admissible(ncode):
     """Exhaustively verify the sink decodes the componentwise sum."""
-    t3 = np.array(binary_to_base3_table(ncode.k), dtype=np.int64)
-    return bool((_decoded(ncode) == (t3[:, None] + t3[None, :]).ravel()).all())
+    return bool((_decoded(ncode) == sum_table(ncode.k).ravel()).all())
 
 
 def inverse_transform(ncode):

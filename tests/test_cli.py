@@ -234,6 +234,15 @@ BAD_INPUTS = (
     ("verify sumset-bound --samples -1", "bad_samples"),
     ("qk --k 5000 --bracket --l 5", "k_too_large"),
     (f"qk --k 800 --bracket --l {(1 << 800) - 1}", "k_too_large"),
+    ("capacity --case 11 --c1 1e400 --c2 1", "bad_caps"),
+    ("capacity --case 01 --c1 1e400 --c2 1 --k 5", "bad_caps"),
+    ("construct --case 11 --c1 1e400 --c2 1 --k 3", "bad_caps"),
+    ("capacity --case 11 --c1 1e10000000 --c2 1", "bad_caps"),
+    ("capacity --case 00 --c1 1e400 --c2 1", "bad_caps"),
+    ("capacity --case 11 --c1 1e-10000000 --c2 1", "bad_caps"),
+    ("capacity --case 11 --c1 1e308 --c2 1e308 --k 3", "bad_caps"),
+    ("construct --case 01 --c1 1e308 --c2 1 --k 3", "bad_caps"),
+    (f"capacity --case 11 --c1 {10**400}/3 --c2 1", "bad_caps"),
 )
 
 
@@ -268,8 +277,6 @@ THREADED_REQUESTS = (
     "qk --k 2 --l 1",
     "gamma-pair --k 2",
     "verify sumset-bound --k-max 2",
-    "nfc --c1 1 --c2 1",
-    "reproduce",
 )
 
 
@@ -282,12 +289,21 @@ def test_threads_is_checked_for_every_subcommand(capsys, request_text, threads):
     validate(doc, schema("error"))
 
 
-@pytest.mark.parametrize("request_text", THREADED_REQUESTS[:-1])
+@pytest.mark.parametrize("request_text", THREADED_REQUESTS)
 def test_threads_one_is_accepted(capsys, request_text):
     argv = request_text.split()
     code, doc = run_cli(capsys, argv + ["--threads", "1"])
     assert code == 0
     assert doc == run_cli(capsys, argv)[1]
+
+
+@pytest.mark.parametrize("request_text", ["nfc --c1 1 --c2 1", "reproduce"])
+@pytest.mark.parametrize("threads", ["0", "-1", "1"])
+def test_threads_is_refused_where_unused(capsys, request_text, threads):
+    code, doc = run_cli(capsys, request_text.split() + ["--threads", threads])
+    assert code == 2
+    assert doc["error"]["code"] == "bad_arguments"
+    validate(doc, schema("error"))
 
 
 def test_bad_caps_and_bad_arguments(capsys):

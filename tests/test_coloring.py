@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zefc.bitspace import VectorSet, pack_digits, sumset, word_from_string
+from zefc.bitspace import VectorSet, pack_digits, sumset
 from zefc.coloring import (
     MAX_AITCH_L,
     TAU,
@@ -206,9 +206,22 @@ def test_aitch_values():
 
 def test_aitch_superadditivity_holds():
     report = verify_aitch_superadditivity(256)
-    assert report.violations == ()
+    assert report.violations == 0 and report.violation_examples == ()
     assert report.tau == TAU
     assert report.checked == sum(l // 2 + 1 for l in range(1, 257))
+
+
+def test_aitch_keeps_a_count_and_the_first_ten_violations():
+    report = verify_aitch_superadditivity(64, tau=1.5)
+    found = []
+    for l in range(1, 65):
+        for lb in range(0, l // 2 + 1):
+            la = l - lb
+            if 2 * la**1.5 + lb**1.5 < 2 * l**1.5 - 1e-9:
+                found.append((l, [la, lb]))
+    assert len(found) > 10
+    assert report.violations == len(found)
+    assert [(v["l"], v["split"]) for v in report.violation_examples] == found[:10]
 
 
 def test_aitch_refuses_large_l_max():
@@ -281,8 +294,8 @@ def test_mixed_pair_values():
         # Words 0 and 1 already reach the minimum, and no pair comes first in packed order.
         assert res.witness == ("0" * k, "1" + "0" * (k - 1))
         assert res.witness[0] != res.witness[1]
-        pair = VectorSet.of(k, 3, [word_from_string(s, 3)[0] for s in res.witness])
-        assert len(sumset(VectorSet.full_binary(k), pair)) == res.value
+        pair = [tuple(map(int, s)) for s in res.witness]
+        assert len(oracles.raw_sumset(oracles.all_words(2, k), pair)) == res.value
 
 
 def test_mixed_pair_matches_bruteforce():
@@ -295,12 +308,13 @@ def test_mixed_pair_matches_bruteforce():
 
 
 K8_PAIR = mixed_min_pair_sumset(8)
+BINARY8, TERNARY8 = oracles.all_words(2, 8), oracles.all_words(3, 8)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(0, 3**8 - 1), min_size=2, max_size=2, unique=True))
 def test_mixed_pair_minimum_is_never_beaten_at_k8(pair):
-    size = len(sumset(VectorSet.full_binary(8), VectorSet.of(8, 3, pair)))
+    size = len(oracles.raw_sumset(BINARY8, [TERNARY8[y] for y in pair]))
     assert size >= K8_PAIR.value
 
 
