@@ -8,7 +8,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .bitspace import VectorSet, binary_to_base3_table
-from .capacity import LOG2_3, CapacityQuery, capacity
+from .capacity import LOG2_3, capacity
 from .codec import (
     ChannelCaps,
     SwitchPair,
@@ -85,13 +85,13 @@ def run_criterion_1():
         if (caps.c1, caps.c2) == (Fraction(2), Fraction(1)):
             expected["01"] = (math.log(6, 3), "log3(6)")
         for case, (value, tag) in expected.items():
-            query = CapacityQuery(SwitchPair.from_string(case), caps)
-            capacity(query)
+            switches = SwitchPair.from_string(case)
+            capacity(switches, caps)
             best = min(
-                _timed(lambda: capacity(query)) for _ in range(3)
+                _timed(lambda: capacity(switches, caps)) for _ in range(3)
             )
             worst_ms = max(worst_ms, best * 1000.0)
-            result = capacity(query)
+            result = capacity(switches, caps)
             checked += 1
             if abs(result.value - value) > 1e-12:
                 failures.append(f"case {case} caps ({c1s},{c2s}): {result.value} != {value}")
@@ -147,11 +147,10 @@ def run_criterion_3():
             if k <= 2 and l in (1, 2, 1 << k) and table[l].value != bound:
                 failures.append(f"Q_{k}({l}) = {table[l].value} != bound {bound} (equality case)")
     for k in range(1, 4):
-        chim = chi_m_table(k)
-        for m, value in chim.values.items():
+        for m, result in chi_m_table(k).items():
             floor = q_k(k, math.ceil((1 << k) / m)).value
-            if value < floor:
-                failures.append(f"chi_{m} at k={k}: {value} < Q_k bound {floor}")
+            if result.value < floor:
+                failures.append(f"chi_{m} at k={k}: {result.value} < Q_k bound {floor}")
     details = {"qk_k_max": 4, "chim_k_max": 3}
     return _finish("coloring_converse", 60.0, started, failures, details)
 

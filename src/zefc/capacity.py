@@ -5,7 +5,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .codec import (
-    SwitchPair,
     build_identity_code,
     build_packing_code_11,
     build_split_code_01,
@@ -15,33 +14,6 @@ from .codec import (
 from .errors import ZefcError
 
 LOG2_3 = math.log2(3)
-TARGETS = ("arithmetic_sum", "identity")
-
-
-@dataclass(frozen=True)
-class CapacityQuery:
-    """A model instance: switch pair, channel caps, and the target function."""
-
-    switches: SwitchPair
-    caps: object
-    target: str = "arithmetic_sum"
-
-    def __post_init__(self):
-        if self.target not in TARGETS:
-            raise ZefcError("bad_target", f"target must be one of {TARGETS}", target=self.target)
-        if self.target == "identity" and self.switches.as_string() != "00":
-            raise ZefcError(
-                "unsupported_query",
-                "the identity target is only supported for case 00",
-                case=self.switches.as_string(),
-            )
-        if self.caps.c1 is None and not (
-            self.switches.as_string() == "00" and self.target == "identity"
-        ):
-            raise ZefcError(
-                "unsupported_query",
-                "an unbounded wide channel is only supported for case 00 with the identity target",
-            )
 
 
 @dataclass(frozen=True)
@@ -66,37 +38,37 @@ def construct_for_case(switches, k, caps):
     return build_packing_code_11(k, caps)
 
 
-def _closed_form(q):
-    case = q.switches.as_string()
-    c2 = float(q.caps.c2)
-    if q.target == "identity" or case in ("00", "10"):
+def _closed_form(switches, caps):
+    case = switches.as_string()
+    c2 = float(caps.c2)
+    if case in ("00", "10"):
         return c2, "C2"
-    c1 = float(q.caps.c1)
+    c1 = float(caps.c1)
     if case == "11":
         return (c1 + c2) / LOG2_3, "(C1+C2)/log2(3)"
-    if q.caps.c1 == 2 and q.caps.c2 == 1:
+    if caps.c1 == 2 and caps.c2 == 1:
         return math.log2(6) / LOG2_3, "log3(6)"
     return (c1 - c2) / LOG2_3 + c2, "(C1-C2)*log3(2)+C2"
 
 
-def _converse_uses(q, k):
+def _converse_uses(switches, caps, k):
     """Lower bound on channel uses n at block length k for the matching converse."""
-    case = q.switches.as_string()
-    if q.target == "identity" or case in ("00", "10"):
-        return k / float(q.caps.c2)
+    case = switches.as_string()
+    if case in ("00", "10"):
+        return k / float(caps.c2)
     if case == "11":
-        return k * LOG2_3 / float(q.caps.c1 + q.caps.c2)
-    return f_k_min(k, q.caps)[1]
+        return k * LOG2_3 / float(caps.c1 + caps.c2)
+    return f_k_min(k, caps)[1]
 
 
-def capacity(q, witness_k=None):
-    """Closed-form capacity, optionally sandwiched by a finite-k construction."""
-    value, formula = _closed_form(q)
+def capacity(switches, caps, witness_k=None):
+    """Closed-form capacity of X + Y, optionally sandwiched by a finite-k construction."""
+    value, formula = _closed_form(switches, caps)
     if witness_k is None:
         return CapacityResult(value=value, formula=formula)
-    code = construct_for_case(q.switches, witness_k, q.caps)
-    achieved = float(rate_account(code, q.caps).rate)
-    uses = _converse_uses(q, witness_k)
+    code = construct_for_case(switches, witness_k, caps)
+    achieved = float(rate_account(code, caps).rate)
+    uses = _converse_uses(switches, caps, witness_k)
     # No code computes the sum with zero channel uses, however wide the channels.
     converse = witness_k / max(1, math.ceil(uses - 1e-9))
     if achieved > value + 1e-12 or achieved > converse + 1e-12:
@@ -122,7 +94,6 @@ def capacity(q, witness_k=None):
 
 def f_k_min(k, caps):
     """Minimizing point and value of the converse envelope over real t."""
-    caps.require_bounded()
     c1, c2 = float(caps.c1), float(caps.c2)
     t_star = k * c2 * LOG2_3 / ((c1 - c2) + c2 * LOG2_3)
     return t_star, k * LOG2_3 / ((c1 - c2) + c2 * LOG2_3)

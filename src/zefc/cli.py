@@ -7,7 +7,7 @@ import time
 
 from . import __version__
 from .acceptance import run_all
-from .capacity import CapacityQuery, capacity, construct_for_case
+from .capacity import capacity, construct_for_case
 from .codec import ChannelCaps, SwitchPair, check_admissible, code_to_json, rate_account
 from .coloring import (
     EXACT_QK_LIMIT,
@@ -66,8 +66,7 @@ def _switches_of(args):
 
 
 def _cmd_capacity(args):
-    query = CapacityQuery(_switches_of(args), _caps_of(args), args.target)
-    result = capacity(query, witness_k=args.k)
+    result = capacity(_switches_of(args), _caps_of(args), witness_k=args.k)
     payload = {
         "version": __version__,
         "query": {
@@ -75,7 +74,7 @@ def _cmd_capacity(args):
             "case": args.case,
             "c1": args.c1,
             "c2": args.c2,
-            "target": args.target,
+            "target": "arithmetic_sum",
         },
         "value": result.value,
         "formula": result.formula,
@@ -153,6 +152,8 @@ def _cmd_verify(args):
 
 
 def _cmd_qk(args):
+    if args.k < 1:
+        raise ZefcError("bad_k", "k must be at least 1", k=args.k)
     if not args.bracket and args.k > EXACT_QK_LIMIT:
         raise ZefcError(
             "exact_mode_limit",
@@ -195,20 +196,12 @@ def _cmd_qk(args):
 def _cmd_chim(args):
     if args.m is not None:
         results = [chi_m(args.k, args.m)]
-        rows = [
-            {"m": r.m, "value": r.value, "witness": [list(block) for block in r.witness]}
-            for r in results
-        ]
     else:
-        table = chi_m_table(args.k)
-        rows = [
-            {
-                "m": m,
-                "value": table.values[m],
-                "witness": [list(block) for block in table.witnesses[m]],
-            }
-            for m in sorted(table.values)
-        ]
+        results = list(chi_m_table(args.k).values())
+    rows = [
+        {"m": r.m, "value": r.value, "witness": [list(block) for block in r.witness]}
+        for r in results
+    ]
     return {
         "version": __version__,
         "query": {"command": "chim", "k": args.k, "m": args.m},
@@ -302,7 +295,6 @@ def build_parser():
     sub.add_argument("--c1", required=True)
     sub.add_argument("--c2", required=True)
     sub.add_argument("--k", type=int, default=None, help="also build a k-shot witness")
-    sub.add_argument("--target", default="arithmetic_sum", choices=("arithmetic_sum", "identity"))
     common(sub)
     sub.set_defaults(handler=_cmd_capacity)
 

@@ -55,14 +55,10 @@ class SwitchPair:
 
 
 def _parse_cap(text):
-    """Parse one capacity: 'p/q', a decimal, or 'inf' for unbounded."""
+    """Parse one capacity: 'p/q' or a decimal."""
     if isinstance(text, Fraction):
         return text
-    if text is None:
-        return None
     s = str(text).strip()
-    if s.lower() in ("inf", "infinity", "unbounded"):
-        return None
     try:
         if "/" in s:
             num, den = s.split("/", 1)
@@ -73,21 +69,18 @@ def _parse_cap(text):
             raise ValueError(s)
         return Fraction(s)
     except (ValueError, ZeroDivisionError):
-        raise ZefcError("bad_caps", "capacity must be a positive rational, decimal, or 'inf'", value=s)
+        raise ZefcError("bad_caps", "capacity must be a positive rational or decimal", value=s)
 
 
 @dataclass(frozen=True)
 class ChannelCaps:
-    """Per-channel bit budgets, normalized so c1 >= c2; c1=None means unbounded."""
+    """Per-channel bit budgets, normalized so c1 >= c2."""
 
-    c1: Optional[Fraction]
+    c1: Fraction
     c2: Fraction
-    swapped: bool = False
 
     def __post_init__(self):
         for name, cap in (("c1", self.c1), ("c2", self.c2)):
-            if cap is None:
-                continue
             if not isinstance(cap, Fraction) or not 0 < cap <= MAX_CAP:
                 raise ZefcError("bad_caps", "capacities must lie in (0, 2^512]", **{name: str(cap)})
             if cap.denominator > MAX_CAP_DENOMINATOR:
@@ -96,31 +89,16 @@ class ChannelCaps:
                     f"capacity denominators are capped at {MAX_CAP_DENOMINATOR}",
                     **{name: str(cap)},
                 )
-        if self.c2 is None:
-            raise ZefcError("bad_caps", "at most one capacity may be unbounded")
-        if self.c1 is not None and self.c1 < self.c2:
+        if self.c1 < self.c2:
             raise ZefcError("bad_caps", "caps must be normalized with c1 >= c2 (use ChannelCaps.of)")
 
     @classmethod
     def of(cls, c1, c2):
         a, b = _parse_cap(c1), _parse_cap(c2)
-        if a is None and b is None:
-            raise ZefcError("bad_caps", "at most one capacity may be unbounded")
-        if a is None:
-            return cls(None, b)
-        if b is None:
-            return cls(None, a, swapped=True)
-        if a < b:
-            return cls(b, a, swapped=True)
-        return cls(a, b)
-
-    def require_bounded(self):
-        if self.c1 is None:
-            raise ZefcError("unbounded_cap", "this construction needs both capacities bounded")
-        return self
+        return cls(max(a, b), min(a, b))
 
     def as_strings(self):
-        return ("inf" if self.c1 is None else str(self.c1), str(self.c2))
+        return (str(self.c1), str(self.c2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,7 +208,7 @@ def least_uses(image_size, cap):
     """Least n >= 0 with 2^(n*cap) >= image_size, by exact integer comparison."""
     if image_size < 1:
         raise ZefcError("empty_image", "encoder image must be nonempty", size=image_size)
-    if image_size == 1 or cap is None:
+    if image_size == 1:
         return 0
     p, q = cap.numerator, cap.denominator
     bits = image_size.bit_length()
@@ -335,7 +313,6 @@ def build_packing_code_11(k, caps):
     """Case-11 code: pack the ternary sum and split its index across both channels."""
     if k < 1:
         raise ZefcError("bad_k", "block length must be at least 1", k=k)
-    caps.require_bounded()
     if math.ceil(k * math.log2(3)) * caps.c2.denominator > MAX_PACKING_BITS:
         raise ZefcError(
             "packing_too_costly",
@@ -362,7 +339,6 @@ def build_packing_code_11(k, caps):
 
 def split_index(k, caps):
     """Boundary k1 for the case-01 split: least k1 >= 1 with 3^(k1*c2) >= 2^((c1-c2)(k-k1))."""
-    caps.require_bounded()
     a = caps.c1 - caps.c2
     if a == 0:
         return 1
@@ -404,7 +380,6 @@ def build_split_code_01(k, caps):
     """
     if k < 1:
         raise ZefcError("bad_k", "block length must be at least 1", k=k)
-    caps.require_bounded()
     low = split_index(k, caps) - 1
     base = 3 ** low
     hi_width = k - low
@@ -422,82 +397,6 @@ def build_split_code_01(k, caps):
             (a % base + base * hi3[a // base])[:, None] + base * hi3[None, :],
         )
     return KShotCode(k, SwitchPair(0, 1), *tables, im1=im1, im2=im2, name="split01")
-
-
-def code_from_partition(partition, colorings=None):
-    """Assemble a case-01 code from a partition of y-space with per-block colorings.
-
-    Encoder 2 sends the block of y, encoder 1 the color of (x, y) in that block. A
-    coloring maps every (x, y) of its block to a label; by default the label is the
-    rank of x + y among the block's sums.
-    """
-    if not partition:
-        raise ZefcError("not_a_partition", "partition must have at least one block")
-    k = partition[0].k
-    if k > MAX_EXHAUSTIVE_K:
-        raise ZefcError("k_too_large", f"partition codes are limited to k<={MAX_EXHAUSTIVE_K}", k=k)
-    size = 1 << k
-    block_of = np.full(size, -1, dtype=np.int64)
-    for i, block in enumerate(partition):
-        if block.k != k or block.radix != 2 or not block.members:
-            raise ZefcError("not_a_partition", "blocks must be nonempty binary sets of equal length")
-        for y in block.members:
-            if block_of[y] >= 0:
-                raise ZefcError("not_a_partition", "blocks overlap", value=word_to_string(y, k, 2))
-            block_of[y] = i
-    if (block_of < 0).any():
-        raise ZefcError("not_a_partition", "blocks do not cover the whole space")
-
-    sums = sum_table(k).tolist()
-    if colorings is None:
-        colorings = []
-        for block in partition:
-            pairs = [(x, y) for x in range(size) for y in block.members]
-            rank = {s: i for i, s in enumerate(sorted({sums[x][y] for x, y in pairs}))}
-            colorings.append({(x, y): rank[sums[x][y]] for x, y in pairs})
-    if len(colorings) != len(partition):
-        raise ZefcError("invalid_coloring", "need exactly one coloring per block")
-
-    phi1 = np.zeros((size, size), dtype=np.int64)
-    ids, decode = {}, {}  # label -> phi1 symbol; (symbol, block) -> decoded sum
-    for i, block in enumerate(partition):
-        by_label = {}
-        for x in range(size):
-            for y in block.members:
-                label = colorings[i].get((x, y))
-                if label is None:
-                    raise ZefcError(
-                        "invalid_coloring",
-                        "coloring must cover every pair of its block",
-                        block=i,
-                        x=word_to_string(x, k, 2),
-                        y=word_to_string(y, k, 2),
-                    )
-                s = sums[x][y]
-                if by_label.setdefault(label, s) != s:
-                    raise ZefcError(
-                        "invalid_coloring",
-                        "coloring reuses a label across conflicting pairs",
-                        block=i,
-                        label=label,
-                    )
-                phi1[x, y] = ids.setdefault(label, len(ids))
-        for label, s in by_label.items():
-            decode[ids[label], i] = s
-
-    psi = np.zeros((len(ids), len(partition)), dtype=np.int64)
-    for pair, s in decode.items():
-        psi[pair] = s
-    return KShotCode(
-        k=k,
-        switches=SwitchPair(0, 1),
-        phi1=phi1,
-        phi2=np.broadcast_to(block_of[None, :], (size, size)),
-        psi=psi,
-        im1=len(ids),
-        im2=len(partition),
-        name="partition",
-    )
 
 
 def _canonical_labels(code):
@@ -556,62 +455,3 @@ def code_to_json(code):
         ),
         "images": [code.im1, code.im2],
     }
-
-
-def code_from_json(doc):
-    """Rebuild a table-backed code from its JSON form."""
-    try:
-        k = int(doc["k"])
-        switches = SwitchPair.from_string(doc["switches"])
-        im1, im2 = (int(v) for v in doc["images"])
-        raw1, raw2, raw_psi = (dict(doc[name]) for name in ("phi1", "phi2", "psi"))
-    except (KeyError, TypeError, ValueError):
-        raise ZefcError("bad_code_json", "missing or malformed code fields")
-    if k < 1:
-        raise ZefcError("bad_code_json", "block length must be at least 1", k=k)
-    if k > MAX_EXHAUSTIVE_K:
-        raise ZefcError("k_too_large", f"code tables are limited to k<={MAX_EXHAUSTIVE_K}", k=k)
-    size = 1 << k
-    word = {s: v for v, s in enumerate(digit_strings(k, 2))}
-    ternary = {s: v for v, s in enumerate(digit_strings(k, 3))}
-
-    def parse_encoder(table, paired):
-        """Raw labels over (x, y) for a paired table, else over the one word it reads."""
-        if len(table) != (size * size if paired else size):
-            raise ZefcError("bad_code_json", "encoder tables must cover their full domains")
-        raw = np.zeros((size, size) if paired else size, dtype=np.int64)
-        try:
-            for key, label in table.items():
-                index = tuple(word[part] for part in key.split(","))
-                if len(index) != raw.ndim:
-                    raise KeyError(key)
-                raw[index] = int(label)
-        except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError):
-            raise ZefcError("bad_code_json", f"encoder keys must be {k}-digit binary words")
-        values, dense = np.unique(raw, return_inverse=True)
-        return values, dense.reshape(raw.shape)
-
-    values1, dense1 = parse_encoder(raw1, switches.s2 == 1)
-    values2, dense2 = parse_encoder(raw2, switches.s1 == 1)
-    if (values1.size, values2.size) != (im1, im2):
-        raise ZefcError(
-            "bad_code_json",
-            "declared image sizes disagree with tables",
-            declared=[im1, im2],
-            realized=[values1.size, values2.size],
-        )
-    phi1 = dense1 if dense1.ndim == 2 else np.broadcast_to(dense1[:, None], (size, size))
-    phi2 = dense2 if dense2.ndim == 2 else np.broadcast_to(dense2[None, :], (size, size))
-    new1 = {int(v): i for i, v in enumerate(values1)}
-    new2 = {int(v): i for i, v in enumerate(values2)}
-    psi = np.zeros((im1, im2), dtype=np.int64)
-    try:
-        for key, value in raw_psi.items():
-            a, b = (int(part) for part in key.split(","))
-            if a in new1 and b in new2:
-                psi[new1[a], new2[b]] = ternary[value]
-    except (AttributeError, KeyError, TypeError, ValueError):
-        raise ZefcError("bad_code_json", f"psi must map 'a,b' label pairs to {k}-digit ternary words")
-    return KShotCode(
-        k=k, switches=switches, phi1=phi1, phi2=phi2, psi=psi, im1=im1, im2=im2, name="from-json"
-    )

@@ -67,15 +67,6 @@ class ChiMResult:
 
 
 @dataclass(frozen=True)
-class ChiTable:
-    """chi_m for every m at a fixed k, with witness partitions."""
-
-    k: int
-    values: dict
-    witnesses: dict
-
-
-@dataclass(frozen=True)
 class AitchReport:
     """Superadditivity check outcome for the h-function."""
 
@@ -242,14 +233,20 @@ def _partitions_into(items, m):
     yield from grow(0, [])
 
 
-def chi_m(k, m):
-    """Least achievable max-block color count over partitions into exactly m blocks."""
+def _check_chim_k(k):
+    if k < 1:
+        raise ZefcError("bad_k", "k must be at least 1", k=k)
     if k > EXACT_CHIM_LIMIT:
         raise ZefcError(
             "k_too_large",
             f"partition enumeration is limited to k<={EXACT_CHIM_LIMIT}",
             k=k,
         )
+
+
+def chi_m(k, m):
+    """Least achievable max-block color count over partitions into exactly m blocks."""
+    _check_chim_k(k)
     size = 1 << k
     if not 1 <= m <= size:
         raise ZefcError("bad_m", "block count must lie in [1, 2^k]", k=k, m=m)
@@ -264,13 +261,9 @@ def chi_m(k, m):
 
 
 def chi_m_table(k):
-    """chi_m for every m at a fixed k."""
-    results = {m: chi_m(k, m) for m in range(1, (1 << k) + 1)}
-    return ChiTable(
-        k=k,
-        values={m: r.value for m, r in results.items()},
-        witnesses={m: r.witness for m, r in results.items()},
-    )
+    """chi_m for every m at a fixed k, keyed by m."""
+    _check_chim_k(k)
+    return {m: chi_m(k, m) for m in range(1, (1 << k) + 1)}
 
 
 def verify_aitch_superadditivity(l_max, tau=None):
@@ -381,10 +374,10 @@ def verify_sumset_lower_bound(k_max, samples=200, seed=0):
             f"the sum masks grow as 6^k bits; k_max is limited to {MAX_SUMSET_BOUND_K}",
             k_max=k_max,
         )
-    if not 0 <= samples <= MAX_SUMSET_SAMPLES:
+    if not 1 <= samples <= MAX_SUMSET_SAMPLES:
         raise ZefcError(
             "bad_samples",
-            f"samples must lie in [0, {MAX_SUMSET_SAMPLES}]",
+            f"samples must lie in [1, {MAX_SUMSET_SAMPLES}]",
             samples=samples,
         )
     entries = []

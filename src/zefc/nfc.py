@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitspace import sum_table
-from .capacity import CapacityQuery, capacity
+from .capacity import capacity
 from .codec import KShotCode, SwitchPair, rate_account
 from .errors import ZefcError
 
@@ -160,7 +160,7 @@ class NontightnessReport:
 
 def build_network(caps):
     """The five-bundle relay network for integer caps."""
-    if caps.c1 is None or caps.c1.denominator != 1 or caps.c2.denominator != 1:
+    if caps.c1.denominator != 1 or caps.c2.denominator != 1:
         raise ZefcError("bad_caps", "edge multiplicities must be integers", caps=caps.as_strings())
     c1, c2 = int(caps.c1), int(caps.c2)
     if 4 * c1 + c2 > MAX_NETWORK_EDGES:
@@ -519,8 +519,7 @@ def inverse_transform(ncode):
 def nontightness_report(caps):
     """Capacity vs the cut-set bound; the gap is positive exactly when c1 > c2."""
     net = build_network(caps)
-    query = CapacityQuery(SwitchPair(0, 1), caps, "arithmetic_sum")
-    cap_value = capacity(query).value
+    cap_value = capacity(SwitchPair(0, 1), caps).value
     bound = guang_bound(net)
     formula = cutset_bound_formula(caps)
     if abs(bound.value - formula) > 1e-9:

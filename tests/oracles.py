@@ -217,6 +217,35 @@ def code_to_json_oracle(k, switches, phi1, phi2, psi, im1, im2):
     }
 
 
+
+def printed_code_admissible(doc):
+    """True when a printed code's tables decode x + y digit by digit for all 4^k pairs.
+
+    doc is the `code` object of a `construct` report: phi1 and phi2 map "x,y" (or
+    the one word an encoder reads) to a label, psi maps "a,b" label pairs to a
+    ternary digit string, and words are digit strings, position 1 first.
+    """
+    try:
+        k, switches = doc["k"], doc["switches"]
+        im1, im2 = doc["images"]
+        sees_y, sees_x = switches[1] == "1", switches[0] == "1"
+        words = ["".join(t) for t in itertools.product("01", repeat=k)]
+        for name, paired, im in (("phi1", sees_y, im1), ("phi2", sees_x, im2)):
+            if len(doc[name]) != len(words) ** (2 if paired else 1):
+                return False
+            if any(not 0 <= label < im for label in doc[name].values()):
+                return False
+        for xs in words:
+            for ys in words:
+                a = doc["phi1"][f"{xs},{ys}" if sees_y else xs]
+                b = doc["phi2"][f"{xs},{ys}" if sees_x else ys]
+                want = "".join(str(int(u) + int(v)) for u, v in zip(xs, ys))
+                if doc["psi"][f"{a},{b}"] != want:
+                    return False
+    except (KeyError, TypeError, ValueError):
+        return False
+    return True
+
 # --- independent network-side oracle -----------------------------------------
 
 NET_SOURCES = ("s1", "s2")

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import converse_envelope
-from zefc.capacity import CapacityQuery, capacity, construct_for_case, f_k_min
+from zefc.capacity import capacity, construct_for_case, f_k_min
 from zefc.codec import ChannelCaps, SwitchPair, rate_account
 from zefc.errors import ZefcError
 
@@ -14,75 +14,53 @@ LOG2_3 = math.log2(3)
 CAPS21 = ChannelCaps.of(2, 1)
 
 
-def query(case, c1, c2, target="arithmetic_sum"):
-    return CapacityQuery(SwitchPair.from_string(case), ChannelCaps.of(c1, c2), target)
+def query(case, c1, c2):
+    return SwitchPair.from_string(case), ChannelCaps.of(c1, c2)
 
 
 def test_closed_forms_four_cases():
-    assert capacity(query("00", 2, 1)).value == 1.0
-    assert capacity(query("00", 2, 1)).formula == "C2"
-    assert capacity(query("10", 2, 1)).value == 1.0
-    eleven = capacity(query("11", 2, 1))
+    assert capacity(*query("00", 2, 1)).value == 1.0
+    assert capacity(*query("00", 2, 1)).formula == "C2"
+    assert capacity(*query("10", 2, 1)).value == 1.0
+    eleven = capacity(*query("11", 2, 1))
     assert abs(eleven.value - 3 / LOG2_3) < 1e-12
     assert eleven.formula == "(C1+C2)/log2(3)"
-    one = capacity(query("01", 2, 1))
+    one = capacity(*query("01", 2, 1))
     assert one.value == math.log2(6) / LOG2_3
     assert one.formula == "log3(6)"
-    general = capacity(query("01", 3, 2))
+    general = capacity(*query("01", 3, 2))
     assert abs(general.value - (1 / LOG2_3 + 2)) < 1e-12
     assert general.formula == "(C1-C2)*log3(2)+C2"
 
 
 def test_closed_forms_rational_caps():
-    got = capacity(query("11", "7/2", "3/2"))
+    got = capacity(*query("11", "7/2", "3/2"))
     assert abs(got.value - 5 / LOG2_3) < 1e-12
-    got = capacity(query("01", "5/2", "1/2"))
+    got = capacity(*query("01", "5/2", "1/2"))
     assert abs(got.value - (2 / LOG2_3 + 0.5)) < 1e-12
-    assert capacity(query("00", "3/4", "1/4")).value == 0.25
+    assert capacity(*query("00", "3/4", "1/4")).value == 0.25
 
 
 def test_capacity_consistency_at_equal_caps():
     for c in (1, 2, Fraction(7, 2)):
         same = float(c)
-        assert abs(capacity(query("01", c, c)).value - same) < 1e-12
-        assert abs(capacity(query("00", c, c)).value - same) < 1e-12
-
-
-def test_identity_target_and_unbounded():
-    q = CapacityQuery(SwitchPair(0, 0), ChannelCaps.of("inf", 3), "identity")
-    got = capacity(q)
-    assert got.value == 3.0 and got.formula == "C2"
-    bounded = CapacityQuery(SwitchPair(0, 0), CAPS21, "identity")
-    assert capacity(bounded).value == 1.0
-    with pytest.raises(ZefcError) as err:
-        CapacityQuery(SwitchPair(0, 1), CAPS21, "identity")
-    assert err.value.code == "unsupported_query"
-    with pytest.raises(ZefcError) as err:
-        CapacityQuery(SwitchPair(0, 1), ChannelCaps.of("inf", 1), "arithmetic_sum")
-    assert err.value.code == "unsupported_query"
-    with pytest.raises(ZefcError):
-        CapacityQuery(SwitchPair(0, 0), CAPS21, "parity")
+        assert abs(capacity(*query("01", c, c)).value - same) < 1e-12
+        assert abs(capacity(*query("00", c, c)).value - same) < 1e-12
 
 
 def test_capacity_with_witness():
-    got = capacity(query("01", 2, 1), witness_k=100)
+    got = capacity(*query("01", 2, 1), witness_k=100)
     assert got.achievable_witness == pytest.approx(100 / 62, abs=1e-15)
     assert got.converse_bound == pytest.approx(100 / 62, abs=1e-15)
     assert got.achievable_witness <= got.value
     for case in ("00", "10", "11"):
-        got = capacity(query(case, 2, 1), witness_k=12)
+        got = capacity(*query(case, 2, 1), witness_k=12)
         assert got.achievable_witness <= got.value + 1e-12
         assert got.achievable_witness <= got.converse_bound + 1e-12
     for case in ("00", "01", "10", "11"):
         with pytest.raises(ZefcError) as err:
-            capacity(query(case, 2, 1), witness_k=0)
+            capacity(*query(case, 2, 1), witness_k=0)
         assert err.value.code == "bad_k"
-
-
-def test_witness_with_unbounded_identity():
-    q = CapacityQuery(SwitchPair(0, 0), ChannelCaps.of("inf", 1), "identity")
-    got = capacity(q, witness_k=5)
-    assert got.achievable_witness == 1.0
 
 
 def test_f_k_min_values():
@@ -97,7 +75,7 @@ def test_f_k_min_values():
 
 
 def test_f_k_min_times_capacity_identity():
-    cap = capacity(query("01", 2, 1)).value
+    cap = capacity(*query("01", 2, 1)).value
     for k in (1, 3, 17, 100):
         _, value = f_k_min(k, CAPS21)
         assert abs(value * cap - k) < 1e-9
@@ -120,15 +98,14 @@ def witness_gaps(case, ks):
     """Capacity minus the witness rate at each k, at caps (2,1)."""
     gaps = {}
     for k in ks:
-        got = capacity(query(case, 2, 1), witness_k=k)
+        got = capacity(*query(case, 2, 1), witness_k=k)
         assert got.achievable_witness <= got.value + 1e-12, (case, k)
         gaps[k] = got.value - got.achievable_witness
     return gaps
 
 
 def test_sandwich_split_case():
-    q = query("01", 2, 1)
-    got = capacity(q, witness_k=100)
+    got = capacity(*query("01", 2, 1), witness_k=100)
     assert got.achievable_witness == 50 / 31
     assert got.value - got.achievable_witness < 0.02 * got.value
     doubles = list(witness_gaps("01", [1 << j for j in range(8)]).values())
@@ -143,7 +120,7 @@ def test_sandwich_gap_doubling_all_cases():
 
 
 def test_sandwich_identity_case_flat():
-    got = capacity(query("00", 2, 1), witness_k=7)
+    got = capacity(*query("00", 2, 1), witness_k=7)
     assert got.achievable_witness == 1.0
     assert got.value - got.achievable_witness == 0.0
 

@@ -2,13 +2,16 @@
 
 import json
 import pathlib
+import argparse
 import subprocess
 import sys
+import time
 
 import pytest
 from jsonschema import validate
 
-from zefc.cli import main
+from oracles import printed_code_admissible
+from zefc.cli import build_parser, main
 
 SCHEMAS = pathlib.Path(__file__).resolve().parent.parent / "schemas"
 
@@ -243,6 +246,10 @@ BAD_INPUTS = (
     ("capacity --case 11 --c1 1e308 --c2 1e308 --k 3", "bad_caps"),
     ("construct --case 01 --c1 1e308 --c2 1 --k 3", "bad_caps"),
     (f"capacity --case 11 --c1 {10**400}/3 --c2 1", "bad_caps"),
+    ("qk --k -1", "bad_k"),
+    ("qk --k -1 --bracket", "bad_k"),
+    ("chim --k -1", "bad_k"),
+    ("chim --k 0", "bad_k"),
 )
 
 
@@ -310,10 +317,67 @@ def test_bad_caps_and_bad_arguments(capsys):
     code, doc = run_cli(capsys, ["capacity", "--case", "01", "--c1", "abc", "--c2", "1"])
     assert code == 2
     assert doc["error"]["code"] == "bad_caps"
+    code, doc = run_cli(capsys, ["capacity", "--case", "00", "--c1", "inf", "--c2", "1"])
+    assert code == 2
+    assert doc["error"]["code"] == "bad_caps"
     code, doc = run_cli(capsys, ["capacity", "--case", "02", "--c1", "1", "--c2", "1"])
     assert code == 2
     assert doc["error"]["code"] == "bad_arguments"
     validate(doc, schema("error"))
+    argv = ["capacity", "--case", "00", "--c1", "2", "--c2", "1", "--target", "identity"]
+    code, doc = run_cli(capsys, argv)
+    assert code == 2
+    assert doc["error"]["code"] == "bad_arguments"
+
+
+def test_construct_output_passes_the_printed_code_oracle(capsys):
+    for case in ("00", "01", "10", "11"):
+        for k in range(1, 6):
+            argv = ["construct", "--case", case, "--c1", "3", "--c2", "2", "--k", str(k)]
+            code, doc = run_cli(capsys, argv)
+            assert code == 0
+            assert printed_code_admissible(doc["code"]), (case, k)
+            # Labels are first-seen, so psi["0,0"] decodes x = y = 0...0.
+            doc["code"]["psi"]["0,0"] = "1" + doc["code"]["psi"]["0,0"][1:]
+            assert not printed_code_admissible(doc["code"]), (case, k)
+
+
+# A cheap request per subcommand; the sweep sets each integer option on top of it.
+SWEEP_BASES = {
+    ("capacity",): "capacity --case 01 --c1 2 --c2 1",
+    ("construct",): "construct --case 01 --c1 2 --c2 1 --k 1",
+    ("verify", "aitch"): "verify aitch --l-max 8",
+    ("verify", "sumset-bound"): "verify sumset-bound --k-max 2 --samples 2",
+    ("qk",): "qk --k 2 --l 1",
+    ("chim",): "chim --k 1",
+    ("gamma-pair",): "gamma-pair --k 2",
+}
+
+
+def _int_options(parser, path=()):
+    """(subcommand path, option) for every type=int option of every subcommand."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _int_options(sub, path + (name,))
+        elif action.type is int and "--threads" not in action.option_strings:
+            yield path, action.option_strings[0]
+
+
+def test_integer_options_sweep(capsys):
+    started = time.perf_counter()
+    requests = [
+        SWEEP_BASES[path].split() + [option, str(value)]
+        for path, option in _int_options(build_parser())
+        for value in (-1, 0, 1)
+    ]
+    assert {tuple(argv[:2]) for argv in requests} >= {("qk", "--k"), ("chim", "--k")}
+    for argv in requests:
+        code, doc = run_cli(capsys, argv)
+        assert code in (0, 2), argv
+        name = "error" if code == 2 else "-".join(argv[:2]) if argv[0] == "verify" else argv[0]
+        validate(doc, schema(name))
+    assert time.perf_counter() - started < 3.0
 
 
 def test_emit_writes_the_same_report(capsys, tmp_path):

@@ -150,14 +150,14 @@ def test_qk_lower_bound_power_of_two_exact():
 def test_chi_m_frozen_tables():
     for k, table in CHI_M_TABLES.items():
         got = chi_m_table(k)
-        assert got.values == table
+        assert {m: r.value for m, r in got.items()} == table
 
 
 def test_chi_m_matches_bruteforce_oracle():
     for k in (1, 2, 3):
         want = oracles.chim_bruteforce(k)
         got = chi_m_table(k)
-        assert got.values == want
+        assert {m: r.value for m, r in got.items()} == want
 
 
 def test_chi_m_witness_is_partition_achieving_value():

@@ -289,7 +289,7 @@ def test_nontightness_report_21_details():
 def test_nontightness_report_raises_on_gap_sign_violation(monkeypatch):
     # A capacity equal to the bound leaves no gap although c1 > c2.
     bound = GUANG_TABLE[(2, 1)][0]
-    monkeypatch.setattr("zefc.nfc.capacity", lambda query: types.SimpleNamespace(value=bound))
+    monkeypatch.setattr("zefc.nfc.capacity", lambda switches, caps: types.SimpleNamespace(value=bound))
     with pytest.raises(ZefcError) as err:
         nontightness_report(CAPS21)
     assert err.value.code == "gap_sign_mismatch"
