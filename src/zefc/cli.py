@@ -8,7 +8,7 @@ import time
 from . import __version__
 from .acceptance import run_all
 from .capacity import capacity, construct_for_case
-from .codec import ChannelCaps, SwitchPair, check_admissible, code_to_json, rate_account
+from .codec import ChannelCaps, SwitchPair, check_admissible, code_text, rate_account
 from .coloring import (
     EXACT_QK_LIMIT,
     chi_m,
@@ -32,29 +32,44 @@ class _Parser(argparse.ArgumentParser):
         raise ZefcError("bad_arguments", message)
 
 
-_ROUNDED = (float, dict, list, tuple)
+class _Text:
+    """JSON text that _render writes as it stands, already indented for its place."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text):
+        self.text = text
 
 
-def _rounded(obj):
-    """obj with every float rounded to 12 decimal places and tuples as lists.
+def _render(obj, pad="", default=None):
+    """json.dumps(obj, indent=2, default=default), with every float rounded to 12 places.
 
-    Only floats, dicts, lists and tuples are visited, and a dict holding none of
-    them comes back as it is, so the code tables are neither walked call by call
-    nor copied.
+    A _Text is written verbatim, so a pre-rendered code table is neither walked
+    nor encoded again, and it is copied once, into the report's text.
     """
+    if isinstance(obj, _Text):
+        return obj.text
     if isinstance(obj, float):
-        return round(obj, 12)
+        return json.dumps(round(obj, 12))
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        return json.dumps(obj, default=default)
+    inner = pad + "  "
     if isinstance(obj, dict):
-        nested = [key for key, value in obj.items() if isinstance(value, _ROUNDED)]
-        if not nested:
-            return obj
-        out = dict(obj)
-        for key in nested:
-            out[key] = _rounded(out[key])
-        return out
-    if isinstance(obj, (list, tuple)):
-        return [_rounded(value) if isinstance(value, _ROUNDED) else value for value in obj]
-    return obj
+        # json.dumps writes an int, float, bool or None key as its JSON text, quoted.
+        members = [
+            (json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": ", value)
+            for key, value in obj.items()
+        ]
+        brackets = "{}"
+    else:
+        members = [("", value) for value in obj]
+        brackets = "[]"
+    parts = []
+    for head, value in members:
+        parts += (f",\n{inner}{head}", _render(value, inner, default))
+    parts[0] = brackets[0] + parts[0][1:]
+    parts.append(f"\n{pad}{brackets[1]}")
+    return "".join(parts)
 
 
 def _caps_of(args):
@@ -106,7 +121,8 @@ def _cmd_construct(args):
         "rate": str(acct.rate),
         "uses": {"n1": acct.n1, "n2": acct.n2, "n": acct.n},
         "admissible": admissible,
-        "code": code_to_json(code),
+        # The code sits one level into the report.
+        "code": _Text(code_text(code, pad="  ")),
     }, 0
 
 
@@ -360,8 +376,7 @@ def main(argv=None):
         payload, exit_code = args.handler(args)
         if getattr(args, "timings", False):
             payload["elapsed_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
-        payload = _rounded(payload)
-        text = json.dumps(payload, indent=2)
+        text = _render(payload)
         if getattr(args, "emit", None):
             try:
                 with open(args.emit, "w") as fh:
@@ -371,7 +386,7 @@ def main(argv=None):
                     "emit_failed", "could not write the report", path=args.emit, reason=exc.strerror
                 ) from exc
         if getattr(args, "format", "json") == "table":
-            _print_table(payload, sys.stdout)
+            _print_table(json.loads(text), sys.stdout)
         else:
             print(text)
         if args.command == "reproduce":
@@ -379,7 +394,7 @@ def main(argv=None):
             print(f"# {summary}/{len(payload['results'])} criteria passed", file=sys.stderr)
         return exit_code
     except ZefcError as err:
-        print(json.dumps({"error": _rounded(err.payload())}, indent=2, default=str))
+        print(_render({"error": err.payload()}, default=str))
         return 2
 
 

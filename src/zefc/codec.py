@@ -1,5 +1,6 @@
 """k-shot codes for two-encoder sum compression: constructions, checking, rates."""
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -407,13 +408,17 @@ def _canonical_labels(code):
     """
     phi1, phi2, _ = _tables(code, "serialization")
     sweeps = (
-        phi1 if code.switches.s2 == 1 else phi1[:, :1],
-        (phi2 if code.switches.s1 == 1 else phi2[:1, :]).T,
+        ("phi1", phi1 if code.switches.s2 == 1 else phi1[:, :1], code.im1),
+        ("phi2", (phi2 if code.switches.s1 == 1 else phi2[:1, :]).T, code.im2),
     )
     out = []
-    for sweep in sweeps:
+    for name, sweep, top in sweeps:
         flat = sweep.ravel()
         values, first = np.unique(flat, return_index=True)
+        # A table changed after construction could hold any label; refuse it rather
+        # than let a negative one wrap around in the lookups below.
+        if values[0] < 0 or values[-1] >= top:
+            raise ZefcError("bad_code", f"{name} labels must lie in range({top})", k=code.k)
         old = values[np.argsort(first)]
         rank = np.zeros(int(values[-1]) + 1, dtype=np.int64)
         rank[old] = np.arange(old.size)
@@ -429,29 +434,79 @@ def _canonical_labels(code):
     return out
 
 
-def _pair_keys(major, minor):
-    """The keys 'a,b' for a in major and b in minor, a major."""
-    minor = [str(b) for b in minor]
-    return [head + b for head in [f"{a}," for a in major] for b in minor]
+def _ascii(text):
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+
+
+def _digit_rows(k, radix):
+    """digit_strings(k, radix) as a radix^k x k array of ASCII digits."""
+    return _ascii("".join(digit_strings(k, radix))).reshape(-1, k)
+
+
+def _decimal_rows(values):
+    """Decimal digits of non-negative integers in a trailing axis, right-aligned after 0 bytes."""
+    powers = 10 ** np.arange(len(str(int(values.max()))) - 1, -1, -1)
+    rows = (values[..., None] // powers % 10 + ord("0")).astype(np.uint8)
+    rows[(values[..., None] < powers) & (powers > 1)] = 0
+    return rows
+
+
+def _object_text(pad, shape, key, value):
+    """A JSON object with one member per cell of shape, as json.dumps(indent=2) nests it at pad.
+
+    key and value are tuples of uint8 columns: bytes along the last axis, the
+    other axes broadcast to shape, 0 bytes as padding. Each member is the lead
+    ',\\n<pad>  "', the key columns, '": ' and the value columns side by side, so
+    the object is one concatenation with the 0 bytes dropped. The first lead
+    opens the object instead; the closing line is left to the caller.
+    """
+    columns = (_ascii(f',\n{pad}  "'), *key, _ascii('": '), *value)
+    flat = np.concatenate(
+        [np.broadcast_to(c, (*shape, c.shape[-1])) for c in columns], axis=-1
+    ).ravel()
+    flat[0] = ord("{")
+    flat = flat[flat != 0]
+    return str(flat, "ascii")
+
+
+def code_text(code, pad=""):
+    """The code as json.dumps(indent=2) prints its JSON form nested at indentation pad.
+
+    The JSON form holds tables over digit strings with first-seen canonical
+    labels: phi1 and phi2 map "x,y" (or the one word an encoder reads) to a
+    label, psi maps "a,b" label pairs to a ternary digit string. The text is
+    rendered from the arrays directly, without building a dict per table.
+    """
+    (labels1, old1), (labels2, old2) = _canonical_labels(code)
+    k, inner = code.k, pad + "  "
+    decoded = code.psi[np.ix_(old1, old2)]
+    if decoded.min() < 0 or decoded.max() >= 3**k:
+        raise ZefcError("bad_code", "psi values must lie in range(3^k)", k=k)
+    words = _digit_rows(k, 2)
+    comma, quote = _ascii(","), _ascii('"')
+    size = 1 << k
+
+    def encoder(labels, paired, pair_key):
+        shape, key = ((size, size), pair_key) if paired else ((size,), (words,))
+        return _object_text(inner, shape, key, (_decimal_rows(labels.reshape(shape)),))
+
+    phi1 = encoder(labels1, code.switches.s2 == 1, (words[:, None], comma, words[None]))
+    # Encoder 2's labels run y major, but its keys still read "x,y".
+    phi2 = encoder(labels2, code.switches.s1 == 1, (words[None], comma, words[:, None]))
+    psi_key = (
+        _decimal_rows(np.arange(code.im1))[:, None],
+        comma,
+        _decimal_rows(np.arange(code.im2))[None],
+    )
+    psi = _object_text(inner, decoded.shape, psi_key, (quote, _digit_rows(k, 3)[decoded], quote))
+    return (
+        f'{{\n{inner}"k": {k},\n{inner}"switches": "{code.switches.as_string()}",\n'
+        f'{inner}"phi1": {phi1}\n{inner}}},\n{inner}"phi2": {phi2}\n{inner}}},\n'
+        f'{inner}"psi": {psi}\n{inner}}},\n'
+        f'{inner}"images": [\n{inner}  {code.im1},\n{inner}  {code.im2}\n{inner}]\n{pad}}}'
+    )
 
 
 def code_to_json(code):
-    """Serialize a code as tables over digit strings with first-seen canonical labels."""
-    (labels1, old1), (labels2, old2) = _canonical_labels(code)
-    k = code.k
-    words = digit_strings(k, 2)
-    keys1 = _pair_keys(words, words) if code.switches.s2 == 1 else words
-    # Encoder 2's table runs y major, but its keys still read "x,y".
-    keys2 = [f"{xs},{ys}" for ys in words for xs in words] if code.switches.s1 == 1 else words
-    ternary = digit_strings(k, 3)
-    decoded = code.psi[np.ix_(old1, old2)].ravel().tolist()
-    return {
-        "k": k,
-        "switches": code.switches.as_string(),
-        "phi1": dict(zip(keys1, labels1.tolist())),
-        "phi2": dict(zip(keys2, labels2.tolist())),
-        "psi": dict(
-            zip(_pair_keys(range(code.im1), range(code.im2)), [ternary[v] for v in decoded])
-        ),
-        "images": [code.im1, code.im2],
-    }
+    """The code's JSON form (see code_text) as a dict."""
+    return json.loads(code_text(code))

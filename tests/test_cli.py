@@ -1,17 +1,21 @@
 """CLI behavior: golden outputs, determinism, schema conformance, exit codes."""
 
+import io
 import json
 import pathlib
 import argparse
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import validate
 
 from oracles import printed_code_admissible
-from zefc.cli import build_parser, main
+from zefc.cli import _print_table, _render, build_parser, main
 
 SCHEMAS = pathlib.Path(__file__).resolve().parent.parent / "schemas"
 
@@ -380,12 +384,16 @@ def test_integer_options_sweep(capsys):
     assert time.perf_counter() - started < 3.0
 
 
+CONSTRUCT21 = ["construct", "--c1", "2", "--c2", "1"]
+
+
 def test_emit_writes_the_same_report(capsys, tmp_path):
     target = tmp_path / "out.json"
-    code = main(["qk", "--k", "2", "--l", "2", "--emit", str(target)])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert target.read_text() == out
+    for argv in (["qk", "--k", "2", "--l", "2"], CONSTRUCT21 + ["--case", "11", "--k", "4"]):
+        code = main(argv + ["--emit", str(target)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert target.read_text() == out
 
 
 def test_emit_failure_is_a_structured_error(capsys, tmp_path):
@@ -403,6 +411,15 @@ def test_table_format(capsys):
     assert code == 0
     assert "value = 1.630929753571" in out
     assert "formula = log3(6)" in out
+    # construct's code is printed from pre-rendered text; the table still renders the report.
+    for case in ("00", "01", "10", "11"):
+        argv = CONSTRUCT21 + ["--case", case, "--k", "2"]
+        code, doc = run_cli(capsys, argv)
+        assert code == 0
+        assert main(argv + ["--format", "table"]) == 0
+        want = io.StringIO()
+        _print_table(doc, want)
+        assert capsys.readouterr().out == want.getvalue(), case
 
 
 def test_timings_flag_adds_elapsed(capsys):
@@ -410,6 +427,11 @@ def test_timings_flag_adds_elapsed(capsys):
     assert code == 0
     assert "elapsed_ms" in doc
     validate(doc, schema("capacity"))
+    assert main(CONSTRUCT21 + ["--case", "01", "--k", "3", "--timings"]) == 0
+    out = capsys.readouterr().out
+    keys = [key for key, _ in json.loads(out, object_pairs_hook=list)]
+    assert keys[-2:] == ["code", "elapsed_ms"]
+    validate(json.loads(out), schema("construct"))
 
 
 def test_output_is_deterministic_in_process(capsys):
@@ -434,3 +456,45 @@ def test_module_entry_point_error_exit():
     run = subprocess.run(argv, capture_output=True, text=True)
     assert run.returncode == 2
     assert json.loads(run.stdout)["error"]["code"] == "exact_mode_limit"
+
+
+def _rounded_report(obj):
+    """obj with every float rounded to 12 places and tuples as lists, key order kept."""
+    if isinstance(obj, float):
+        return round(obj, 12)
+    if isinstance(obj, dict):
+        return {key: _rounded_report(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_rounded_report(value) for value in obj]
+    return obj
+
+
+TEXTS = st.text(max_size=6) | st.sampled_from(['"', "\\", "\n\t\x00\x1f\x7f", "é—🙂", "a\"b\\c", ""])
+LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats()
+    | st.integers(-(10**9), 10**9).map(lambda n: n / 3)
+    | TEXTS
+)
+KEYS = TEXTS | st.integers(-5, 5) | st.booleans() | st.none() | st.floats(-2, 2)
+REPORTS = st.recursive(
+    LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(KEYS, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(REPORTS)
+def test_render_matches_json_dumps(report):
+    assert _render(report) == json.dumps(_rounded_report(report), indent=2)
+
+
+def test_render_falls_back_to_default_for_error_details():
+    details = {"caps": (Fraction(7, 3), 0.1 + 0.2), "seen": {3}, "empty": {}}
+    want = json.dumps(_rounded_report(details), indent=2, default=str)
+    assert _render(details, default=str) == want

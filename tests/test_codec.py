@@ -19,6 +19,7 @@ from zefc.codec import (
     build_packing_code_11,
     build_split_code_01,
     check_admissible,
+    code_text,
     code_to_json,
     exact_pow2_floor,
     least_uses,
@@ -303,8 +304,10 @@ def test_code_json_canonical_labels():
     assert doc["phi1"]["00,00"] == 0
     labels1 = sorted(set(doc["phi1"].values()))
     assert labels1 == list(range(len(labels1)))
-    with pytest.raises(ZefcError):
-        code_to_json(build_identity_code(11))
+    for render in (code_text, code_to_json):
+        with pytest.raises(ZefcError) as err:
+            render(build_identity_code(11))
+        assert err.value.code == "k_too_large"
 
 
 def test_split_rate_capped_and_doubling_improves():
@@ -335,7 +338,7 @@ def test_rate_only_codes_refuse_table_consumers():
         code = construct_for_case(SwitchPair.from_string(case), 200, CAPS21)
         assert code.phi1 is None and code.phi2 is None and code.psi is None
         assert rate_account(code, CAPS21).n >= 1
-        for consumer in (code_to_json, check_admissible):
+        for consumer in (code_text, code_to_json, check_admissible):
             with pytest.raises(ZefcError) as err:
                 consumer(code)
             assert err.value.code == "k_too_large"
@@ -379,14 +382,44 @@ def closure_code(case, k, caps):
 
 
 def test_code_json_matches_closure_oracle():
-    for c1, c2 in [("1", "1"), ("2", "1"), ("3", "2"), ("3/2", "1"), ("7/3", "5/4")]:
+    grid = [
+        (c1, c2, case, k)
+        for c1, c2 in [("1", "1"), ("2", "1"), ("3", "2"), ("3/2", "1"), ("7/3", "5/4")]
+        for case in ("00", "01", "10", "11")
+        for k in range(1, 7)
+    ]
+    grid += [("2", "1", case, 8) for case in ("00", "01", "10", "11")]
+    for c1, c2, case, k in grid:
         caps = ChannelCaps.of(c1, c2)
-        for case in ("00", "01", "10", "11"):
-            for k in range(1, 7):
-                code = construct_for_case(SwitchPair.from_string(case), k, caps)
-                want = oracles.code_to_json_oracle(k, case, *closure_code(case, k, caps))
-                # json.dumps also compares key order, which the CLI output depends on.
-                assert json.dumps(code_to_json(code)) == json.dumps(want), (case, c1, c2, k)
+        code = construct_for_case(SwitchPair.from_string(case), k, caps)
+        want = oracles.code_to_json_oracle(k, case, *closure_code(case, k, caps))
+        # The text also fixes key order and indentation, which the CLI output depends on;
+        # the CLI prints the code one level into its report.
+        cli_text = '{\n  "code": ' + code_text(code, pad="  ") + "\n}"
+        assert cli_text == json.dumps({"code": want}, indent=2), (case, c1, c2, k)
+        assert code_text(code) == json.dumps(want, indent=2), (case, c1, c2, k)
+        assert code_to_json(code) == want, (case, c1, c2, k)
+
+
+def test_code_text_refuses_out_of_range_tables():
+    builders = (
+        build_identity_code,
+        lambda k: build_split_code_01(k, CAPS21),
+        lambda k: build_packing_code_11(k, CAPS21),
+    )
+    for build in builders:
+        for table, value in (("psi", -1), ("psi", 27), ("phi1", -1), ("phi2", 1 << 40)):
+            # Corrupt a built code the way its construction checks cannot see: a
+            # negative entry would wrap around in numpy and list indexing, and a
+            # huge label would size the relabeling array.
+            code = build(3)
+            corrupted = np.array(getattr(code, table))
+            corrupted.flat[0] = value
+            object.__setattr__(code, table, corrupted)
+            for render in (code_text, code_to_json):
+                with pytest.raises(ZefcError) as err:
+                    render(code)
+                assert err.value.code == "bad_code", (code.name, table, value)
 
 
 CAP_VALUES = st.builds(Fraction, st.integers(1, 12), st.integers(1, 4))
