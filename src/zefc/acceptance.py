@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .bitspace import VectorSet, binary_to_base3_table
+from .bitspace import binary_to_base3_table
 from .capacity import LOG2_3, capacity
 from .codec import (
     ChannelCaps,
@@ -18,7 +18,6 @@ from .codec import (
     rate_account,
 )
 from .coloring import (
-    ConflictGraphSpec,
     chi,
     chi_m_table,
     mixed_min_pair_sumset,
@@ -285,15 +284,13 @@ def run_criterion_8():
         if k == 2:
             picks += [(0, 3), (1, 2), (0, 2, 3)]
         for m_words, l_words in itertools.product(picks, repeat=2):
-            spec = ConflictGraphSpec(
-                m=VectorSet.of(k, 2, m_words), l=VectorSet.of(k, 2, l_words)
-            )
             verts = [(x, y) for x in m_words for y in l_words]
             direct = _exact_chromatic(
                 verts, lambda u, v: table[u[0]] + table[u[1]] != table[v[0]] + table[v[1]]
             )
-            if chi(spec) != direct:
-                failures.append(f"k={k} M={m_words} L={l_words}: {chi(spec)} != {direct}")
+            colors = chi(k, m_words, l_words)
+            if colors != direct:
+                failures.append(f"k={k} M={m_words} L={l_words}: {colors} != {direct}")
     for caps in (ChannelCaps.of("2", "1"), ChannelCaps.of("3", "2")):
         for k in range(1, 7):
             code = build_split_code_01(k, caps)

@@ -377,6 +377,13 @@ def main(argv=None):
         if getattr(args, "timings", False):
             payload["elapsed_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
         text = _render(payload)
+        summary = None
+        if args.command == "reproduce":
+            passed = sum(1 for row in payload["results"] if row["passed"])
+            summary = f"# {passed}/{len(payload['results'])} criteria passed"
+        # The text holds the whole report; the payload's copy of a code table would
+        # otherwise stay alive while print encodes the text, a third copy of it.
+        del payload
         if getattr(args, "emit", None):
             try:
                 with open(args.emit, "w") as fh:
@@ -389,9 +396,8 @@ def main(argv=None):
             _print_table(json.loads(text), sys.stdout)
         else:
             print(text)
-        if args.command == "reproduce":
-            summary = sum(1 for row in payload["results"] if row["passed"])
-            print(f"# {summary}/{len(payload['results'])} criteria passed", file=sys.stderr)
+        if summary is not None:
+            print(summary, file=sys.stderr)
         return exit_code
     except ZefcError as err:
         print(_render({"error": err.payload()}, default=str))

@@ -166,13 +166,6 @@ class RateAccount:
     rate: Fraction
 
 
-def _base3(width):
-    """Packed base-3 form of every width-bit word, as an array; width 0 is the empty word."""
-    if width == 0:
-        return np.zeros(1, dtype=np.int64)
-    return np.array(binary_to_base3_table(width), dtype=np.int64)
-
-
 def _tables(code, what):
     """The code's phi1, phi2 and psi tables; a rate-only code is refused."""
     if code.k > MAX_EXHAUSTIVE_K:
@@ -389,8 +382,8 @@ def build_split_code_01(k, caps):
     if k <= MAX_EXHAUSTIVE_K:
         size = 1 << k
         words = np.arange(size)
-        low3 = _base3(low)[words & ((1 << low) - 1)]
-        hi3 = _base3(hi_width)
+        low3 = binary_to_base3_table(low)[words & ((1 << low) - 1)]
+        hi3 = binary_to_base3_table(hi_width)
         a = np.arange(im1)
         tables = (
             (low3 + base * (words >> low))[:, None] + low3[None, :],

@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bitspace import VectorSet, sum_rows, sumset, word_to_string
+from .bitspace import sum_rows, sumset, word_to_string
 from .errors import ZefcError
 from ._parallel import chunked_map, split_range
 
@@ -33,14 +33,6 @@ MAX_SUMSET_SAMPLES = 2000
 MAX_BRACKET_K = 1023
 # l^tau and twice it stay finite for every l <= MAX_AITCH_L = 2^12 while |tau| <= 64.
 MAX_ABS_TAU = 64
-
-
-@dataclass(frozen=True)
-class ConflictGraphSpec:
-    """A conflict graph described by its two defining sets, never materialized."""
-
-    m: VectorSet
-    l: VectorSet
 
 
 @dataclass(frozen=True)
@@ -95,9 +87,9 @@ class MixedPairResult:
     witness: tuple
 
 
-def chi(spec):
-    """Minimum colors for the conflict graph: the number of distinct sums."""
-    return len(sumset(spec.m, spec.l))
+def chi(k, m, l):
+    """Minimum colors for the conflict graph on m x l: the number of distinct sums."""
+    return len(sumset(k, m, l))
 
 
 def _sum_ints(k):
@@ -205,9 +197,9 @@ def q_k(k, l, bracket=False, threads=None):
     return QkResult(k=k, l=l, value=best, lower=lower, upper=upper, exact=True, witness=witness)
 
 
-def q_k_table(k, bracket=False, threads=None):
-    """q_k for every subset size 0..2^k."""
-    return {l: q_k(k, l, bracket=bracket, threads=threads) for l in range((1 << k) + 1)}
+def q_k_table(k):
+    """Exact q_k for every subset size 0..2^k."""
+    return {l: q_k(k, l) for l in range((1 << k) + 1)}
 
 
 def _partitions_into(items, m):
@@ -266,6 +258,17 @@ def chi_m_table(k):
     return {m: chi_m(k, m) for m in range(1, (1 << k) + 1)}
 
 
+def _aitch_violations(tau, l_max):
+    """Each split l = la + lb, lb <= la, with 2*h(la) + h(lb) < 2*h(l), in scan order."""
+    for l in range(1, l_max + 1):
+        rhs = 2 * aitch_tau(tau, l)
+        for lb in range(0, l // 2 + 1):
+            la = l - lb
+            lhs = 2 * aitch_tau(tau, la) + aitch_tau(tau, lb)
+            if lhs < rhs - 1e-9:
+                yield l, la, lb, lhs, rhs
+
+
 def verify_aitch_superadditivity(l_max, tau=None):
     """Check 2*h(l_a) + h(l_b) >= 2*h(l) over every split of every l <= l_max."""
     if l_max < 1:
@@ -281,35 +284,22 @@ def verify_aitch_superadditivity(l_max, tau=None):
             "bad_tau", f"tau must be a number in [-{MAX_ABS_TAU}, {MAX_ABS_TAU}]", tau=str(tau)
         )
     used_tau = TAU if tau is None else tau
-    violations, examples = 0, []
-    checked = 0
-    for l in range(1, l_max + 1):
-        rhs = 2 * aitch_tau(used_tau, l)
-        for lb in range(0, l // 2 + 1):
-            la = l - lb
-            checked += 1
-            lhs = 2 * aitch_tau(used_tau, la) + aitch_tau(used_tau, lb)
-            if lhs < rhs - 1e-9:
-                violations += 1
-                if len(examples) < 10:
-                    examples.append({"l": l, "split": [la, lb], "lhs": lhs, "rhs": rhs})
+    found = _aitch_violations(used_tau, l_max)
+    examples = [
+        {"l": l, "split": [la, lb], "lhs": lhs, "rhs": rhs}
+        for l, la, lb, lhs, rhs in itertools.islice(found, 10)
+    ]
+    violations = len(examples) + sum(1 for _ in found)
     maximality = None
     if tau is None:
         bumped = TAU + 0.01
-        for l in range(1, l_max + 1):
-            rhs = 2 * aitch_tau(bumped, l)
-            for lb in range(0, l // 2 + 1):
-                la = l - lb
-                lhs = 2 * aitch_tau(bumped, la) + aitch_tau(bumped, lb)
-                if lhs < rhs - 1e-9:
-                    maximality = {"tau": bumped, "l": l, "split": [la, lb], "lhs": lhs, "rhs": rhs}
-                    break
-            if maximality:
-                break
+        for l, la, lb, lhs, rhs in _aitch_violations(bumped, l_max):
+            maximality = {"tau": bumped, "l": l, "split": [la, lb], "lhs": lhs, "rhs": rhs}
+            break
     return AitchReport(
         l_max=l_max,
         tau=used_tau,
-        checked=checked,
+        checked=sum(l // 2 + 1 for l in range(1, l_max + 1)),
         violations=violations,
         violation_examples=tuple(examples),
         tau_maximality=maximality,

@@ -4,11 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zefc.bitspace import VectorSet, pack_digits, sumset
 from zefc.coloring import (
     MAX_AITCH_L,
     TAU,
-    ConflictGraphSpec,
     aitch,
     aitch_tau,
     chi,
@@ -50,22 +48,25 @@ EQUALITY_COUNTS = {
 }
 
 
+def parsed(strings):
+    """Digit tuples of digit strings, position 1 leftmost."""
+    return [tuple(int(ch) for ch in text) for text in strings]
+
+
 def test_chi_examples():
-    assert chi(ConflictGraphSpec(VectorSet.full_binary(1), VectorSet.full_binary(1))) == 3
-    assert chi(ConflictGraphSpec(VectorSet.full_binary(2), VectorSet.of(2, 2, []))) == 0
-    pair = VectorSet.from_strings(["00", "11"])
-    assert chi(ConflictGraphSpec(VectorSet.full_binary(2), pair)) == 7
+    assert chi(1, [0, 1], [0, 1]) == 3
+    assert chi(2, range(4), []) == 0
+    assert chi(2, range(4), [0b00, 0b11]) == 7
 
 
 def test_chi_matches_materialized_graph_oracle():
     for k in (1, 2):
         words = oracles.all_words(2, k)
-        subsets = [words[:1], words[:2], words[1:3] if k == 2 else words, words]
-        for m_tuples in subsets:
-            for l_tuples in subsets:
-                m = VectorSet.of(k, 2, [pack_digits(t, 2) for t in m_tuples])
-                l = VectorSet.of(k, 2, [pack_digits(t, 2) for t in l_tuples])
-                assert chi(ConflictGraphSpec(m, l)) == oracles.conflict_chromatic(m_tuples, l_tuples)
+        subsets = [[0], [0, 1], [1, 2] if k == 2 else [0, 1], list(range(1 << k))]
+        for m in subsets:
+            for l in subsets:
+                want = oracles.conflict_chromatic([words[i] for i in m], [words[i] for i in l])
+                assert chi(k, m, l) == want
 
 
 def test_qk_frozen_tables():
@@ -90,9 +91,9 @@ def test_qk_witness_achieves_value():
     for k in (2, 3):
         for l in (1, 2, 3):
             res = q_k(k, l)
-            witness = VectorSet.from_strings(res.witness)
+            witness = set(parsed(res.witness))
             assert len(witness) == l
-            assert len(sumset(VectorSet.full_binary(k), witness)) == res.value
+            assert len(oracles.raw_sumset(oracles.all_words(2, k), witness)) == res.value
 
 
 def test_qk_monotone_in_l():
@@ -164,14 +165,15 @@ def test_chi_m_witness_is_partition_achieving_value():
     for k in (1, 2, 3):
         for m in (1, 2, 1 << k):
             res = chi_m(k, m)
-            blocks = [VectorSet.from_strings(list(block)) for block in res.witness]
+            blocks = [set(parsed(block)) for block in res.witness]
             assert len(blocks) == m
             seen = set()
             for block in blocks:
-                assert not (block.members & seen)
-                seen |= block.members
+                assert not (block & seen)
+                seen |= block
             assert len(seen) == 1 << k
-            worst = max(len(sumset(VectorSet.full_binary(k), b)) for b in blocks)
+            words = oracles.all_words(2, k)
+            worst = max(len(oracles.raw_sumset(words, b)) for b in blocks)
             assert worst == res.value
 
 
@@ -257,9 +259,9 @@ def test_sumset_lower_bound_equality_subsets_check_out():
     entry = report.entries[1]
     for l, subsets in entry["equality_subsets"].items():
         for strings in subsets:
-            witness = VectorSet.from_strings(strings)
+            witness = set(parsed(strings))
             assert len(witness) == l
-            size = len(sumset(VectorSet.full_binary(2), witness))
+            size = len(oracles.raw_sumset(oracles.all_words(2, 2), witness))
             assert size == qk_lower_bound(2, l)
 
 
