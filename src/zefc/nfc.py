@@ -44,45 +44,25 @@ class Edge:
 
 @dataclass(frozen=True)
 class Network:
-    """The two-source relay network with bundle multiplicities c1 and c2."""
+    """The two-source relay network with bundle multiplicities c1 and c2.
+
+    bundles holds the five tuples of parallel edges in layout order.
+    """
 
     c1: int
     c2: int
-    edges: tuple
-
-    @property
-    def nodes(self):
-        return ("s1", "s2", "v1", "v2", SINK)
-
-    def bundles(self):
-        """Edge ids grouped by the five parallel bundles, in layout order."""
-        return self._bundles
+    bundles: tuple
 
     def in_edges(self, node):
-        return self._in_edges.get(node, ())
+        return tuple(e for bundle in self.bundles if bundle[0].head == node for e in bundle)
 
     # The lookups below are built once per network: the cut search and the code
     # transforms ask for them once per cut, state or edge. A dict lookup keyed by
     # the network itself would hash all of its edges each time.
 
     @functools.cached_property
-    def _bundles(self):
-        d = [e.id for e in self.edges if e.id.startswith("d")]
-        e = [e.id for e in self.edges if e.id.startswith("e")]
-        return (
-            ("s1->v1", tuple(d[: self.c1])),
-            ("s2->v1", tuple(d[self.c1 : 2 * self.c1])),
-            ("s2->v2", tuple(d[2 * self.c1 :])),
-            ("v1->rho", tuple(e[: self.c1])),
-            ("v2->rho", tuple(e[self.c1 :])),
-        )
-
-    @functools.cached_property
-    def _in_edges(self):
-        groups = {}
-        for e in self.edges:
-            groups.setdefault(e.head, []).append(e)
-        return {node: tuple(group) for node, group in groups.items()}
+    def edges(self):
+        return tuple(itertools.chain.from_iterable(self.bundles))
 
     @functools.cached_property
     def position(self):
@@ -96,18 +76,16 @@ class Network:
         Kept because guang_bound calls n_cf once per state and every n_cf call
         looks up the states of its blocks.
         """
-        counts = [sorted({0, 1, len(ids)}) for _, ids in self.bundles()]
-        return {
-            state: classify_cut(self, _state_cut(self, state))
-            for state in itertools.product(*counts)
-        }
+        counts = [sorted({0, 1, len(bundle)}) for bundle in self.bundles]
+        return {state: _classified(self, state) for state in itertools.product(*counts)}
 
 
 @dataclass(frozen=True)
 class CutClassification:
-    """Source sets attached to an edge subset: disconnected, upstream-only, upstream."""
+    """Source sets of a cut's bundle state: disconnected, upstream-only, upstream."""
 
     cut: tuple
+    state: tuple
     i_c: frozenset
     j_c: frozenset
     k_c: frozenset
@@ -169,18 +147,18 @@ def build_network(caps):
             f"networks are limited to {MAX_NETWORK_EDGES} edges",
             edges=4 * c1 + c2,
         )
-    edges = []
-    for i in range(c1):
-        edges.append(Edge(f"d{i + 1}", "s1", "v1"))
-    for i in range(c1):
-        edges.append(Edge(f"d{c1 + i + 1}", "s2", "v1"))
-    for i in range(c1):
-        edges.append(Edge(f"d{2 * c1 + i + 1}", "s2", "v2"))
-    for i in range(c1):
-        edges.append(Edge(f"e{i + 1}", "v1", SINK))
-    for i in range(c2):
-        edges.append(Edge(f"e{c1 + i + 1}", "v2", SINK))
-    return Network(c1=c1, c2=c2, edges=tuple(edges))
+    layout = (
+        ("d", 0, "s1", "v1", c1),
+        ("d", c1, "s2", "v1", c1),
+        ("d", 2 * c1, "s2", "v2", c1),
+        ("e", 0, "v1", SINK, c1),
+        ("e", c1, "v2", SINK, c2),
+    )
+    bundles = tuple(
+        tuple(Edge(f"{kind}{first + i + 1}", tail, head) for i in range(size))
+        for kind, first, tail, head, size in layout
+    )
+    return Network(c1=c1, c2=c2, bundles=bundles)
 
 
 def classify_cut(net, cut):
@@ -189,67 +167,55 @@ def classify_cut(net, cut):
     for eid in cut:
         if eid not in index:
             raise ZefcError("unknown_edge", "edge id is not part of this network", id=eid)
-    canonical = tuple(sorted(set(cut), key=index.__getitem__))
-    state = _cut_state(net, canonical)
-    full = [count == len(ids) for count, (_, ids) in zip(state, net.bundles())]
+    ids = set(cut)
+    state = []
+    for bundle in net.bundles:
+        count = sum(e.id in ids for e in bundle)
+        state.append(count if count in (0, len(bundle)) else 1)
+    return _classified(net, tuple(state), tuple(sorted(ids, key=index.__getitem__)))
+
+
+def _classified(net, state, cut=None):
+    """I/J/K source sets of a bundle state: 0 untouched, 1 partly cut, the size if fully cut.
+
+    cut defaults to the state's smallest cut: a partly cut bundle's first edge and a
+    fully cut one's all, whose per-bundle edge counts are the state itself.
+    """
+    if cut is None:
+        cut = tuple(e.id for bundle, count in zip(net.bundles, state) for e in bundle[:count])
+    full = [count == len(bundle) for count, bundle in zip(state, net.bundles)]
     i_c = frozenset(
         s for s, paths in _PATHS.items() if all(any(full[b] for b in path) for path in paths)
     )
     k_c = frozenset(s for s, bundles in _UPSTREAM.items() if any(state[b] for b in bundles))
-    return CutClassification(cut=canonical, i_c=i_c, j_c=k_c - i_c, k_c=k_c)
-
-
-def _class_product(blocks_i, j_list, leftover, rest, a_j, a_l):
-    """Product over blocks of the number of distinguishable values of x + y."""
-    prod = 1
-    for li, group in enumerate(blocks_i):
-        others = [b for j, b in enumerate(blocks_i) if j != li]
-        keys = set()
-        for bits in itertools.product((0, 1), repeat=len(group)):
-            sig = []
-            for choice in itertools.product(
-                *[list(itertools.product((0, 1), repeat=len(o))) for o in others]
-            ):
-                assign = dict(zip(group, bits))
-                for o, ch in zip(others, choice):
-                    assign.update(zip(o, ch))
-                assign.update(zip(leftover, a_l))
-                assign.update(zip(j_list, a_j))
-                for d in itertools.product((0, 1), repeat=len(rest)):
-                    assign.update(zip(rest, d))
-                    sig.append(assign["s1"] + assign["s2"])
-            keys.add(tuple(sig))
-        prod *= len(keys)
-    return prod
+    return CutClassification(cut=cut, state=state, i_c=i_c, j_c=k_c - i_c, k_c=k_c)
 
 
 @functools.lru_cache(maxsize=None)
 def _structure_count(blocks_i, j_list, leftover, rest):
-    """Best class product over side-context values, by source-set structure alone."""
-    best = 0
-    for a_j in itertools.product((0, 1), repeat=len(j_list)):
-        for a_l in itertools.product((0, 1), repeat=len(leftover)):
-            best = max(best, _class_product(blocks_i, j_list, leftover, rest, a_j, a_l))
-    return best
+    """Best class product over side-context values, by source-set structure alone.
 
-
-def _cut_state(net, cut):
-    """Per-bundle state of a cut: 0 untouched, 1 partly cut, the bundle size if fully cut.
-
-    classify_cut reads nothing else, and each state is also the per-bundle edge count
-    of its smallest cut.
+    At each value of the J and leftover sources, a block's classes are the distinct
+    x + y signatures its sources leave over every value of the other sources; the
+    count is the product of the class numbers over the blocks.
     """
-    cut = set(cut)
-    state = []
-    for _, ids in net.bundles():
-        count = sum(eid in cut for eid in ids)
-        state.append(count if count in (0, len(ids)) else 1)
-    return tuple(state)
-
-
-def _state_cut(net, state):
-    """Smallest cut in a bundle state: a partly cut bundle's first edge, a fully cut one's all."""
-    return tuple(eid for (_, ids), count in zip(net.bundles(), state) for eid in ids[:count])
+    best = 0
+    for fixed in itertools.product((0, 1), repeat=len(j_list) + len(leftover)):
+        held = dict(zip(j_list + leftover, fixed))
+        prod = 1
+        for group in blocks_i:
+            others = [s for s in SOURCES if s not in held and s not in group]
+            keys = set()
+            for bits in itertools.product((0, 1), repeat=len(group)):
+                assign = {**held, **dict(zip(group, bits))}
+                sig = []
+                for values in itertools.product((0, 1), repeat=len(others)):
+                    assign.update(zip(others, values))
+                    sig.append(assign["s1"] + assign["s2"])
+                keys.add(tuple(sig))
+            prod *= len(keys)
+        best = max(best, prod)
+    return best
 
 
 def _splits(count, size):
@@ -268,8 +234,6 @@ def _splits(count, size):
 
 def n_cf(net, cls):
     """Best class-tuple count over strong partitions and side contexts."""
-    if isinstance(cls, (tuple, list, set, frozenset)):
-        cls = classify_cut(net, tuple(cls))
     if not cls.is_cut:
         raise ZefcError("not_a_cut", "the class count is defined for cut sets only")
     classes = net.state_classes
@@ -283,9 +247,8 @@ def n_cf(net, cls):
         return _structure_count(blocks_i, j_list, leftover, rest)
 
     best = score([cls])
-    sizes = [len(ids) for _, ids in net.bundles()]
-    state = _cut_state(net, cls.cut)
-    for split in itertools.product(*[_splits(c, s) for c, s in zip(state, sizes)]):
+    sizes = [len(bundle) for bundle in net.bundles]
+    for split in itertools.product(*[_splits(c, s) for c, s in zip(cls.state, sizes)]):
         one = classes[tuple(a for a, _ in split)]
         two = classes[tuple(b for _, b in split)]
         if not one.i_c or not two.i_c:
@@ -306,7 +269,7 @@ def guang_bound(net):
     states = list(classes)
     if len(net.edges) <= EDGE_ORDER_WITNESS_EDGES:
         index = net.position
-        states.sort(key=lambda st: (sum(st), [index[eid] for eid in _state_cut(net, st)]))
+        states.sort(key=lambda st: (sum(st), [index[eid] for eid in classes[st].cut]))
     best, witness, witness_ncf, seen = None, None, None, 0
     for state in states:
         cls = classes[state]
@@ -444,17 +407,14 @@ def transform_code(code, caps):
     words = np.arange(size)
     x = np.broadcast_to(words[:, None], (size, size))
     y = np.broadcast_to(words[None, :], (size, size))
-    bundles = dict(net.bundles())
     symbols = {}
-    for name, values, layout in (
-        ("s1->v1", x, word_chunks),
-        ("s2->v1", y, word_chunks),
-        ("s2->v2", y, word_chunks),
-        ("v1->rho", code.phi1, label1_chunks),
-        ("v2->rho", phi2, label2_chunks),
+    for bundle, values, layout in zip(
+        net.bundles,
+        (x, y, y, code.phi1, phi2),
+        (word_chunks, word_chunks, word_chunks, label1_chunks, label2_chunks),
     ):
-        for eid, (offset, width) in zip(bundles[name], layout):
-            symbols[eid] = (values >> offset) & ((1 << width) - 1)
+        for edge, (offset, width) in zip(bundle, layout):
+            symbols[edge.id] = (values >> offset) & ((1 << width) - 1)
     # Each sink tuple spells out one label pair, which decodes through psi.
     ids, tuples = _tuple_ids(symbols, net.in_edges(SINK))
     sums = np.empty(len(tuples), dtype=np.int64)
@@ -490,10 +450,8 @@ def inverse_transform(ncode):
     numbered in order of first appearance.
     """
     size = 1 << ncode.k
-    sink_edges = ncode.network.in_edges(SINK)
     (phi1, wide), (phi2, narrow) = (
-        _tuple_ids(ncode.symbols, [e for e in sink_edges if e.tail == relay])
-        for relay in ("v1", "v2")
+        _tuple_ids(ncode.symbols, bundle) for bundle in ncode.network.bundles[3:]
     )
     phi1, phi2 = phi1.reshape(size, size), phi2.reshape(size, size)
     if (phi2 != phi2[:1]).any():

@@ -1,5 +1,6 @@
 """Code constructions, admissibility checking, rate accounting, serialization."""
 
+import functools
 import json
 import math
 from fractions import Fraction
@@ -345,6 +346,7 @@ def test_rate_only_codes_refuse_table_consumers():
     assert rate_account(build_split_code_01(200, CAPS21), CAPS21).n == 123
 
 
+@functools.lru_cache(maxsize=None)
 def _to3(word, width):
     """Base-3 packing of a width-bit word, one digit at a time."""
     return sum(((word >> i) & 1) * 3**i for i in range(width))

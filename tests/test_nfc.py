@@ -84,17 +84,17 @@ def test_network_shape_21():
     net = build_network(CAPS21)
     assert [e.id for e in net.edges] == ["d1", "d2", "d3", "d4", "d5", "d6", "e1", "e2", "e3"]
     assert [(e.id, e.tail, e.head) for e in net.edges] == net_edges(2, 1)
-    labels = dict(net.bundles())
-    assert labels["s1->v1"] == ("d1", "d2")
-    assert labels["s2->v1"] == ("d3", "d4")
-    assert labels["s2->v2"] == ("d5", "d6")
-    assert labels["v1->rho"] == ("e1", "e2")
-    assert labels["v2->rho"] == ("e3",)
+    assert [[(e.id, e.tail, e.head) for e in bundle] for bundle in net.bundles] == [
+        [("d1", "s1", "v1"), ("d2", "s1", "v1")],
+        [("d3", "s2", "v1"), ("d4", "s2", "v1")],
+        [("d5", "s2", "v2"), ("d6", "s2", "v2")],
+        [("e1", "v1", "rho"), ("e2", "v1", "rho")],
+        [("e3", "v2", "rho")],
+    ]
 
 
 def test_network_shape_11():
     net = build_network(CAPS11)
-    assert net.nodes == ("s1", "s2", "v1", "v2", "rho")
     assert net.edges[0] == Edge("d1", "s1", "v1")
     assert [e.id for e in net.edges] == ["d1", "d2", "d3", "e1", "e2"]
     assert [(e.id, e.tail, e.head) for e in net.edges] == net_edges(1, 1)
@@ -103,7 +103,7 @@ def test_network_shape_11():
 def test_network_shape_32():
     net = build_network(ChannelCaps.of("3", "2"))
     assert len(net.edges) == 14
-    assert [len(ids) for _, ids in net.bundles()] == [3, 3, 3, 3, 2]
+    assert [len(bundle) for bundle in net.bundles] == [3, 3, 3, 3, 2]
 
 
 def test_build_network_refuses_oversized_networks():
@@ -184,12 +184,12 @@ def test_classify_matches_oracle_on_all_subsets_21():
 
 def test_class_count_examples():
     net = build_network(CAPS21)
-    assert n_cf(net, ("e1", "e2")) == 2
-    assert n_cf(net, ("d1", "d2")) == 2
-    assert n_cf(net, ("e1", "e2", "e3")) == 3
-    assert n_cf(net, ("d1", "d2", "d3", "d4", "e3")) == 4
+    assert n_cf(net, classify_cut(net, ("e1", "e2"))) == 2
+    assert n_cf(net, classify_cut(net, ("d1", "d2"))) == 2
+    assert n_cf(net, classify_cut(net, ("e1", "e2", "e3"))) == 3
+    assert n_cf(net, classify_cut(net, ("d1", "d2", "d3", "d4", "e3"))) == 4
     with pytest.raises(ZefcError) as err:
-        n_cf(net, ("d1",))
+        n_cf(net, classify_cut(net, ("d1",)))
     assert err.value.code == "not_a_cut"
 
 
@@ -199,11 +199,12 @@ def test_class_count_matches_oracle_21():
     ids = [e[0] for e in edges]
     for r in range(1, 6):
         for cut in itertools.combinations(ids, r):
-            if not classify_cut(net, cut).is_cut:
+            cls = classify_cut(net, cut)
+            if not cls.is_cut:
                 continue
-            assert n_cf(net, cut) == class_count_oracle(edges, cut), cut
+            assert n_cf(net, cls) == class_count_oracle(edges, cut), cut
     full = tuple(ids)
-    assert n_cf(net, full) == class_count_oracle(edges, full)
+    assert n_cf(net, classify_cut(net, full)) == class_count_oracle(edges, full)
 
 
 def test_class_count_matches_oracle_11():
@@ -213,10 +214,11 @@ def test_class_count_matches_oracle_11():
     cuts = 0
     for r in range(1, len(ids) + 1):
         for cut in itertools.combinations(ids, r):
-            if not classify_cut(net, cut).is_cut:
+            cls = classify_cut(net, cut)
+            if not cls.is_cut:
                 continue
             cuts += 1
-            assert n_cf(net, cut) == class_count_oracle(edges, cut), cut
+            assert n_cf(net, cls) == class_count_oracle(edges, cut), cut
     assert cuts == 27
 
 
@@ -296,11 +298,27 @@ def test_nontightness_report_raises_on_gap_sign_violation(monkeypatch):
 
 
 def test_network_lookups_match_edge_scans():
-    net = build_network(ChannelCaps.of("3", "2"))
-    for node in net.nodes:
-        assert net.in_edges(node) == tuple(e for e in net.edges if e.head == node)
-    assert [net.position[e.id] for e in net.edges] == list(range(len(net.edges)))
-    assert net.bundles() is net.bundles()
+    for c1, c2 in ((1, 1), (3, 2), (5, 2)):
+        net = build_network(ChannelCaps.of(str(c1), str(c2)))
+        edges = net_edges(c1, c2)
+        assert [(e.id, e.tail, e.head) for e in net.edges] == edges
+        for node in ("s1", "s2", "v1", "v2", "rho"):
+            want = [edge for edge in edges if edge[2] == node]
+            assert [(e.id, e.tail, e.head) for e in net.in_edges(node)] == want, (c1, c2, node)
+        assert net.position == {edge[0]: i for i, edge in enumerate(edges)}
+
+
+def test_state_classes_match_graph_walk():
+    # Both sides of EDGE_ORDER_WITNESS_EDGES: (5,3) and (6,2) have more than 20 edges.
+    for c1 in range(1, 8):
+        for c2 in range(1, min(c1, 8 - c1) + 1):
+            net = build_network(ChannelCaps.of(str(c1), str(c2)))
+            edges = net_edges(c1, c2)
+            for state, entry in net.state_classes.items():
+                assert entry.state == state
+                sets = (entry.i_c, entry.j_c, entry.k_c)
+                assert sets == classify(edges, entry.cut), (c1, c2, state)
+                assert classify_cut(net, entry.cut).state == state, (c1, c2, state)
 
 
 def test_transform_split_code_k3():
@@ -387,14 +405,14 @@ def test_transform_k_guard():
 
 
 def test_inverse_transform_rejects_x_dependent_narrow_edge():
-    edges = (
-        Edge("d1", "s1", "v1"),
-        Edge("d2", "s2", "v1"),
-        Edge("d3", "s1", "v2"),
-        Edge("e1", "v1", "rho"),
-        Edge("e2", "v2", "rho"),
+    bundles = (
+        (Edge("d1", "s1", "v1"),),
+        (Edge("d2", "s2", "v1"),),
+        (Edge("d3", "s1", "v2"),),
+        (Edge("e1", "v1", "rho"),),
+        (Edge("e2", "v2", "rho"),),
     )
-    net = Network(c1=1, c2=1, edges=edges)
+    net = Network(c1=1, c2=1, bundles=bundles)
     x = np.broadcast_to(np.arange(2)[:, None], (2, 2))
     y = np.broadcast_to(np.arange(2)[None, :], (2, 2))
     symbols = {"d1": x, "d2": y, "d3": x, "e1": x + y, "e2": x}

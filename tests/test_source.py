@@ -1,6 +1,7 @@
 """Source rules: invariants are checked by code that `python -O` keeps, and no name is dead."""
 
 import ast
+import collections
 import pathlib
 
 SOURCES = sorted((pathlib.Path(__file__).resolve().parent.parent / "src" / "zefc").glob("*.py"))
@@ -9,6 +10,12 @@ SOURCES = sorted((pathlib.Path(__file__).resolve().parent.parent / "src" / "zefc
 UNREFERENCED_ALLOWED = {
     # perfbench traces it as a span, and the codec tests compare its dicts with the oracle's.
     "codec.code_to_json",
+}
+
+# Methods and properties that nothing in the package names, kept on purpose.
+UNREFERENCED_METHODS_ALLOWED = {
+    # argparse calls it on a bad argument list.
+    "cli._Parser.error",
 }
 
 
@@ -33,17 +40,15 @@ def _defined(stmt):
     return [t.id for t in targets if isinstance(t, ast.Name)]
 
 
-def _referenced(stmt):
-    """Names a statement reads, as bare names, attributes or imports."""
-    names = set()
-    for node in ast.walk(stmt):
+def _reads(tree):
+    """Every name a subtree reads, as bare names, attributes or imports, with repeats."""
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            names.add(node.id)
+            yield node.id
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            yield node.attr
         elif isinstance(node, ast.ImportFrom):
-            names.update(alias.name for alias in node.names)
-    return names
+            yield from (alias.name for alias in node.names)
 
 
 def unreferenced_names(modules):
@@ -57,12 +62,32 @@ def unreferenced_names(modules):
         for module, text in modules.items()
         for stmt in ast.parse(text).body
     ]
-    refs = [_referenced(stmt) for _, stmt in statements]
+    refs = [set(_reads(stmt)) for _, stmt in statements]
     dead = []
     for i, (module, stmt) in enumerate(statements):
         for name in _defined(stmt):
             if not any(name in names for j, names in enumerate(refs) if j != i):
                 dead.append(f"{module}.{name}")
+    return sorted(dead)
+
+
+def unreferenced_methods(modules):
+    """module.Class.name of every non-dunder method or property the package never names.
+
+    A reference from inside the method itself does not count.
+    """
+    trees = [ast.parse(text) for text in modules.values()]
+    reads = collections.Counter(name for tree in trees for name in _reads(tree))
+    dead = []
+    for module, tree in zip(modules, trees):
+        for cls in (stmt for stmt in tree.body if isinstance(stmt, ast.ClassDef)):
+            for fn in cls.body:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if fn.name.startswith("__") and fn.name.endswith("__"):
+                    continue
+                if reads[fn.name] == sum(name == fn.name for name in _reads(fn)):
+                    dead.append(f"{module}.{cls.name}.{fn.name}")
     return sorted(dead)
 
 
@@ -85,3 +110,22 @@ def test_dead_name_guard_flags_an_unused_helper():
     dead = set(unreferenced_names(modules))
     assert {"bitspace._unused_helper", "bitspace.UNUSED_LIMIT"} <= dead
     assert "bitspace.MAX_K" not in dead
+
+
+def test_every_method_is_referenced():
+    dead = set(unreferenced_methods(_package()))
+    assert dead - UNREFERENCED_METHODS_ALLOWED == set(), "delete unused methods or allow-list them"
+    assert UNREFERENCED_METHODS_ALLOWED <= dead, "an allow-listed method is used now; unlist it"
+
+
+def test_dead_method_guard_flags_an_unused_method():
+    modules = _package()
+    modules["bitspace"] += (
+        "\n\nclass _Probe:\n"
+        "    def unused_method(self):\n        return self.unused_method()\n\n"
+        "    @property\n    def used_property(self):\n        return 1\n\n"
+        "    def __repr__(self):\n        return str(self.used_property)\n"
+    )
+    dead = set(unreferenced_methods(modules))
+    assert "bitspace._Probe.unused_method" in dead
+    assert not {"bitspace._Probe.used_property", "bitspace._Probe.__repr__"} & dead
