@@ -13,6 +13,8 @@ from .codec import KShotCode, SwitchPair, rate_account
 from .errors import ZefcError
 
 LOG2_3 = math.log2(3)
+# At this limit, caps (400,400) or (499,4), `nontightness_report` takes about
+# 0.02 s in-process (Python 3.11, one Xeon core).
 MAX_NETWORK_EDGES = 2000
 # Tie-break among cuts of least ratio. Networks up to this many edges report the
 # one with fewest edges, first in edge order; larger ones report the one whose
@@ -71,11 +73,7 @@ class Network:
 
     @functools.cached_property
     def state_classes(self):
-        """Classification of every bundle state, at most 3**5 of them.
-
-        Kept because guang_bound calls n_cf once per state and every n_cf call
-        looks up the states of its blocks.
-        """
+        """Classification of every bundle state, at most 3**5 of them."""
         counts = [sorted({0, 1, len(bundle)}) for bundle in self.bundles]
         return {state: _classified(self, state) for state in itertools.product(*counts)}
 
@@ -192,16 +190,16 @@ def _classified(net, state, cut=None):
 
 
 @functools.lru_cache(maxsize=None)
-def _structure_count(blocks_i, j_list, leftover, rest):
+def _structure_count(blocks_i, j_list):
     """Best class product over side-context values, by source-set structure alone.
 
-    At each value of the J and leftover sources, a block's classes are the distinct
-    x + y signatures its sources leave over every value of the other sources; the
-    count is the product of the class numbers over the blocks.
+    At each value of the J sources, a block's classes are the distinct x + y
+    signatures its sources leave over every value of the other sources; the count
+    is the product of the class numbers over the blocks.
     """
     best = 0
-    for fixed in itertools.product((0, 1), repeat=len(j_list) + len(leftover)):
-        held = dict(zip(j_list + leftover, fixed))
+    for fixed in itertools.product((0, 1), repeat=len(j_list)):
+        held = dict(zip(j_list, fixed))
         prod = 1
         for group in blocks_i:
             others = [s for s in SOURCES if s not in held and s not in group]
@@ -218,45 +216,26 @@ def _structure_count(blocks_i, j_list, leftover, rest):
     return best
 
 
-def _splits(count, size):
-    """Ways one bundle's share of a cut divides between two blocks, as block states.
-
-    A partly cut bundle goes wholly to one block: splitting it too would only widen
-    the other block's K set. A fully cut bundle of two or more edges may also leave
-    both blocks partly cut.
-    """
-    if count == 0:
-        return ((0, 0),)
-    if count == size > 1:
-        return ((count, 0), (0, count), (1, 1))
-    return ((count, 0), (0, count))
-
-
 def n_cf(net, cls):
-    """Best class-tuple count over strong partitions and side contexts."""
+    """Best class-tuple count over strong partitions and side contexts: 2, 3 or 4.
+
+    Each block of a strong partition disconnects a nonempty source set I_b, with
+    I_b inside its own upstream set K_b and outside every other block's, so the
+    I_b are disjoint and two sources allow at most the two blocks {s1} and {s2}.
+    The s1 block may touch no bundle upstream of s2, which leaves only s1->v1, and
+    it must cut that bundle fully. The s2 block may touch neither s1->v1 nor
+    v1->rho, so it must fully cut s2->v1 and one of s2->v2 and v2->rho. Hence a
+    two-block partition exists exactly when bundles 0 and 1 are fully cut, bundle
+    3 is untouched and bundle 2 or 4 is fully cut, and such a cut disconnects both
+    sources, so no J source is held; otherwise the cut itself is the only block.
+    """
     if not cls.is_cut:
         raise ZefcError("not_a_cut", "the class count is defined for cut sets only")
-    classes = net.state_classes
-    i_set, j_list = cls.i_c, tuple(sorted(cls.j_c))
-    rest = tuple(s for s in SOURCES if s not in cls.k_c)
-
-    def score(block_infos):
-        blocks_i = tuple(tuple(sorted(info.i_c)) for info in block_infos)
-        covered = {s for b in blocks_i for s in b}
-        leftover = tuple(sorted(s for s in i_set if s not in covered))
-        return _structure_count(blocks_i, j_list, leftover, rest)
-
-    best = score([cls])
-    sizes = [len(bundle) for bundle in net.bundles]
-    for split in itertools.product(*[_splits(c, s) for c, s in zip(cls.state, sizes)]):
-        one = classes[tuple(a for a, _ in split)]
-        two = classes[tuple(b for _, b in split)]
-        if not one.i_c or not two.i_c:
-            continue
-        if (one.i_c & two.k_c) or (two.i_c & one.k_c):
-            continue
-        best = max(best, score([one, two]))
-    return best
+    count = _structure_count((tuple(sorted(cls.i_c)),), tuple(sorted(cls.j_c)))
+    full = [c == len(bundle) for c, bundle in zip(cls.state, net.bundles)]
+    if full[0] and full[1] and not cls.state[3] and (full[2] or full[4]):
+        count = max(count, _structure_count((("s1",), ("s2",)), ()))
+    return count
 
 
 def guang_bound(net):
@@ -276,8 +255,6 @@ def guang_bound(net):
         if not cls.is_cut:
             continue
         count = n_cf(net, cls)
-        if count <= 1:
-            continue
         seen += 1
         ratio = sum(state) / math.log2(count)
         if best is None or ratio < best - 1e-12:

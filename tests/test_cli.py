@@ -281,6 +281,11 @@ def test_largest_budgets_still_answer(capsys):
     assert code == 0 and doc["rows"][0]["lower"] <= doc["rows"][0]["upper"]
     code, doc = run_cli(capsys, "qk --k 1023 --bracket --l 3".split())
     assert code == 0 and doc["rows"][0]["lower"] <= doc["rows"][0]["upper"]
+    # The two largest networks MAX_NETWORK_EDGES allows: 2000 edges each.
+    for c1, c2 in (("400", "400"), ("499", "4")):
+        code, doc = run_cli(capsys, ["nfc", "--c1", c1, "--c2", c2])
+        assert code == 0 and doc["edges"] == 2000
+        assert doc["bound_enum"] == doc["bound_formula"]
 
 
 # Every subcommand that takes --threads, with a cheap request.

@@ -222,6 +222,19 @@ def test_class_count_matches_oracle_11():
     assert cuts == 27
 
 
+def test_class_count_matches_oracle_22():
+    # The smallest cut of each (2,2) bundle state: the first check of n_cf with c2 >= 2.
+    net = build_network(ChannelCaps.of("2", "2"))
+    edges = net_edges(2, 2)
+    counts = []
+    for state, cls in net.state_classes.items():
+        if cls.is_cut and sum(state) <= 6:
+            counts.append(n_cf(net, cls))
+            assert counts[-1] == class_count_oracle(edges, cls.cut), state
+    assert len(counts) == 105
+    assert counts.count(4) == 2
+
+
 def test_guang_bound_21():
     bound = guang_bound(build_network(CAPS21))
     assert abs(bound.value - 1.8927892607143724) < 1e-12
@@ -251,7 +264,7 @@ def test_guang_bound_frozen_table():
 
 
 def test_guang_bound_matches_closed_form_sweep():
-    for total in range(2, 21):
+    for total in range(2, 41):
         for c2 in range(1, total // 2 + 1):
             caps = ChannelCaps.of(str(total - c2), str(c2))
             bound = guang_bound(build_network(caps))
