@@ -15,13 +15,6 @@ def thread_count(threads=None):
     return threads
 
 
-def split_range(n, parts):
-    """Split range(n) into at most `parts` contiguous (start, stop) chunks."""
-    parts = max(1, min(parts, n))
-    step = -(-n // parts)
-    return [(i, min(i + step, n)) for i in range(0, n, step)]
-
-
 def chunked_map(fn, chunks, threads=None):
     """Apply fn to each chunk; results come back in chunk order."""
     chunks = list(chunks)

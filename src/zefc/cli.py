@@ -15,6 +15,7 @@ from .coloring import (
     chi_m_table,
     mixed_min_pair_sumset,
     q_k,
+    q_k_table,
     verify_aitch_superadditivity,
     verify_sumset_lower_bound,
 )
@@ -177,18 +178,19 @@ def _cmd_qk(args):
             k=args.k,
         )
     if args.l is not None:
-        ls = [args.l]
-    elif args.k <= MAX_QK_TABLE_K:
-        ls = list(range(1, (1 << args.k) + 1))
-    else:
+        results = [q_k(args.k, args.l, bracket=args.bracket)]
+    elif args.k > MAX_QK_TABLE_K:
         raise ZefcError(
             "bad_arguments", f"--l is required for k>{MAX_QK_TABLE_K} (the table has 2^k rows)"
         )
+    elif args.bracket:
+        results = [q_k(args.k, l, bracket=True) for l in range(1, (1 << args.k) + 1)]
+    else:
+        results = list(q_k_table(args.k).values())[1:]
     rows = []
-    for l in ls:
-        result = q_k(args.k, l, bracket=args.bracket, threads=args.threads)
+    for result in results:
         row = {
-            "l": l,
+            "l": result.l,
             "value": result.value,
             "lower": result.lower,
             "upper": result.upper,

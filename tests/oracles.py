@@ -91,6 +91,25 @@ def qk_bruteforce(k, l):
     return best, wit
 
 
+def aitch_violations(tau, l_max):
+    """Every split l = la + lb, lb <= la, with 2*h(la) + h(lb) < 2*h(l) - 1e-9, in scan order.
+
+    h(l) = l^tau with h(0) = 0; returns (l, la, lb, lhs, rhs) tuples.
+    """
+
+    def h(l):
+        return math.pow(l, tau) if l else 0.0
+
+    found = []
+    for l in range(1, l_max + 1):
+        rhs = 2 * h(l)
+        for lb in range(l // 2 + 1):
+            lhs = 2 * h(l - lb) + h(lb)
+            if lhs < rhs - 1e-9:
+                found.append((l, l - lb, lb, lhs, rhs))
+    return found
+
+
 def sumset_bound_oracle(k):
     """Exhaustive 2^k * h(l) check over every nonempty subset, one subset at a time.
 

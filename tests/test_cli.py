@@ -6,6 +6,7 @@ import pathlib
 import argparse
 import subprocess
 import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -311,6 +312,16 @@ def test_threads_one_is_accepted(capsys, request_text):
     code, doc = run_cli(capsys, argv + ["--threads", "1"])
     assert code == 0
     assert doc == run_cli(capsys, argv)[1]
+
+
+@pytest.mark.parametrize("argv", [["qk", "--k", "4"], ["verify", "aitch"]])
+def test_converse_scans_start_no_thread(capsys, monkeypatch, argv):
+    def refuse(thread):
+        raise RuntimeError(f"thread {thread.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    code, _ = run_cli(capsys, argv)
+    assert code == 0
 
 
 @pytest.mark.parametrize("request_text", ["nfc --c1 1 --c2 1", "reproduce"])

@@ -1,5 +1,7 @@
 """Q_k, chi_m, the h-function checks, and the mixed-alphabet pair minimum."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from zefc.coloring import (
     MAX_AITCH_L,
     TAU,
+    _aitch_violations,
     aitch,
     aitch_tau,
     chi,
@@ -85,6 +88,14 @@ def test_qk_matches_bruteforce_oracle():
             want, _ = oracles.qk_bruteforce(k, l)
             assert q_k(k, l).value == want
     assert q_k(4, 2).value == oracles.qk_bruteforce(4, 2)[0]
+
+
+def test_qk_witness_is_the_bruteforce_first_minimum():
+    cases = [(k, l) for k in (1, 2, 3) for l in range((1 << k) + 1)]
+    cases += [(4, l) for l in (2, 3, 13, 14, 15)]
+    for k, l in cases:
+        _, want = oracles.qk_bruteforce(k, l)
+        assert q_k(k, l).witness == ["".join(map(str, word)) for word in want], (k, l)
 
 
 def test_qk_witness_achieves_value():
@@ -224,6 +235,16 @@ def test_aitch_keeps_a_count_and_the_first_ten_violations():
     assert len(found) > 10
     assert report.violations == len(found)
     assert [(v["l"], v["split"]) for v in report.violation_examples] == found[:10]
+
+
+@pytest.mark.parametrize("tau", [TAU, math.log2(3) - 0.99, 0.595, 1.0, -2.0])
+def test_aitch_violations_match_scalar_oracle(tau):
+    got = [
+        (l, l - b, b, x, rhs)
+        for l, lb, lhs, rhs in _aitch_violations(tau, 300)
+        for b, x in zip(lb.tolist(), lhs.tolist())
+    ]
+    assert got == oracles.aitch_violations(tau, 300)
 
 
 def test_aitch_refuses_large_l_max():
