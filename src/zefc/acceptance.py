@@ -237,41 +237,6 @@ def run_criterion_7():
     return _finish("mixed_pair_minimum", 120.0, started, failures, details)
 
 
-def _exact_chromatic(vertices, adjacent):
-    """Exact chromatic number by backtracking over color counts from a greedy clique's size up."""
-    vertices = list(vertices)
-    if not vertices:
-        return 0
-
-    def colorable(ncolors):
-        assign = {}
-
-        def place(i):
-            if i == len(vertices):
-                return True
-            v = vertices[i]
-            used = {assign[u] for u in assign if adjacent(u, v)}
-            for color in range(ncolors):
-                if color not in used:
-                    assign[v] = color
-                    if place(i + 1):
-                        return True
-                    del assign[v]
-            return False
-
-        return place(0)
-
-    # A clique needs one color per vertex, so no count below its size can succeed.
-    clique = []
-    for v in vertices:
-        if all(adjacent(u, v) for u in clique):
-            clique.append(v)
-    n = len(clique)
-    while not colorable(n):
-        n += 1
-    return n
-
-
 def run_criterion_8():
     """Property suite: coloring agreement, transform round-trip, packing budget."""
     started = time.perf_counter()
@@ -279,17 +244,25 @@ def run_criterion_8():
     for k in (1, 2):
         words = list(range(1 << k))
         table = binary_to_base3_table(k)
+
+        def conflict(u, v):
+            return table[u[0]] + table[u[1]] != table[v[0]] + table[v[1]]
+
         picks = [tuple(words[:i]) for i in range(1, len(words) + 1)]
         if k == 2:
             picks += [(0, 3), (1, 2), (0, 2, 3)]
         for m_words, l_words in itertools.product(picks, repeat=2):
-            verts = [(x, y) for x in m_words for y in l_words]
-            direct = _exact_chromatic(
-                verts, lambda u, v: table[u[0]] + table[u[1]] != table[v[0]] + table[v[1]]
-            )
+            # Colour each pair (x, y) by its sum. A proper colouring with c colours and
+            # a clique of c pairs, one per colour, prove chi = c with no search.
+            colour = {(x, y): table[x] + table[y] for x in m_words for y in l_words}
+            clique = {c: v for v, c in colour.items()}.values()
+            pairs = itertools.combinations(colour, 2)
+            proper = all(colour[u] != colour[v] for u, v in pairs if conflict(u, v))
             colors = chi(k, m_words, l_words)
-            if colors != direct:
-                failures.append(f"k={k} M={m_words} L={l_words}: {colors} != {direct}")
+            if not proper or not all(conflict(u, v) for u, v in itertools.combinations(clique, 2)):
+                failures.append(f"k={k} M={m_words} L={l_words}: sum colouring not certified")
+            elif colors != len(clique):
+                failures.append(f"k={k} M={m_words} L={l_words}: {colors} != {len(clique)}")
     for caps in (ChannelCaps.of("2", "1"), ChannelCaps.of("3", "2")):
         for k in range(1, 7):
             code = build_split_code_01(k, caps)

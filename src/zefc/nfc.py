@@ -8,11 +8,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitspace import sum_table
-from .capacity import capacity
-from .codec import KShotCode, SwitchPair, rate_account
+from .capacity import LOG2_3, capacity
+from .codec import MAX_EXHAUSTIVE_K, KShotCode, SwitchPair, rate_account
 from .errors import ZefcError
 
-LOG2_3 = math.log2(3)
 # At this limit, caps (400,400) or (499,4), `nontightness_report` takes about
 # 0.02 s in-process (Python 3.11, one Xeon core).
 MAX_NETWORK_EDGES = 2000
@@ -22,7 +21,6 @@ MAX_NETWORK_EDGES = 2000
 # e1..e5 although d1..d5 ties with it. The recorded `nfc` reports carry both
 # rules, so unifying them would change that output.
 EDGE_ORDER_WITNESS_EDGES = 20
-MAX_TRANSFORM_K = 10
 SOURCES = ("s1", "s2")
 SINK = "rho"
 # The bundles, in layout order, are s1->v1, s2->v1, s2->v2, v1->rho and v2->rho.
@@ -305,8 +303,8 @@ def make_network_code(net, k, symbols, decoder):
     of x out of s1, of y out of s2, and of the symbols on the edges into its tail
     out of any other node.
     """
-    if k > MAX_TRANSFORM_K:
-        raise ZefcError("k_too_large", f"network codes are limited to k<={MAX_TRANSFORM_K}", k=k)
+    if k > MAX_EXHAUSTIVE_K:
+        raise ZefcError("k_too_large", f"network codes are limited to k<={MAX_EXHAUSTIVE_K}", k=k)
     size = 1 << k
     for edge in net.edges:
         table = symbols.get(edge.id)
@@ -359,8 +357,8 @@ def transform_code(code, caps):
             "only case-01 codes have a network form",
             switches=code.switches.as_string(),
         )
-    if code.k > MAX_TRANSFORM_K:
-        raise ZefcError("k_too_large", f"network codes are limited to k<={MAX_TRANSFORM_K}", k=code.k)
+    if code.k > MAX_EXHAUSTIVE_K:
+        raise ZefcError("k_too_large", f"network codes are limited to k<={MAX_EXHAUSTIVE_K}", k=code.k)
     net = build_network(caps)
     c1, c2 = net.c1, net.c2
     k = code.k

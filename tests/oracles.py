@@ -148,6 +148,27 @@ def set_partitions(items):
         yield [[first]] + part
 
 
+def growth_partitions(items):
+    """All set partitions of a list, in lexicographic order of their restricted growth strings.
+
+    The string a puts items[i] in block a[i]: a[0] = 0, and each a[i] is at most
+    one more than the largest entry before it. Blocks are listed by first item.
+    """
+
+    def strings(prefix):
+        if len(prefix) == len(items):
+            yield prefix
+            return
+        for a in range(max(prefix, default=-1) + 2):
+            yield from strings(prefix + [a])
+
+    for a in strings([]):
+        blocks = [[] for _ in range(max(a, default=-1) + 1)]
+        for item, j in zip(items, a):
+            blocks[j].append(item)
+        yield blocks
+
+
 def chim_bruteforce(k):
     """Map m -> min over m-block partitions of A^k of the max block sumset size."""
     words = all_words(2, k)

@@ -2,7 +2,9 @@
 
 import pytest
 
+from zefc import acceptance
 from zefc.acceptance import CRITERIA, run_all
+from zefc.bitspace import sumset
 
 NAMES = [
     "capacity_closed_forms",
@@ -35,3 +37,10 @@ def test_criterion(results, name):
 def test_suite_is_complete(results):
     assert len(CRITERIA) == 8
     assert sorted(results) == sorted(NAMES)
+
+
+def test_criterion_8_fails_on_a_wrong_chromatic_count(monkeypatch):
+    monkeypatch.setattr(acceptance, "chi", lambda k, m, l: len(sumset(k, m, l)) + 1)
+    result = acceptance.run_criterion_8()
+    assert not result.passed
+    assert "k=1 M=(0,) L=(0,): 2 != 1" in result.failures

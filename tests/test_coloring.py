@@ -131,7 +131,7 @@ def test_qk_bracket_matches_exact_small_k():
 def test_qk_bracket_large_k():
     res = q_k(9, 7, bracket=True)
     assert res.lower <= res.upper
-    assert res.witness == {"prefix_size": 7}
+    assert res.witness is None
 
 
 def test_qk_exact_mode_refusal():
@@ -186,6 +186,22 @@ def test_chi_m_witness_is_partition_achieving_value():
             words = oracles.all_words(2, k)
             worst = max(len(oracles.raw_sumset(words, b)) for b in blocks)
             assert worst == res.value
+
+
+def test_chi_m_witness_is_the_first_minimum_in_growth_order():
+    for k in (1, 2, 3):
+        words = oracles.all_words(2, k)
+        values = {m: r.value for m, r in chi_m_table(k).items()}
+        sizes, firsts = {}, {}
+        for part in oracles.growth_partitions(words):
+            for block in map(tuple, part):
+                if block not in sizes:
+                    sizes[block] = len(oracles.raw_sumset(words, block))
+            if max(sizes[tuple(b)] for b in part) == values[len(part)]:
+                firsts.setdefault(len(part), part)
+        for m in range(1, (1 << k) + 1):
+            want = [["".join(map(str, w)) for w in block] for block in firsts[m]]
+            assert [list(block) for block in chi_m(k, m).witness] == want
 
 
 def test_chi_m_pigeonhole_lower_bound():
