@@ -178,7 +178,7 @@ def run_criterion_5():
     report = verify_sumset_lower_bound(4)
     for entry in report.entries:
         if entry["mode"] != "exhaustive":
-            failures.append(f"k={entry['k']} fell back to sampling")
+            failures.append(f"k={entry['k']} was not checked exhaustively")
         if entry["violations"]:
             failures.append(f"k={entry['k']}: {len(entry['violations'])} violations")
     top = report.entries[-1]

@@ -24,6 +24,11 @@ from ._parallel import thread_count
 from .nfc import nontightness_report
 
 MAX_QK_TABLE_K = 10
+# construct reports "admissible": null above this k. The recorded benchmark report of
+# `construct ... --k 9` carries that null, so raising it to MAX_EXHAUSTIVE_K waits.
+MAX_ADMISSIBLE_CHECK_K = 8
+# --samples must lie in [1, this]; it and --seed are echoed but change no report.
+MAX_SUMSET_SAMPLES = 2000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,7 +112,7 @@ def _cmd_construct(args):
     code = construct_for_case(_switches_of(args), args.k, caps)
     acct = rate_account(code, caps)
     admissible = None
-    if args.k <= 8:
+    if args.k <= MAX_ADMISSIBLE_CHECK_K:
         admissible = check_admissible(code).ok
     return {
         "version": __version__,
@@ -143,7 +148,10 @@ def _cmd_verify(args):
             "violation_examples": list(report.violation_examples),
             "counterexample_above_tau": report.tau_maximality,
         }, 0
-    report = verify_sumset_lower_bound(args.k_max, samples=args.samples, seed=args.seed)
+    if not 1 <= args.samples <= MAX_SUMSET_SAMPLES:
+        message = f"samples must lie in [1, {MAX_SUMSET_SAMPLES}]"
+        raise ZefcError("bad_samples", message, samples=args.samples)
+    report = verify_sumset_lower_bound(args.k_max)
     entries = []
     for entry in report.entries:
         row = {
@@ -154,6 +162,8 @@ def _cmd_verify(args):
         }
         if "equality_counts" in entry:
             row["equality_counts"] = {str(l): c for l, c in entry["equality_counts"].items()}
+        if "certificate" in entry:
+            row["certificate"] = entry["certificate"]
         entries.append(row)
     return {
         "version": __version__,

@@ -1,8 +1,6 @@
 """Converse machinery: sumset chromatic numbers, Q_k, chi_m, and the h-function."""
 
-import functools
 import math
-import random
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,15 +18,9 @@ MIXED_PAIR_LIMIT = 8
 # The superadditivity check visits about l_max^2 / 4 splits as l_max vectors; 4096
 # takes about 0.05 s, and 0.08 s when every split fails (tau = 1).
 MAX_AITCH_L = 4096
-# The sumset bound checks all 2^(2^k) subsets up to this k and samples beyond it.
-# Its sum masks hold 2^k rows of 3^k bits: 7.5 MB built in about 0.04 s at k = 10,
-# 45 MB at k = 11. k_max = 10 at the default 200 samples takes about 0.3 s.
-EXACT_SUMSET_BOUND_K = 4
-MAX_SUMSET_BOUND_K = 10
-# Sampled subsets per k beyond EXACT_SUMSET_BOUND_K. Each ORs up to 2^k masks, about
-# 1 ms on average at k = 10: k_max = 10 with 2000 samples takes about 2.5 s, and
-# 10^8 samples would run for days.
-MAX_SUMSET_SAMPLES = 2000
+# The sumset bound is checked over every subset up to EXACT_QK_LIMIT and proved
+# by induction beyond it, from the split scan of every l <= 2^k_max.
+MAX_SUMSET_BOUND_K = MAX_AITCH_L.bit_length() - 1
 # 2^k as a float overflows from k = 1024 on; below it, qk_lower_bound refuses the l
 # whose float bound 2^k * h(l) does.
 MAX_BRACKET_K = 1023
@@ -91,13 +83,6 @@ class MixedPairResult:
 def chi(k, m, l):
     """Minimum colors for the conflict graph on m x l: the number of distinct sums."""
     return len(sumset(k, m, l))
-
-
-def _sum_ints(k):
-    """Per-y bitmask over the 3^k sums of the sumset A^k + y, as a Python int."""
-    # map frees each row before the next is packed, where a comprehension would
-    # hold two; at k = 10 that kept the peak RSS 0.8 MB above a plain int loop's.
-    return list(map(functools.partial(int.from_bytes, byteorder="little"), sum_rows(k)))
 
 
 def aitch(l):
@@ -262,20 +247,26 @@ def chi_m(k, m):
     return table[m]
 
 
-def _aitch_violations(tau, l_max):
-    """Per l <= l_max with a violating split, in scan order: (l, lb, lhs, rhs).
+def _aitch_splits(tau, l_max):
+    """Per l = 1..l_max, in order: (l, lhs, rhs) with lhs[lb] = 2*h(l - lb) + h(lb).
 
-    lb is the increasing array of splits lb <= l // 2 with
-    2*h(l - lb) + h(lb) < 2*h(l), lhs their left sides and rhs = 2*h(l). h is
-    evaluated once per l; each l's splits are then tested as one vector, with
-    the float operations of a scalar loop, so lhs and rhs equal its values bit
-    for bit.
+    lb runs over 0..l // 2 and rhs = 2*h(l). h is evaluated once per l; each l's
+    splits are then one vector, with the float operations of a scalar loop, so
+    lhs and rhs equal its values bit for bit.
     """
     h = np.array([aitch_tau(tau, l) for l in range(l_max + 1)])
     for l in range(1, l_max + 1):
         splits = l // 2 + 1
-        rhs = 2 * h[l]
-        lhs = 2 * h[l::-1][:splits] + h[:splits]  # lb = 0, 1, ..., l // 2
+        yield l, 2 * h[l::-1][:splits] + h[:splits], 2 * h[l]
+
+
+def _aitch_violations(tau, l_max):
+    """Per l <= l_max with a violating split, in scan order: (l, lb, lhs, rhs).
+
+    lb is the increasing array of splits lb <= l // 2 with
+    2*h(l - lb) + h(lb) < 2*h(l), lhs their left sides and rhs = 2*h(l).
+    """
+    for l, lhs, rhs in _aitch_splits(tau, l_max):
         lb = np.flatnonzero(lhs < rhs - 1e-9)
         if len(lb):
             yield l, lb, lhs[lb], float(rhs)
@@ -371,47 +362,41 @@ def _exhaustive_entry(k):
     }
 
 
-def verify_sumset_lower_bound(k_max, samples=200, seed=0):
-    """Confirm |A^k + L| >= 2^k * h(|L|): exhaustive for k <= 4, sampled beyond."""
+def verify_sumset_lower_bound(k_max):
+    """Confirm |A^k + L| >= 2^k * h(|L|): exhaustive for k <= 4, by induction beyond.
+
+    Slice L by the last digit of its words: L_b holds the first k - 1 digits of
+    the words ending in b, and S_b = A^(k-1) + L_b. The sums ending in 0 are
+    S_0, those ending in 2 are S_1, and those ending in 1 are the union U of
+    S_0 and S_1, so |A^k + L| = |S_0| + |S_1| + |U|. With la >= lb the slice
+    sizes and the bound at k - 1, since h increases,
+    |A^k + L| >= 2^(k-1) * (2*h(la) + h(lb)) >= 2^k * h(la + lb)
+    whenever 2*h(la) + h(lb) >= 2*h(la + lb). From |A^0 + L| = 1 = h(1), every
+    k <= K follows once that holds for every split of every l <= 2^K.
+
+    So one split scan of every l <= 2^k_max serves each k > 4. Entry k lists,
+    as [la, lb], the splits of l <= 2^k failing by more than 1e-9, and its
+    certificate holds the least 2*h(la) + h(lb) - 2*h(l) over the splits with
+    1 <= lb < la and the first split, in scan order, attaining it. The splits
+    lb = 0 and la = lb are left out: they are equalities, since 2^tau = 3/2.
+    """
     if k_max < 1:
         raise ZefcError("bad_k", "k_max must be at least 1", k_max=k_max)
     if k_max > MAX_SUMSET_BOUND_K:
-        raise ZefcError(
-            "k_too_large",
-            f"the sum masks grow as 6^k bits; k_max is limited to {MAX_SUMSET_BOUND_K}",
-            k_max=k_max,
-        )
-    if not 1 <= samples <= MAX_SUMSET_SAMPLES:
-        raise ZefcError(
-            "bad_samples",
-            f"samples must lie in [1, {MAX_SUMSET_SAMPLES}]",
-            samples=samples,
-        )
-    entries = []
-    for k in range(1, k_max + 1):
-        if k <= EXACT_SUMSET_BOUND_K:
-            entries.append(_exhaustive_entry(k))
-            continue
-        masks, size = _sum_ints(k), 1 << k
-        rng = random.Random(seed + k)
-        violations = []
-        for _ in range(samples):
-            l = rng.randint(1, size)
-            subset = rng.sample(range(size), l)
-            acc = 0
-            for y in subset:
-                acc |= masks[y]
-            got = acc.bit_count()
-            if got < qk_lower_bound(k, l):
-                violations.append((sorted(subset), l, got))
-        entries.append(
-            {
-                "k": k,
-                "mode": "sampled",
-                "subsets_checked": samples,
-                "violations": violations,
-            }
-        )
+        message = f"the induction scans l <= 2^k_max; k_max is limited to {MAX_SUMSET_BOUND_K}"
+        raise ZefcError("k_too_large", message, k_max=k_max)
+    entries = [_exhaustive_entry(k) for k in range(1, min(k_max, EXACT_QK_LIMIT) + 1)]
+    failed, margin, split = [], math.inf, None
+    for l, lhs, rhs in _aitch_splits(TAU, 1 << k_max):
+        failed += [[l - b, b] for b in np.flatnonzero(lhs < rhs - 1e-9).tolist()]
+        gaps = lhs[1 : (l + 1) // 2] - rhs
+        if len(gaps) and gaps.min() < margin:
+            lb = int(gaps.argmin()) + 1
+            margin, split = float(gaps[lb - 1]), [l - lb, lb]
+        if l > 1 << EXACT_QK_LIMIT and l & (l - 1) == 0:
+            entry = {"k": l.bit_length() - 1, "mode": "inductive", "subsets_checked": 0}
+            certificate = {"l_max": l, "margin": margin, "split": split}
+            entries.append(entry | {"violations": list(failed), "certificate": certificate})
     return SumsetBoundReport(k_max=k_max, entries=tuple(entries))
 
 

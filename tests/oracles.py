@@ -136,6 +136,21 @@ def sumset_bound_oracle(k):
     return violations, dict(sorted(equalities.items()))
 
 
+def slice_identity_holds(k):
+    """|A^k + L| = |S0| + |S1| + |S0 | S1| for every L in {0,1}^k, checked one L at a time.
+
+    S_b = A^(k-1) + L_b, where L_b holds the first k - 1 digits of the words of L
+    whose last digit is b.
+    """
+    words, shorter = all_words(2, k), all_words(2, k - 1)
+    for r in range(len(words) + 1):
+        for subset in itertools.combinations(words, r):
+            s0, s1 = (raw_sumset(shorter, [w[:-1] for w in subset if w[-1] == b]) for b in (0, 1))
+            if len(raw_sumset(words, subset)) != len(s0) + len(s1) + len(s0 | s1):
+                return False
+    return True
+
+
 def set_partitions(items):
     """All set partitions of a list, blocks in first-seen order."""
     if not items:

@@ -15,6 +15,7 @@ from zefc.bitspace import (
     sumset,
     word_to_string,
 )
+from zefc.coloring import qk_lower_bound
 from zefc.errors import ZefcError
 
 import oracles
@@ -151,6 +152,7 @@ def test_sum_row_unions_count_the_oracle_sumset():
             for y in subset:
                 acc |= masks[y]
             assert acc.bit_count() == len(oracles.raw_sumset(words, [words[y] for y in subset]))
+            assert acc.bit_count() >= qk_lower_bound(k, len(subset))
 
 
 def test_base3_table_is_read_only_int64():

@@ -116,9 +116,15 @@ def test_verify_sumset_bound_report(capsys):
     )
     assert code == 0
     modes = [entry["mode"] for entry in doc["entries"]]
-    assert modes == ["exhaustive"] * 4 + ["sampled"]
+    assert modes == ["exhaustive"] * 4 + ["inductive"]
     assert all(entry["violations"] == 0 for entry in doc["entries"])
+    assert doc["entries"][4]["certificate"]["l_max"] == 32
     validate(doc, schema("verify-sumset-bound"))
+    # --samples and --seed are echoed in the query and change nothing else.
+    code, other = run_cli(
+        capsys, ["verify", "sumset-bound", "--k-max", "5", "--samples", "1", "--seed", "8"]
+    )
+    assert code == 0 and other["entries"] == doc["entries"]
 
 
 def test_qk_table_and_bracket(capsys):
@@ -222,7 +228,7 @@ def test_huge_caps_answer_or_refuse(capsys, request_text):
 
 # Costly requests refused before any work is done; each ran for seconds to minutes.
 COSTLY_REQUESTS = (
-    ("verify sumset-bound --k-max 11", "k_too_large"),
+    ("verify sumset-bound --k-max 13", "k_too_large"),
     ("verify sumset-bound --k-max 22 --samples 1", "k_too_large"),
     ("verify aitch --l-max 4097", "l_too_large"),
     ("verify aitch --l-max 200000", "l_too_large"),
@@ -269,8 +275,8 @@ def test_costly_requests_are_refused(capsys, request_text, error):
 def test_largest_budgets_still_answer(capsys):
     code, doc = run_cli(capsys, ["verify", "aitch", "--l-max", "4096"])
     assert code == 0 and doc["violations"] == 0
-    code, doc = run_cli(capsys, ["verify", "sumset-bound", "--k-max", "10", "--samples", "2"])
-    assert code == 0 and [e["k"] for e in doc["entries"]] == list(range(1, 11))
+    code, doc = run_cli(capsys, ["verify", "sumset-bound", "--k-max", "12"])
+    assert code == 0 and [e["k"] for e in doc["entries"]] == list(range(1, 13))
     code, doc = run_cli(capsys, "capacity --case 11 --c1 2 --c2 1 --k 600000".split())
     assert code == 0 and doc["achieved"] <= doc["converse_bound"]
     for case in ("00", "10"):

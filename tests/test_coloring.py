@@ -1,11 +1,14 @@
 """Q_k, chi_m, the h-function checks, and the mixed-alphabet pair minimum."""
 
+import decimal
 import math
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zefc import coloring
 from zefc.coloring import (
     MAX_AITCH_L,
     TAU,
@@ -314,16 +317,61 @@ def test_sumset_lower_bound_matches_oracle():
 
 def test_sumset_lower_bound_refuses_large_k_max():
     with pytest.raises(ZefcError) as err:
-        verify_sumset_lower_bound(11, samples=1)
+        verify_sumset_lower_bound(13)
     assert err.value.code == "k_too_large"
 
 
-def test_sumset_lower_bound_sampled_mode():
-    report = verify_sumset_lower_bound(5, samples=60, seed=11)
-    entry = report.entries[4]
-    assert entry["mode"] == "sampled"
-    assert entry["subsets_checked"] == 60
-    assert entry["violations"] == []
+def test_sumset_lower_bound_inductive_mode():
+    report = verify_sumset_lower_bound(8)
+    margins = []
+    for entry in report.entries[4:]:
+        assert entry["mode"] == "inductive"
+        assert entry["subsets_checked"] == 0
+        assert entry["violations"] == []
+        certificate = entry["certificate"]
+        la, lb = certificate["split"]
+        assert certificate["l_max"] == 1 << entry["k"]
+        assert 1 <= lb < la and la + lb <= certificate["l_max"]
+        margins.append(certificate["margin"])
+    assert [e["k"] for e in report.entries] == list(range(1, 9))
+    assert all(m > 0 for m in margins) and margins == sorted(margins, reverse=True)
+
+
+def test_slice_identity():
+    for k in (1, 2, 3):
+        assert oracles.slice_identity_holds(k)
+
+
+def _decimal_gap(la, lb, h):
+    """2*h(la) + h(lb) - 2*h(la + lb) in the Decimal arithmetic of h."""
+    return 2 * h(la) + h(lb) - 2 * h(la + lb)
+
+
+def test_sumset_certificates_hold_in_exact_arithmetic():
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        tau = Decimal(3).ln() / Decimal(2).ln() - 1
+        table = [Decimal(0)] + [Decimal(l) ** tau for l in range(1, 257)]
+
+        def h(l):
+            return table[l] if l < len(table) else Decimal(l) ** tau
+
+        splits = [(l - lb, lb) for l in range(3, 257) for lb in range(1, (l + 1) // 2)]
+        for entry in verify_sumset_lower_bound(12).entries[4:]:
+            certificate = entry["certificate"]
+            gap = _decimal_gap(*certificate["split"], h)
+            assert gap > 0 and abs(gap - Decimal(certificate["margin"])) < Decimal("1e-12")
+            if certificate["l_max"] <= 256:
+                within = [s for s in splits if sum(s) <= certificate["l_max"]]
+                least = min(within, key=lambda s: _decimal_gap(*s, h))
+                assert list(least) == certificate["split"]
+
+
+def test_sumset_induction_reports_a_failing_tau(monkeypatch):
+    monkeypatch.setattr(coloring, "TAU", TAU + 0.01)
+    entry = verify_sumset_lower_bound(5).entries[4]
+    assert entry["mode"] == "inductive"
+    assert [1, 1] in entry["violations"]
 
 
 def test_mixed_pair_values():

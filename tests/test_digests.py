@@ -2,8 +2,10 @@
 
 Runs each unseeded request of `perfbench/workloads.py` that must exit 0 through
 `zefc.cli.main` in-process and compares the SHA-256 of its stdout, as
-`perfbench/checks.digest` computes it, with `perfbench/digests.json`. Nothing
-under `perfbench/` is written.
+`perfbench/checks.digest` computes it, with `perfbench/digests.json`. Seeded
+requests have no digest; they go through `perfbench/checks.problems` (exit
+code, schema and invariant) at a few workload seeds. Nothing under
+`perfbench/` is written.
 """
 
 import contextlib
@@ -42,6 +44,21 @@ def test_reports_match_recorded_digests(workload):
         if code != 0 or checks.digest(request, out.getvalue()) != DIGESTS[request.key]:
             drifted.append(request.key)
     assert drifted == []
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_seeded_requests_pass_the_benchmark_checks(seed):
+    validators = checks.load_validators(PERFBENCH.parent / "schemas")
+    found = {}
+    for name in sorted(workloads.WORKLOADS):
+        for request in workloads.requests(name, seed):
+            if not request.seeded:
+                continue
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(list(request.argv))
+            found[request.key] = checks.problems(request, code, out.getvalue(), validators, DIGESTS)
+    assert found and all(problems == [] for problems in found.values()), found
 
 
 def test_every_recorded_request_is_covered():
