@@ -1,6 +1,7 @@
 """Command-line front end: JSON reports for every computation, plus `reproduce`."""
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -304,7 +305,13 @@ def _print_table(payload, stream):
     emit("", payload)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built on the first call and reused by every later one.
+
+    It is not built at import: the handlers are looked up when it is built, so a
+    wrapper set on a `_cmd_*` function before the first request is the one it calls.
+    """
     parser = _Parser(prog="zefc", description="Zero-error sum compression toolkit.")
     parser.add_argument("--version", action="version", version=__version__)
     commands = parser.add_subparsers(dest="command", required=True)

@@ -407,13 +407,16 @@ def _canonical_labels(code):
     out = []
     for name, sweep, top in sweeps:
         flat = sweep.ravel()
-        values, first = np.unique(flat, return_index=True)
-        # A table changed after construction could hold any label; refuse it rather
-        # than let a negative one wrap around in the lookups below.
-        if values[0] < 0 or values[-1] >= top:
+        # A table changed after construction could hold any label; refuse it before
+        # the lookups below, where a negative one would wrap around.
+        highest = int(flat.max())
+        if flat.min() < 0 or highest >= top:
             raise ZefcError("bad_code", f"{name} labels must lie in range({top})", k=code.k)
-        old = values[np.argsort(first)]
-        rank = np.zeros(int(values[-1]) + 1, dtype=np.int64)
+        # first[v]: the first sweep position of label v, or flat.size if v never occurs.
+        first = np.full(highest + 1, flat.size, dtype=np.int64)
+        np.minimum.at(first, flat, np.arange(flat.size))
+        old = flat[np.sort(first[first < flat.size])]
+        rank = np.zeros(first.size, dtype=np.int64)
         rank[old] = np.arange(old.size)
         out.append((rank[flat], old))
     realized = [old.size for _, old in out]
@@ -437,11 +440,16 @@ def _digit_rows(k, radix):
 
 
 def _decimal_rows(values):
-    """Decimal digits of non-negative integers in a trailing axis, right-aligned after 0 bytes."""
-    powers = 10 ** np.arange(len(str(int(values.max()))) - 1, -1, -1)
-    rows = (values[..., None] // powers % 10 + ord("0")).astype(np.uint8)
-    rows[(values[..., None] < powers) & (powers > 1)] = 0
-    return rows
+    """Decimal digits of non-negative integers in a trailing axis, right-aligned after 0 bytes.
+
+    The rows of 0..max are rendered once and gathered by value, so the digit
+    arithmetic runs over max + 1 numbers, not over every cell of values.
+    """
+    table = np.arange(int(values.max()) + 1)
+    powers = 10 ** np.arange(len(str(table[-1])) - 1, -1, -1)
+    rows = (table[:, None] // powers % 10 + ord("0")).astype(np.uint8)
+    rows[(table[:, None] < powers) & (powers > 1)] = 0
+    return np.take(rows, values, axis=0)
 
 
 def _object_text(pad, shape, key, value):
@@ -449,17 +457,37 @@ def _object_text(pad, shape, key, value):
 
     key and value are tuples of uint8 columns: bytes along the last axis, the
     other axes broadcast to shape, 0 bytes as padding. Each member is the lead
-    ',\\n<pad>  "', the key columns, '": ' and the value columns side by side, so
-    the object is one concatenation with the 0 bytes dropped. The first lead
-    opens the object instead; the closing line is left to the caller.
+    ',\\n<pad>  "', the key columns, '": ' and the value columns side by side: one
+    record of a structured array with a void field per column, so the object is
+    the array's bytes with the 0 bytes dropped. The first lead opens the object
+    instead; the closing line is left to the caller.
     """
-    columns = (_ascii(f',\n{pad}  "'), *key, _ascii('": '), *value)
-    flat = np.concatenate(
-        [np.broadcast_to(c, (*shape, c.shape[-1])) for c in columns], axis=-1
-    ).ravel()
-    flat[0] = ord("{")
-    flat = flat[flat != 0]
-    return str(flat, "ascii")
+    columns = [_ascii(f',\n{pad}  "')]
+    for column in (*key, _ascii('": '), *value):
+        # Fold a column into its left neighbour while the two span less than the
+        # whole shape: fewer fields to fill, and no second full-shape array.
+        left = columns[-1]
+        lead = np.broadcast_shapes(left.shape[:-1], column.shape[:-1])
+        if math.prod(lead) < math.prod(shape):
+            columns[-1] = np.concatenate(
+                [np.broadcast_to(c, (*lead, c.shape[-1])) for c in (left, column)], axis=-1
+            )
+        else:
+            columns.append(column)
+    record = np.dtype([(f"c{i}", f"V{c.shape[-1]}") for i, c in enumerate(columns)])
+    rows = np.empty(shape, dtype=record)
+    for name, column in zip(record.names, columns):
+        rows[name] = np.ascontiguousarray(column).view(record[name])[..., 0]
+    rows.view(np.uint8).flat[0] = ord("{")
+    return rows.tobytes().replace(b"\0", b"").decode("ascii")
+
+
+def _psi_digits(code, old1, old2):
+    """psi over the canonical label pairs, as ternary digit rows."""
+    decoded = code.psi[np.ix_(old1, old2)]
+    if decoded.min() < 0 or decoded.max() >= 3**code.k:
+        raise ZefcError("bad_code", "psi values must lie in range(3^k)", k=code.k)
+    return np.take(_digit_rows(code.k, 3), decoded, axis=0)
 
 
 def code_text(code, pad=""):
@@ -472,9 +500,6 @@ def code_text(code, pad=""):
     """
     (labels1, old1), (labels2, old2) = _canonical_labels(code)
     k, inner = code.k, pad + "  "
-    decoded = code.psi[np.ix_(old1, old2)]
-    if decoded.min() < 0 or decoded.max() >= 3**k:
-        raise ZefcError("bad_code", "psi values must lie in range(3^k)", k=k)
     words = _digit_rows(k, 2)
     comma, quote = _ascii(","), _ascii('"')
     size = 1 << k
@@ -484,14 +509,17 @@ def code_text(code, pad=""):
         return _object_text(inner, shape, key, (_decimal_rows(labels.reshape(shape)),))
 
     phi1 = encoder(labels1, code.switches.s2 == 1, (words[:, None], comma, words[None]))
+    del labels1  # each sweep is freed once rendered, so it is not held at the next peak
     # Encoder 2's labels run y major, but its keys still read "x,y".
     phi2 = encoder(labels2, code.switches.s1 == 1, (words[None], comma, words[:, None]))
+    del labels2
     psi_key = (
         _decimal_rows(np.arange(code.im1))[:, None],
         comma,
         _decimal_rows(np.arange(code.im2))[None],
     )
-    psi = _object_text(inner, decoded.shape, psi_key, (quote, _digit_rows(k, 3)[decoded], quote))
+    psi_value = (quote, _psi_digits(code, old1, old2), quote)
+    psi = _object_text(inner, (code.im1, code.im2), psi_key, psi_value)
     return (
         f'{{\n{inner}"k": {k},\n{inner}"switches": "{code.switches.as_string()}",\n'
         f'{inner}"phi1": {phi1}\n{inner}}},\n{inner}"phi2": {phi2}\n{inner}}},\n'

@@ -220,6 +220,14 @@ def digit_string(value, k, radix):
     return "".join(out)
 
 
+def first_seen_order(labels):
+    """{label: its rank among the distinct labels in order of first appearance}."""
+    order = {}
+    for label in labels:
+        order.setdefault(label, len(order))
+    return order
+
+
 def code_to_json_oracle(k, switches, phi1, phi2, psi, im1, im2):
     """JSON form of a code given as closures, one (x, y) pair at a time.
 
@@ -230,13 +238,12 @@ def code_to_json_oracle(k, switches, phi1, phi2, psi, im1, im2):
     """
     size = 1 << k
     sees_x, sees_y = switches[0] == "1", switches[1] == "1"
-    order1, order2 = {}, {}
-    for x in range(size):
-        for y in range(size) if sees_y else (0,):
-            order1.setdefault(phi1(x, y), len(order1))
-    for y in range(size):
-        for x in range(size) if sees_x else (0,):
-            order2.setdefault(phi2(x, y), len(order2))
+    order1 = first_seen_order(
+        phi1(x, y) for x in range(size) for y in (range(size) if sees_y else (0,))
+    )
+    order2 = first_seen_order(
+        phi2(x, y) for y in range(size) for x in (range(size) if sees_x else (0,))
+    )
     assert (len(order1), len(order2)) == (im1, im2), "declared image sizes differ"
 
     phi1_table = {}

@@ -4,6 +4,7 @@ import io
 import json
 import pathlib
 import argparse
+import re
 import subprocess
 import sys
 import threading
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from jsonschema import validate
 
 from oracles import printed_code_admissible
+from zefc import cli
 from zefc.cli import _print_table, _render, build_parser, main
 
 SCHEMAS = pathlib.Path(__file__).resolve().parent.parent / "schemas"
@@ -463,6 +465,59 @@ def test_output_is_deterministic_in_process(capsys):
     main(argv)
     second = capsys.readouterr().out
     assert first == second
+
+
+# One in-process sequence through the cached parser: answers, a refusal, --version
+# (which exits), --timings and a subcommand with its own options.
+PARSER_SEQUENCE = (
+    "qk --k 3 --l 2",
+    "qk --k 3",
+    "capacity --case 02 --c1 1 --c2 1",
+    "--version",
+    "capacity --case 11 --c1 2 --c2 1 --k 4 --timings",
+    "nfc --c1 3 --c2 1",
+)
+
+
+def _printed(capsys, argv):
+    """(exit code, or ("SystemExit", code) if main exits; stdout with elapsed_ms masked)."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    out = capsys.readouterr().out
+    return code, re.sub(r'"elapsed_ms": [-0-9.e+]+', '"elapsed_ms": 0', out)
+
+
+def test_cached_parser_leaks_no_state(capsys):
+    build_parser.cache_clear()
+    printed = [_printed(capsys, request.split()) for request in PARSER_SEQUENCE]
+    assert build_parser.cache_info().misses == 1
+    assert [code for code, _ in printed] == [0, 0, 2, ("SystemExit", 0), 0, 0]
+    assert json.loads(printed[2][1])["error"]["code"] == "bad_arguments"
+    assert '"elapsed_ms": 0' in printed[4][1]
+    for request, want in zip(PARSER_SEQUENCE, printed):
+        build_parser.cache_clear()
+        assert _printed(capsys, request.split()) == want, request
+
+
+def test_handlers_are_looked_up_when_the_parser_is_built(capsys, monkeypatch):
+    calls = []
+    handler = cli._cmd_nfc
+
+    def counting(args):
+        calls.append(args.c1)
+        return handler(args)
+
+    build_parser.cache_clear()
+    monkeypatch.setattr(cli, "_cmd_nfc", counting)
+    try:
+        assert main(["nfc", "--c1", "2", "--c2", "1"]) == 0
+    finally:
+        # Later requests must not reuse a parser that holds the counting wrapper.
+        build_parser.cache_clear()
+    capsys.readouterr()
+    assert calls == ["2"]
 
 
 def test_module_entry_point_is_deterministic():

@@ -16,6 +16,8 @@ from zefc.codec import (
     ChannelCaps,
     KShotCode,
     SwitchPair,
+    _canonical_labels,
+    _decimal_rows,
     build_identity_code,
     build_packing_code_11,
     build_split_code_01,
@@ -309,6 +311,65 @@ def test_code_json_canonical_labels():
         with pytest.raises(ZefcError) as err:
             render(build_identity_code(11))
         assert err.value.code == "k_too_large"
+
+
+# Widths change at each power of 10; 59048 = 3^10 - 1 is the widest case-11 label.
+DECIMAL_EDGES = (0, 9, 10, 99, 100, 999, 1000, 1023, 59048)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.array(DECIMAL_EDGES),
+        np.array(DECIMAL_EDGES).reshape(3, 3),
+        np.zeros(5, dtype=np.int64),
+        np.zeros((2, 3), dtype=np.int64),
+        *(np.array([[v, 0], [v // 2, v]]) for v in DECIMAL_EDGES[1:]),
+    ],
+)
+def test_decimal_rows_match_str(values):
+    rows = _decimal_rows(values)
+    assert rows.shape == (*values.shape, len(str(values.max())))
+    for value, row in zip(values.ravel().tolist(), rows.reshape(-1, rows.shape[-1])):
+        # Right-aligned: every 0 byte comes before the digits.
+        assert row.tobytes().lstrip(b"\0").decode("ascii") == str(value)
+
+
+def _random_label_code(rng, k, switches):
+    """A code whose swept labels are seeded random and dense in range(im1), range(im2)."""
+    size = 1 << k
+
+    def sweep(paired):
+        n = size * size if paired else size
+        top = int(rng.integers(1, n + 1))
+        labels = rng.integers(0, top, n)
+        labels[rng.permutation(n)[:top]] = np.arange(top)  # every label appears
+        return labels, top
+
+    (flat1, im1), (flat2, im2) = sweep(switches.s2 == 1), sweep(switches.s1 == 1)
+    phi1 = flat1.reshape(size, -1) if switches.s2 == 1 else np.repeat(flat1[:, None], size, 1)
+    phi2 = flat2.reshape(size, -1).T if switches.s1 == 1 else np.repeat(flat2[None], size, 0)
+    psi = np.zeros((im1, im2), dtype=np.int64)
+    return KShotCode(k, switches, phi1, phi2, psi, im1, im2, name="random"), (flat1, flat2)
+
+
+@pytest.mark.parametrize("case", ["00", "01", "10", "11"])
+def test_canonical_labels_match_a_first_seen_loop(case):
+    rng = np.random.default_rng(int(case, 2))
+    for k in range(1, 7):
+        code, sweeps = _random_label_code(rng, k, SwitchPair.from_string(case))
+        for (labels, old), sweep in zip(_canonical_labels(code), sweeps):
+            order = oracles.first_seen_order(sweep.tolist())
+            assert labels.tolist() == [order[v] for v in sweep.tolist()], (case, k)
+            assert old.tolist() == list(order), (case, k)
+        # Drop the last label of encoder 1: the declared image size no longer matches.
+        if code.im1 > 1:
+            phi1 = np.where(code.phi1 == code.im1 - 1, 0, code.phi1)
+            tables = (phi1, code.phi2, code.psi)
+            short = KShotCode(k, code.switches, *tables, code.im1, code.im2, name="short")
+            with pytest.raises(ZefcError) as err:
+                _canonical_labels(short)
+            assert err.value.code == "bad_image_count", (case, k)
 
 
 def test_split_rate_capped_and_doubling_improves():
