@@ -11,10 +11,11 @@ from .bitspace import binary_to_base3_table
 from .capacity import LOG2_3, capacity
 from .codec import (
     ChannelCaps,
+    KShotCode,
     SwitchPair,
-    build_packing_code_11,
     build_split_code_01,
     check_admissible,
+    packing_sizes,
     rate_account,
 )
 from .coloring import (
@@ -281,7 +282,10 @@ def run_criterion_8():
         caps = ChannelCaps.of(c1s, c2s)
         total = caps.c1 + caps.c2
         for k in range(1, 65):
-            acct = rate_account(build_packing_code_11(k, caps), caps)
+            # The budget needs the builder's image sizes, not its tables.
+            wide, narrow = packing_sizes(k, caps)
+            code = KShotCode(k, SwitchPair(1, 1), None, None, None, wide, narrow, "packing11")
+            acct = rate_account(code, caps)
             need = total * acct.n
             if 2 ** need.numerator < 3 ** (k * need.denominator):
                 failures.append(f"packing budget fails at caps ({c1s},{c2s}) k={k}")

@@ -303,8 +303,13 @@ def exact_pow2_floor(n, cap):
     return _iroot(1 << (n * p), q)
 
 
-def build_packing_code_11(k, caps):
-    """Case-11 code: pack the ternary sum and split its index across both channels."""
+def packing_sizes(k, caps):
+    """Image sizes (wide, narrow) of the case-11 packing code at block length k.
+
+    n starts at the least number of uses that carries 3^k over both channels. The
+    narrow image is the most that n uses of c2 carry, at most 3^k, and the wide
+    image 3^k over it rounded up; n grows until the wide image fits n uses of c1.
+    """
     if k < 1:
         raise ZefcError("bad_k", "block length must be at least 1", k=k)
     if math.ceil(k * math.log2(3)) * caps.c2.denominator > MAX_PACKING_BITS:
@@ -316,18 +321,24 @@ def build_packing_code_11(k, caps):
         )
     total = 3 ** k
     n = least_uses(total, caps.c1 + caps.c2)
+    # least_uses settles a large c2 without building 2^(n*c2).
+    narrow_uses = least_uses(total, caps.c2)
     while True:
-        # least_uses settles a large c2 without building 2^(n*c2).
-        narrow = total if least_uses(total, caps.c2) <= n else exact_pow2_floor(n, caps.c2)
+        narrow = total if narrow_uses <= n else exact_pow2_floor(n, caps.c2)
         wide = -(-total // narrow)
         if least_uses(wide, caps.c1) <= n:
-            break
+            return wide, narrow
         n += 1
+
+
+def build_packing_code_11(k, caps):
+    """Case-11 code: pack the ternary sum and split its index across both channels."""
+    wide, narrow = packing_sizes(k, caps)
     tables = (None, None, None)
     if k <= MAX_EXHAUSTIVE_K:
         sums = sum_table(k)
         packed = np.arange(wide)[:, None] * narrow + np.arange(narrow)[None, :]
-        tables = (sums // narrow, sums % narrow, np.minimum(packed, total - 1))
+        tables = (sums // narrow, sums % narrow, np.minimum(packed, 3**k - 1))
     return KShotCode(k, SwitchPair(1, 1), *tables, im1=wide, im2=narrow, name="packing11")
 
 
@@ -393,6 +404,21 @@ def build_split_code_01(k, caps):
     return KShotCode(k, SwitchPair(0, 1), *tables, im1=im1, im2=im2, name="split01")
 
 
+def first_seen(flat):
+    """Renumber non-negative integer labels in order of first appearance.
+
+    Returns the new label at each position and, for each new label, the position
+    where it first appears.
+    """
+    # first[v]: the first position of label v, or flat.size if v never occurs.
+    first = np.full(int(flat.max()) + 1, flat.size, dtype=np.int64)
+    np.minimum.at(first, flat, np.arange(flat.size))
+    starts = np.sort(first[first < flat.size])
+    rank = np.zeros(first.size, dtype=np.int64)
+    rank[flat[starts]] = np.arange(starts.size)
+    return rank[flat], starts
+
+
 def _canonical_labels(code):
     """First-seen relabeling of both encoders over ascending sweeps of their domains.
 
@@ -408,17 +434,11 @@ def _canonical_labels(code):
     for name, sweep, top in sweeps:
         flat = sweep.ravel()
         # A table changed after construction could hold any label; refuse it before
-        # the lookups below, where a negative one would wrap around.
-        highest = int(flat.max())
-        if flat.min() < 0 or highest >= top:
+        # the lookups in first_seen, where a negative one would wrap around.
+        if flat.min() < 0 or flat.max() >= top:
             raise ZefcError("bad_code", f"{name} labels must lie in range({top})", k=code.k)
-        # first[v]: the first sweep position of label v, or flat.size if v never occurs.
-        first = np.full(highest + 1, flat.size, dtype=np.int64)
-        np.minimum.at(first, flat, np.arange(flat.size))
-        old = flat[np.sort(first[first < flat.size])]
-        rank = np.zeros(first.size, dtype=np.int64)
-        rank[old] = np.arange(old.size)
-        out.append((rank[flat], old))
+        labels, starts = first_seen(flat)
+        out.append((labels, flat[starts]))
     realized = [old.size for _, old in out]
     if realized != [code.im1, code.im2]:
         raise ZefcError(

@@ -9,7 +9,7 @@ import numpy as np
 
 from .bitspace import sum_table
 from .capacity import LOG2_3, capacity
-from .codec import MAX_EXHAUSTIVE_K, KShotCode, SwitchPair, rate_account
+from .codec import MAX_EXHAUSTIVE_K, KShotCode, SwitchPair, first_seen, rate_account
 from .errors import ZefcError
 
 # At this limit, caps (400,400) or (499,4), `nontightness_report` takes about
@@ -287,13 +287,17 @@ def _tuple_ids(symbols, edges):
     """Number of the tuple of symbols the edges carry at each (x, y), x major.
 
     Tuples are numbered in order of first appearance; they are returned in that order.
+    Each edge's symbols are numbered densely and folded into one int64 key per
+    (x, y), which is numbered densely again after every fold, so the key stays
+    below 4^k times the edge's count of distinct symbols whatever the symbols are.
     """
-    rows = np.stack([symbols[e.id].ravel() for e in edges], axis=1)
-    tuples, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return rank[inverse.reshape(-1)], tuples[order]
+    columns = [symbols[e.id].ravel() for e in edges]
+    key = np.unique(columns[0], return_inverse=True)[1]
+    for column in columns[1:]:
+        values, digits = np.unique(column, return_inverse=True)
+        key = np.unique(key * values.size + digits, return_inverse=True)[1]
+    ids, starts = first_seen(key)
+    return ids, np.stack([column[starts] for column in columns], axis=1)
 
 
 def make_network_code(net, k, symbols, decoder):

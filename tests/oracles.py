@@ -228,6 +228,16 @@ def first_seen_order(labels):
     return order
 
 
+def first_seen_tuples(columns):
+    """Tuples of the columns' values at each position, numbered by first appearance.
+
+    Returns the number at each position and the distinct tuples in that order.
+    """
+    rows = list(zip(*columns))
+    order = first_seen_order(rows)
+    return [order[row] for row in rows], list(order)
+
+
 def code_to_json_oracle(k, switches, phi1, phi2, psi, im1, im2):
     """JSON form of a code given as closures, one (x, y) pair at a time.
 

@@ -44,3 +44,12 @@ def test_criterion_8_fails_on_a_wrong_chromatic_count(monkeypatch):
     result = acceptance.run_criterion_8()
     assert not result.passed
     assert "k=1 M=(0,) L=(0,): 2 != 1" in result.failures
+
+
+def test_criterion_8_fails_on_a_short_packing_budget(monkeypatch):
+    # Images of two labels each carry 4 sums, short of 3^k from k = 2 on.
+    monkeypatch.setattr(acceptance, "packing_sizes", lambda k, caps: (2, 2))
+    result = acceptance.run_criterion_8()
+    assert not result.passed
+    assert "packing budget fails at caps (1,1) k=2" in result.failures
+    assert "packing budget fails at caps (1,1) k=1" not in result.failures

@@ -232,13 +232,16 @@ def test_packing_code_frozen_values():
 
 
 def test_packing_code_admissible_and_budget():
-    for k in range(1, 9):
-        for caps in (CAPS21, CAPS11, CAPS32, ChannelCaps.of("3/2", "1/2")):
-            code = build_packing_code_11(k, caps)
-            assert check_admissible(code).ok
-            acct = rate_account(code, caps)
-            assert code.im1 * code.im2 >= 3 ** k
-            assert acct.n1 <= acct.n and acct.n2 <= acct.n
+    halves = ChannelCaps.of("3/2", "1/2")
+    cases = [(k, caps) for k in range(1, 9) for caps in (CAPS21, CAPS11, CAPS32, halves)]
+    # Criterion 8 reads only the image sizes; this checks the tables up to k = 10.
+    cases += [(k, caps) for k in (9, 10) for caps in (CAPS21, halves)]
+    for k, caps in cases:
+        code = build_packing_code_11(k, caps)
+        assert check_admissible(code).ok
+        acct = rate_account(code, caps)
+        assert code.im1 * code.im2 >= 3 ** k
+        assert acct.n1 <= acct.n and acct.n2 <= acct.n
 
 
 def test_packing_fractional_caps_budget_sweep():

@@ -10,6 +10,7 @@ import pytest
 from oracles import (
     class_count_oracle,
     classify,
+    first_seen_tuples,
     guang_bound_oracle,
     net_edges,
     network_admissible_oracle,
@@ -26,6 +27,7 @@ from zefc.errors import ZefcError
 from zefc.nfc import (
     Edge,
     Network,
+    _tuple_ids,
     build_network,
     check_network_admissible,
     classify_cut,
@@ -342,18 +344,37 @@ def test_transform_split_code_k3():
     assert check_network_admissible(ncode)
 
 
+def test_tuple_ids_match_first_seen_oracle():
+    rng = np.random.default_rng(20261019)
+    # Negative and wide symbols; over 12 columns a mixed-radix key of their spans
+    # (about 2^41 each) would need some 490 bits.
+    palette = np.array([-(1 << 40), -7, -1, 0, 3, (1 << 40) - 1, 1 << 40])
+    for k in range(1, 5):
+        size = 1 << k
+        for width, distinct in ((1, 3), (2, 4 ** k), (5, 6), (12, 9), (12, 4 ** k)):
+            edges = [Edge(f"e{i}", "v1", "rho") for i in range(width)]
+            # Rows drawn from a small pool repeat, so first appearance is not row order.
+            pool = rng.choice(palette, size=(distinct, width))
+            rows = pool[rng.integers(0, distinct, size * size)]
+            symbols = {e.id: rows[:, i].reshape(size, size) for i, e in enumerate(edges)}
+            ids, tuples = _tuple_ids(symbols, edges)
+            want_ids, want_tuples = first_seen_tuples(rows.T.tolist())
+            assert ids.tolist() == want_ids, (k, width)
+            assert list(map(tuple, tuples.tolist())) == want_tuples, (k, width)
+
+
 def test_transform_roundtrip_small_k():
-    for caps in (CAPS21, ChannelCaps.of("3", "2")):
-        for k in range(1, 7):
-            code = build_split_code_01(k, caps)
-            ncode = transform_code(code, caps)
-            acct = rate_account(code, caps)
-            assert ncode.n == acct.n, (caps.as_strings(), k)
-            assert check_network_admissible(ncode)
-            back = inverse_transform(ncode)
-            assert back.im1 == code.im1 and back.im2 == code.im2
-            assert check_admissible(back).ok
-            assert rate_account(back, caps).n == acct.n
+    cases = [(caps, k) for caps in (CAPS21, ChannelCaps.of("3", "2")) for k in range(1, 7)]
+    for caps, k in cases + [(CAPS21, 8)]:
+        code = build_split_code_01(k, caps)
+        ncode = transform_code(code, caps)
+        acct = rate_account(code, caps)
+        assert ncode.n == acct.n, (caps.as_strings(), k)
+        assert check_network_admissible(ncode)
+        back = inverse_transform(ncode)
+        assert back.im1 == code.im1 and back.im2 == code.im2
+        assert check_admissible(back).ok
+        assert rate_account(back, caps).n == acct.n
 
 
 def test_transform_sink_information_budget():
