@@ -155,26 +155,12 @@ def q_k(k, l, bracket=False):
     )
 
 
-def _qk_exact(k):
-    """Per l = 0..2^k, the least |A^k + L| over |L| = l and the first mask attaining it.
-
-    First means first in itertools.combinations order of the sorted index
-    tuples: A precedes B exactly when the lowest bit of A xor B is in A, so the
-    first minimal mask is the largest one after reversing its 2^k bits.
-    """
-    size = 1 << k
-    counts, ells = _union_counts(k)
-    rev = np.zeros(1 << size, dtype=np.int64)
-    for b in range(size):
-        half = 1 << b
-        rev[half : 2 * half] = rev[:half] + (1 << (size - 1 - b))
-    order = np.lexsort((-rev, counts, ells))
-    firsts = order[np.searchsorted(ells[order], np.arange(size + 1))]
-    return counts[firsts].tolist(), firsts.tolist()
-
-
 def q_k_table(k):
-    """Exact q_k for every subset size 0..2^k, from one union table."""
+    """Exact q_k for every subset size 0..2^k, from one union table.
+
+    The first l words attain the least union size at every l <= 2^k for k <= 4, and
+    as the first l-subset in itertools.combinations order they are the witness.
+    """
     if k < 1:
         raise ZefcError("bad_k", "k must be at least 1", k=k)
     if k > EXACT_QK_LIMIT:
@@ -184,7 +170,10 @@ def q_k_table(k):
             k=k,
         )
     words = [word_to_string(y, k, 2) for y in range(1 << k)]
-    values, masks = _qk_exact(k)
+    counts, ells = _union_counts(k)
+    values = counts[(1 << np.arange((1 << k) + 1)) - 1]
+    if (counts < values[ells]).any():
+        raise ZefcError("qk_prefix_not_minimal", "a subset beats the word prefix of its size", k=k)
     return {
         l: QkResult(
             k=k,
@@ -193,9 +182,9 @@ def q_k_table(k):
             lower=qk_lower_bound(k, l),
             upper=colex_prefix_value(k, l),
             exact=True,
-            witness=[word for y, word in enumerate(words) if mask >> y & 1],
+            witness=words[:l],
         )
-        for l, (value, mask) in enumerate(zip(values, masks))
+        for l, value in enumerate(values.tolist())
     }
 
 

@@ -12,18 +12,25 @@ from .capacity import LOG2_3, capacity
 from .codec import MAX_EXHAUSTIVE_K, KShotCode, SwitchPair, first_seen, rate_account
 from .errors import ZefcError
 
-# At this limit, caps (400,400) or (499,4), `nontightness_report` takes about
-# 0.02 s in-process (Python 3.11, one Xeon core).
+# Bounds the edge ids a report lists. At this limit, caps (400,400) or (499,4),
+# `nontightness_report` takes 3-4 ms in-process (Python 3.11, one Xeon core).
 MAX_NETWORK_EDGES = 2000
-# Tie-break among cuts of least ratio. Networks up to this many edges report the
-# one with fewest edges, first in edge order; larger ones report the one whose
-# per-bundle edge counts come first in lexicographic order, so (5,3) reports
-# e1..e5 although d1..d5 ties with it. The recorded `nfc` reports carry both
-# rules, so unifying them would change that output.
+# Tie-break among cuts of least ratio. Up to this many edges the witness is the cut
+# with fewest edges, first in edge order; above it, the one whose per-bundle edge
+# counts come first in lexicographic order, so (5,3) reports e1..e5 although d1..d5
+# ties with it. The recorded `nfc` reports carry both rules, so both stay.
 EDGE_ORDER_WITNESS_EDGES = 20
 SOURCES = ("s1", "s2")
 SINK = "rho"
-# The bundles, in layout order, are s1->v1, s2->v1, s2->v2, v1->rho and v2->rho.
+# The five bundles of c1, c1, c1, c1 and c2 parallel edges, as (id letter, tail, head);
+# ids d1, d2, ... run through the d bundles and e1, e2, ... through the e ones, in order.
+LAYOUT = (
+    ("d", "s1", "v1"),
+    ("d", "s2", "v1"),
+    ("d", "s2", "v2"),
+    ("e", "v1", SINK),
+    ("e", "v2", SINK),
+)
 # A source is cut off from the sink when every one of its paths crosses a fully
 # cut bundle: s1 has the one path s1->v1->rho, s2 the two s2->v1->rho and
 # s2->v2->rho.
@@ -34,46 +41,32 @@ _UPSTREAM = {"s1": (0, 3), "s2": (1, 2, 3, 4)}
 
 
 @dataclass(frozen=True)
-class Edge:
-    """One unit-capacity directed edge."""
-
-    id: str
-    tail: str
-    head: str
-
-
-@dataclass(frozen=True)
 class Network:
-    """The two-source relay network with bundle multiplicities c1 and c2.
-
-    bundles holds the five tuples of parallel edges in layout order.
-    """
+    """The two-source relay network with bundle multiplicities c1 and c2."""
 
     c1: int
     c2: int
-    bundles: tuple
 
-    def in_edges(self, node):
-        return tuple(e for bundle in self.bundles if bundle[0].head == node for e in bundle)
-
-    # The lookups below are built once per network: the cut search and the code
-    # transforms ask for them once per cut, state or edge. A dict lookup keyed by
-    # the network itself would hash all of its edges each time.
+    @property
+    def sizes(self):
+        """Edge count of each bundle, in layout order."""
+        return (self.c1, self.c1, self.c1, self.c1, self.c2)
 
     @functools.cached_property
     def edges(self):
-        return tuple(itertools.chain.from_iterable(self.bundles))
+        """Every edge id, in layout order; built once, as classify_cut reads it per cut."""
+        return tuple(eid for b, size in enumerate(self.sizes) for eid in _bundle_ids(self, b, size))
 
-    @functools.cached_property
-    def position(self):
-        """Index of each edge id in the edge order."""
-        return {e.id: i for i, e in enumerate(self.edges)}
+    def in_edges(self, node):
+        bundles = [b for b, (_, _, head) in enumerate(LAYOUT) if head == node]
+        return tuple(eid for b in bundles for eid in _bundle_ids(self, b, self.sizes[b]))
 
-    @functools.cached_property
-    def state_classes(self):
-        """Classification of every bundle state, at most 3**5 of them."""
-        counts = [sorted({0, 1, len(bundle)}) for bundle in self.bundles]
-        return {state: _classified(self, state) for state in itertools.product(*counts)}
+
+def _bundle_ids(net, bundle, count):
+    """Ids of the first count edges of a bundle."""
+    letter = LAYOUT[bundle][0]
+    first = sum(size for (kind, _, _), size in zip(LAYOUT[:bundle], net.sizes) if kind == letter)
+    return tuple(f"{letter}{first + i}" for i in range(1, count + 1))
 
 
 @dataclass(frozen=True)
@@ -136,50 +129,33 @@ def build_network(caps):
     """The five-bundle relay network for integer caps."""
     if caps.c1.denominator != 1 or caps.c2.denominator != 1:
         raise ZefcError("bad_caps", "edge multiplicities must be integers", caps=caps.as_strings())
-    c1, c2 = int(caps.c1), int(caps.c2)
-    if 4 * c1 + c2 > MAX_NETWORK_EDGES:
+    net = Network(c1=int(caps.c1), c2=int(caps.c2))
+    if sum(net.sizes) > MAX_NETWORK_EDGES:
         raise ZefcError(
             "too_many_edges",
             f"networks are limited to {MAX_NETWORK_EDGES} edges",
-            edges=4 * c1 + c2,
+            edges=sum(net.sizes),
         )
-    layout = (
-        ("d", 0, "s1", "v1", c1),
-        ("d", c1, "s2", "v1", c1),
-        ("d", 2 * c1, "s2", "v2", c1),
-        ("e", 0, "v1", SINK, c1),
-        ("e", c1, "v2", SINK, c2),
-    )
-    bundles = tuple(
-        tuple(Edge(f"{kind}{first + i + 1}", tail, head) for i in range(size))
-        for kind, first, tail, head, size in layout
-    )
-    return Network(c1=c1, c2=c2, bundles=bundles)
+    return net
 
 
 def classify_cut(net, cut):
     """I/J/K source sets for an edge subset, read off its bundle state."""
-    index = net.position
+    edges, ids = net.edges, set(cut)
     for eid in cut:
-        if eid not in index:
+        if eid not in edges:
             raise ZefcError("unknown_edge", "edge id is not part of this network", id=eid)
-    ids = set(cut)
-    state = []
-    for bundle in net.bundles:
-        count = sum(e.id in ids for e in bundle)
-        state.append(count if count in (0, len(bundle)) else 1)
-    return _classified(net, tuple(state), tuple(sorted(ids, key=index.__getitem__)))
+    state, end = [], 0
+    for size in net.sizes:
+        end += size
+        count = len(ids.intersection(edges[end - size : end]))
+        state.append(count if count in (0, size) else 1)
+    return _classified(net, tuple(state), tuple(eid for eid in edges if eid in ids))
 
 
-def _classified(net, state, cut=None):
-    """I/J/K source sets of a bundle state: 0 untouched, 1 partly cut, the size if fully cut.
-
-    cut defaults to the state's smallest cut: a partly cut bundle's first edge and a
-    fully cut one's all, whose per-bundle edge counts are the state itself.
-    """
-    if cut is None:
-        cut = tuple(e.id for bundle, count in zip(net.bundles, state) for e in bundle[:count])
-    full = [count == len(bundle) for count, bundle in zip(state, net.bundles)]
+def _classified(net, state, cut):
+    """I/J/K source sets of a bundle state: 0 untouched, 1 partly cut, the size if fully cut."""
+    full = [count == size for count, size in zip(state, net.sizes)]
     i_c = frozenset(
         s for s, paths in _PATHS.items() if all(any(full[b] for b in path) for path in paths)
     )
@@ -230,7 +206,7 @@ def n_cf(net, cls):
     if not cls.is_cut:
         raise ZefcError("not_a_cut", "the class count is defined for cut sets only")
     count = _structure_count((tuple(sorted(cls.i_c)),), tuple(sorted(cls.j_c)))
-    full = [c == len(bundle) for c, bundle in zip(cls.state, net.bundles)]
+    full = [c == size for c, size in zip(cls.state, net.sizes)]
     if full[0] and full[1] and not cls.state[3] and (full[2] or full[4]):
         count = max(count, _structure_count((("s1",), ("s2",)), ()))
     return count
@@ -240,23 +216,25 @@ def guang_bound(net):
     """Minimum |C| / log2(n_cf) over all cut sets.
 
     Cuts in one bundle state share n_cf, so the minimum is reached at the smallest
-    cut of some state, and only those are scored.
+    cut of some state, and only those are scored. A state's smallest cut is each
+    bundle's first edges, as many as the state counts.
     """
-    classes = net.state_classes
-    states = list(classes)
-    if len(net.edges) <= EDGE_ORDER_WITNESS_EDGES:
-        index = net.position
-        states.sort(key=lambda st: (sum(st), [index[eid] for eid in classes[st].cut]))
-    best, witness, witness_ncf, seen = None, None, None, 0
+    sizes = net.sizes
+    states = list(itertools.product(*(sorted({0, 1, size}) for size in sizes)))
+    if sum(sizes) <= EDGE_ORDER_WITNESS_EDGES:
+        starts = list(itertools.accumulate(sizes, initial=0))
+        states.sort(key=lambda st: (sum(st), [s + i for s, c in zip(starts, st) for i in range(c)]))
+    best, best_state, witness_ncf, seen = None, None, None, 0
     for state in states:
-        cls = classes[state]
+        cls = _classified(net, state, None)
         if not cls.is_cut:
             continue
         count = n_cf(net, cls)
         seen += 1
         ratio = sum(state) / math.log2(count)
         if best is None or ratio < best - 1e-12:
-            best, witness, witness_ncf = ratio, cls.cut, count
+            best, best_state, witness_ncf = ratio, state, count
+    witness = tuple(eid for b, c in enumerate(best_state) for eid in _bundle_ids(net, b, c))
     return GuangBound(value=best, witness=witness, witness_ncf=witness_ncf, cuts_seen=seen)
 
 
@@ -272,18 +250,14 @@ def _chunk_layout(bits, parts):
     """Balanced bit-chunk widths, wider chunks first, with cumulative offsets."""
     base, extra = divmod(bits, parts)
     widths = [base + 1 if i < extra else base for i in range(parts)]
-    layout, offset = [], 0
-    for w in widths:
-        layout.append((offset, w))
-        offset += w
-    return layout
+    return list(zip(itertools.accumulate(widths, initial=0), widths))
 
 
 def _bits_for(count):
     return (count - 1).bit_length() if count > 1 else 0
 
 
-def _tuple_ids(symbols, edges):
+def _tuple_ids(symbols, ids):
     """Number of the tuple of symbols the edges carry at each (x, y), x major.
 
     Tuples are numbered in order of first appearance; they are returned in that order.
@@ -291,7 +265,7 @@ def _tuple_ids(symbols, edges):
     (x, y), which is numbered densely again after every fold, so the key stays
     below 4^k times the edge's count of distinct symbols whatever the symbols are.
     """
-    columns = [symbols[e.id].ravel() for e in edges]
+    columns = [symbols[eid].ravel() for eid in ids]
     key = np.unique(columns[0], return_inverse=True)[1]
     for column in columns[1:]:
         values, digits = np.unique(column, return_inverse=True)
@@ -310,8 +284,9 @@ def make_network_code(net, k, symbols, decoder):
     if k > MAX_EXHAUSTIVE_K:
         raise ZefcError("k_too_large", f"network codes are limited to k<={MAX_EXHAUSTIVE_K}", k=k)
     size = 1 << k
-    for edge in net.edges:
-        table = symbols.get(edge.id)
+    edges = net.edges
+    for eid in edges:
+        table = symbols.get(eid)
         if (
             not isinstance(table, np.ndarray)
             or table.shape != (size, size)
@@ -320,15 +295,16 @@ def make_network_code(net, k, symbols, decoder):
             raise ZefcError(
                 "bad_network_code",
                 f"each edge needs a {size}x{size} integer symbol table",
-                edge=edge.id,
+                edge=eid,
             )
     words = np.arange(size)
     # What each node sees at each (x, y), x major, as numbers: s1 sees x and s2 sees y.
     seen = {"s1": np.repeat(words, size), "s2": np.tile(words, size)}
-    for edge in net.edges:
-        if edge.tail not in seen:
-            seen[edge.tail] = _tuple_ids(symbols, net.in_edges(edge.tail))[0]
-        feed, table = seen[edge.tail], symbols[edge.id].ravel()
+    tails = [tail for (_, tail, _), count in zip(LAYOUT, net.sizes) for _ in range(count)]
+    for eid, tail in zip(edges, tails):
+        if tail not in seen:
+            seen[tail] = _tuple_ids(symbols, net.in_edges(tail))[0]
+        feed, table = seen[tail], symbols[eid].ravel()
         # The edge is computable iff it holds one symbol per value its tail sees.
         value = np.empty(feed.max() + 1, dtype=table.dtype)
         value[feed] = table
@@ -336,13 +312,13 @@ def make_network_code(net, k, symbols, decoder):
             raise ZefcError(
                 "bad_network_code",
                 "an edge's symbols must follow from what its tail sees",
-                edge=edge.id,
+                edge=eid,
             )
-    n_e = {e.id: _bits_for(np.unique(symbols[e.id]).size) for e in net.edges}
+    n_e = {eid: _bits_for(np.unique(symbols[eid]).size) for eid in edges}
     return KShotNetworkCode(
         network=net,
         k=k,
-        symbols={e.id: symbols[e.id] for e in net.edges},
+        symbols={eid: symbols[eid] for eid in edges},
         decoder=dict(decoder),
         n_e=n_e,
         n=max(n_e.values()),
@@ -364,7 +340,6 @@ def transform_code(code, caps):
     if code.k > MAX_EXHAUSTIVE_K:
         raise ZefcError("k_too_large", f"network codes are limited to k<={MAX_EXHAUSTIVE_K}", k=code.k)
     net = build_network(caps)
-    c1, c2 = net.c1, net.c2
     k = code.k
     acct = rate_account(code, caps)
     size = 1 << k
@@ -377,9 +352,9 @@ def transform_code(code, caps):
             "declared image sizes disagree with the realized encoder images",
             realized=realized,
         )
-    word_chunks = _chunk_layout(k, c1)
-    label1_chunks = _chunk_layout(_bits_for(code.im1), c1)
-    label2_chunks = _chunk_layout(_bits_for(code.im2), c2)
+    word_chunks = _chunk_layout(k, net.c1)
+    label1_chunks = _chunk_layout(_bits_for(code.im1), net.c1)
+    label2_chunks = _chunk_layout(_bits_for(code.im2), net.c2)
     if max(w for _, w in label1_chunks) > acct.n1 or max(w for _, w in label2_chunks) > acct.n2:
         raise ZefcError("image_over_budget", "encoder image does not fit the channel bundle")
 
@@ -387,13 +362,11 @@ def transform_code(code, caps):
     x = np.broadcast_to(words[:, None], (size, size))
     y = np.broadcast_to(words[None, :], (size, size))
     symbols = {}
-    for bundle, values, layout in zip(
-        net.bundles,
-        (x, y, y, code.phi1, phi2),
-        (word_chunks, word_chunks, word_chunks, label1_chunks, label2_chunks),
+    for b, (values, chunks) in enumerate(
+        zip((x, y, y, code.phi1, phi2), (word_chunks,) * 3 + (label1_chunks, label2_chunks))
     ):
-        for edge, (offset, width) in zip(bundle, layout):
-            symbols[edge.id] = (values >> offset) & ((1 << width) - 1)
+        for eid, (offset, width) in zip(_bundle_ids(net, b, len(chunks)), chunks):
+            symbols[eid] = (values >> offset) & ((1 << width) - 1)
     # Each sink tuple spells out one label pair, which decodes through psi.
     ids, tuples = _tuple_ids(symbols, net.in_edges(SINK))
     sums = np.empty(len(tuples), dtype=np.int64)
@@ -428,9 +401,9 @@ def inverse_transform(ncode):
     Each encoder's label is the tuple of symbols on its relay's edges into the sink,
     numbered in order of first appearance.
     """
-    size = 1 << ncode.k
+    size, net = 1 << ncode.k, ncode.network
     (phi1, wide), (phi2, narrow) = (
-        _tuple_ids(ncode.symbols, bundle) for bundle in ncode.network.bundles[3:]
+        _tuple_ids(ncode.symbols, _bundle_ids(net, b, net.sizes[b])) for b in (3, 4)
     )
     phi1, phi2 = phi1.reshape(size, size), phi2.reshape(size, size)
     if (phi2 != phi2[:1]).any():
@@ -482,5 +455,5 @@ def nontightness_report(caps):
         witness_cut=bound.witness,
         witness_ncf=bound.witness_ncf,
         gap=gap,
-        edges=len(net.edges),
+        edges=sum(net.sizes),
     )

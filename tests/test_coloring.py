@@ -101,6 +101,24 @@ def test_qk_witness_is_the_bruteforce_first_minimum():
         assert q_k(k, l).witness == ["".join(map(str, word)) for word in want], (k, l)
 
 
+def test_qk_table_refuses_a_subset_below_the_prefix(monkeypatch):
+    # q_k_table reads each value off the word prefix; a union table in which the
+    # one-word subset {01} is smaller than {00} must not pass as exact.
+    real = coloring._union_counts
+
+    def fewer_for_word_one(k):
+        counts, ells = real(k)
+        counts = counts.copy()
+        counts[0b10] = counts[0b1] - 1
+        return counts, ells
+
+    monkeypatch.setattr(coloring, "_union_counts", fewer_for_word_one)
+    with pytest.raises(ZefcError) as err:
+        q_k_table(2)
+    assert err.value.code == "qk_prefix_not_minimal"
+    assert err.value.details["k"] == 2
+
+
 def test_qk_witness_achieves_value():
     for k in (2, 3):
         for l in (1, 2, 3):

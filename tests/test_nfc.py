@@ -1,5 +1,6 @@
 """Network family, cut bounds, and code transforms against the raw-definition oracles."""
 
+import dataclasses
 import itertools
 import math
 import types
@@ -25,8 +26,9 @@ from zefc.codec import (
 )
 from zefc.errors import ZefcError
 from zefc.nfc import (
-    Edge,
+    LAYOUT,
     Network,
+    _bundle_ids,
     _tuple_ids,
     build_network,
     check_network_admissible,
@@ -59,53 +61,114 @@ BOUND_TABLE = {
     (6, 1): (4.4165082750002025, 4.154648767857287, 0.2618595071429155),
 }
 
-# Bound value, witness cut and its class count for every cap pair with c1+c2 <= 8,
-# as the exhaustive subset search (<= 20 edges) and the per-bundle count search
-# (> 20 edges) reported them. The `nfc` report prints all three.
+# Bound value, witness cut, its class count and the number of cut states scored,
+# for every c1 >= c2 >= 1 with c1 + c2 <= 14 and at (100,37), (400,400) and (499,4),
+# as recorded from the edge-object network that the size-only one replaced. The
+# witness is each bundle's count of leading edges; `_witness_ids` spells it out.
+# Networks up to 20 edges break ties by edge order, larger ones by per-bundle
+# counts, so (5,3) reports e1..e5 where d1..d5 ties with it. The `nfc` report
+# prints value, witness and class count; perfbench reads cuts_seen.
 GUANG_TABLE = {
-    (1, 1): (1.0, "d1", 2),
-    (2, 1): (1.8927892607143724, "e1 e2 e3", 3),
-    (3, 1): (2.52371901428583, "e1 e2 e3 e4", 3),
-    (2, 2): (2.0, "d1 d2", 2),
-    (4, 1): (3.1546487678572874, "e1 e2 e3 e4 e5", 3),
-    (3, 2): (3.0, "d1 d2 d3", 2),
-    (5, 1): (3.7855785214287447, "e1 e2 e3 e4 e5 e6", 3),
-    (4, 2): (3.7855785214287447, "e1 e2 e3 e4 e5 e6", 3),
-    (3, 3): (3.0, "d1 d2 d3", 2),
-    (6, 1): (4.4165082750002025, "e1 e2 e3 e4 e5 e6 e7", 3),
-    (5, 2): (4.4165082750002025, "e1 e2 e3 e4 e5 e6 e7", 3),
-    (4, 3): (4.0, "d1 d2 d3 d4", 2),
-    (7, 1): (5.04743802857166, "e1 e2 e3 e4 e5 e6 e7 e8", 3),
-    (6, 2): (5.04743802857166, "e1 e2 e3 e4 e5 e6 e7 e8", 3),
-    (5, 3): (5.0, "e1 e2 e3 e4 e5", 2),
-    (4, 4): (4.0, "d1 d2 d3 d4", 2),
+    (1, 1): (1.0, (1, 0, 0, 0, 0), 2, 27),
+    (2, 1): (1.8927892607143724, (0, 0, 0, 2, 1), 3, 106),
+    (3, 1): (2.52371901428583, (0, 0, 0, 3, 1), 3, 106),
+    (2, 2): (2.0, (2, 0, 0, 0, 0), 2, 155),
+    (4, 1): (3.1546487678572874, (0, 0, 0, 4, 1), 3, 106),
+    (3, 2): (3.0, (3, 0, 0, 0, 0), 2, 155),
+    (5, 1): (3.7855785214287447, (0, 0, 0, 5, 1), 3, 106),
+    (4, 2): (3.7855785214287447, (0, 0, 0, 4, 2), 3, 155),
+    (3, 3): (3.0, (3, 0, 0, 0, 0), 2, 155),
+    (6, 1): (4.4165082750002025, (0, 0, 0, 6, 1), 3, 106),
+    (5, 2): (4.4165082750002025, (0, 0, 0, 5, 2), 3, 155),
+    (4, 3): (4.0, (4, 0, 0, 0, 0), 2, 155),
+    (7, 1): (5.04743802857166, (0, 0, 0, 7, 1), 3, 106),
+    (6, 2): (5.04743802857166, (0, 0, 0, 6, 2), 3, 155),
+    (5, 3): (5.0, (0, 0, 0, 5, 0), 2, 155),
+    (4, 4): (4.0, (4, 0, 0, 0, 0), 2, 155),
+    (8, 1): (5.678367782143117, (0, 0, 0, 8, 1), 3, 106),
+    (7, 2): (5.678367782143117, (0, 0, 0, 7, 2), 3, 155),
+    (6, 3): (5.678367782143117, (0, 0, 0, 6, 3), 3, 155),
+    (5, 4): (5.0, (0, 0, 0, 5, 0), 2, 155),
+    (9, 1): (6.309297535714575, (0, 0, 0, 9, 1), 3, 106),
+    (8, 2): (6.309297535714575, (0, 0, 0, 8, 2), 3, 155),
+    (7, 3): (6.309297535714575, (0, 0, 0, 7, 3), 3, 155),
+    (6, 4): (6.0, (0, 0, 0, 6, 0), 2, 155),
+    (5, 5): (5.0, (0, 0, 0, 5, 0), 2, 155),
+    (10, 1): (6.940227289286033, (0, 0, 0, 10, 1), 3, 106),
+    (9, 2): (6.940227289286033, (0, 0, 0, 9, 2), 3, 155),
+    (8, 3): (6.940227289286033, (0, 0, 0, 8, 3), 3, 155),
+    (7, 4): (6.940227289286033, (0, 0, 0, 7, 4), 3, 155),
+    (6, 5): (6.0, (0, 0, 0, 6, 0), 2, 155),
+    (11, 1): (7.5711570428574895, (0, 0, 0, 11, 1), 3, 106),
+    (10, 2): (7.5711570428574895, (0, 0, 0, 10, 2), 3, 155),
+    (9, 3): (7.5711570428574895, (0, 0, 0, 9, 3), 3, 155),
+    (8, 4): (7.5711570428574895, (0, 0, 0, 8, 4), 3, 155),
+    (7, 5): (7.0, (0, 0, 0, 7, 0), 2, 155),
+    (6, 6): (6.0, (0, 0, 0, 6, 0), 2, 155),
+    (12, 1): (8.202086796428947, (0, 0, 0, 12, 1), 3, 106),
+    (11, 2): (8.202086796428947, (0, 0, 0, 11, 2), 3, 155),
+    (10, 3): (8.202086796428947, (0, 0, 0, 10, 3), 3, 155),
+    (9, 4): (8.202086796428947, (0, 0, 0, 9, 4), 3, 155),
+    (8, 5): (8.0, (0, 0, 0, 8, 0), 2, 155),
+    (7, 6): (7.0, (0, 0, 0, 7, 0), 2, 155),
+    (13, 1): (8.833016550000405, (0, 0, 0, 13, 1), 3, 106),
+    (12, 2): (8.833016550000405, (0, 0, 0, 12, 2), 3, 155),
+    (11, 3): (8.833016550000405, (0, 0, 0, 11, 3), 3, 155),
+    (10, 4): (8.833016550000405, (0, 0, 0, 10, 4), 3, 155),
+    (9, 5): (8.833016550000405, (0, 0, 0, 9, 5), 3, 155),
+    (8, 6): (8.0, (0, 0, 0, 8, 0), 2, 155),
+    (7, 7): (7.0, (0, 0, 0, 7, 0), 2, 155),
+    (100, 37): (86.43737623928968, (0, 0, 0, 100, 37), 3, 155),
+    (400, 400): (400.0, (0, 0, 0, 400, 0), 2, 155),
+    (499, 4): (317.3576660464431, (0, 0, 0, 499, 4), 3, 155),
 }
+
+
+def _witness_ids(c1, c2, counts):
+    """Ids of each bundle's first count edges, read off the oracle's edge list."""
+    edges = net_edges(c1, c2)
+    starts = itertools.accumulate((c1, c1, c1, c1), initial=0)
+    return tuple(edges[start + i][0] for start, count in zip(starts, counts) for i in range(count))
+
+
+def _layout_edges(net):
+    """(id, tail, head) of every edge, from the layout table and the bundle sizes."""
+    return [
+        (eid, tail, head)
+        for b, ((_, tail, head), size) in enumerate(zip(LAYOUT, net.sizes))
+        for eid in _bundle_ids(net, b, size)
+    ]
+
+
+def _smallest_cuts(net):
+    """Each bundle state with its smallest cut: every bundle's first edges, as many as it counts."""
+    for state in itertools.product(*(sorted({0, 1, size}) for size in net.sizes)):
+        yield state, tuple(eid for b, count in enumerate(state) for eid in _bundle_ids(net, b, count))
 
 
 def test_network_shape_21():
     net = build_network(CAPS21)
-    assert [e.id for e in net.edges] == ["d1", "d2", "d3", "d4", "d5", "d6", "e1", "e2", "e3"]
-    assert [(e.id, e.tail, e.head) for e in net.edges] == net_edges(2, 1)
-    assert [[(e.id, e.tail, e.head) for e in bundle] for bundle in net.bundles] == [
-        [("d1", "s1", "v1"), ("d2", "s1", "v1")],
-        [("d3", "s2", "v1"), ("d4", "s2", "v1")],
-        [("d5", "s2", "v2"), ("d6", "s2", "v2")],
-        [("e1", "v1", "rho"), ("e2", "v1", "rho")],
-        [("e3", "v2", "rho")],
+    assert net == Network(c1=2, c2=1)
+    assert net.sizes == (2, 2, 2, 2, 1)
+    assert net.edges == ("d1", "d2", "d3", "d4", "d5", "d6", "e1", "e2", "e3")
+    assert _layout_edges(net) == net_edges(2, 1)
+    assert [_bundle_ids(net, b, size) for b, size in enumerate(net.sizes)] == [
+        ("d1", "d2"), ("d3", "d4"), ("d5", "d6"), ("e1", "e2"), ("e3",)
     ]
+    assert [_bundle_ids(net, b, 1) for b in range(5)] == [("d1",), ("d3",), ("d5",), ("e1",), ("e3",)]
 
 
 def test_network_shape_11():
     net = build_network(CAPS11)
-    assert net.edges[0] == Edge("d1", "s1", "v1")
-    assert [e.id for e in net.edges] == ["d1", "d2", "d3", "e1", "e2"]
-    assert [(e.id, e.tail, e.head) for e in net.edges] == net_edges(1, 1)
+    assert _layout_edges(net)[0] == ("d1", "s1", "v1")
+    assert net.edges == ("d1", "d2", "d3", "e1", "e2")
+    assert _layout_edges(net) == net_edges(1, 1)
 
 
 def test_network_shape_32():
     net = build_network(ChannelCaps.of("3", "2"))
-    assert len(net.edges) == 14
-    assert [len(bundle) for bundle in net.bundles] == [3, 3, 3, 3, 2]
+    assert len(net.edges) == sum(net.sizes) == 14
+    assert net.sizes == (3, 3, 3, 3, 2)
 
 
 def test_build_network_refuses_oversized_networks():
@@ -152,7 +215,7 @@ def test_classify_canonical_order_and_unknown_edge():
 
 def test_enumerate_cut_counts():
     def cut_sets(net):
-        ids = [e.id for e in net.edges]
+        ids = net.edges
         return [
             combo
             for r in range(1, len(ids) + 1)
@@ -229,10 +292,12 @@ def test_class_count_matches_oracle_22():
     net = build_network(ChannelCaps.of("2", "2"))
     edges = net_edges(2, 2)
     counts = []
-    for state, cls in net.state_classes.items():
+    for state, cut in _smallest_cuts(net):
+        cls = classify_cut(net, cut)
+        assert cls.state == state
         if cls.is_cut and sum(state) <= 6:
             counts.append(n_cf(net, cls))
-            assert counts[-1] == class_count_oracle(edges, cls.cut), state
+            assert counts[-1] == class_count_oracle(edges, cut), state
     assert len(counts) == 105
     assert counts.count(4) == 2
 
@@ -258,11 +323,14 @@ def test_guang_bound_11():
 
 
 def test_guang_bound_frozen_table():
-    for (c1, c2), (value, witness, witness_ncf) in GUANG_TABLE.items():
+    for (c1, c2), (value, counts, witness_ncf, cuts_seen) in GUANG_TABLE.items():
         bound = guang_bound(build_network(ChannelCaps.of(str(c1), str(c2))))
         assert bound.value == value, (c1, c2)
-        assert bound.witness == tuple(witness.split()), (c1, c2)
+        assert bound.witness == _witness_ids(c1, c2, counts), (c1, c2)
         assert bound.witness_ncf == witness_ncf, (c1, c2)
+        assert bound.cuts_seen == cuts_seen, (c1, c2)
+    assert _witness_ids(5, 3, (0, 0, 0, 5, 0)) == ("e1", "e2", "e3", "e4", "e5")
+    assert _witness_ids(2, 1, (0, 0, 0, 2, 1)) == ("e1", "e2", "e3")
 
 
 def test_guang_bound_matches_closed_form_sweep():
@@ -316,11 +384,11 @@ def test_network_lookups_match_edge_scans():
     for c1, c2 in ((1, 1), (3, 2), (5, 2)):
         net = build_network(ChannelCaps.of(str(c1), str(c2)))
         edges = net_edges(c1, c2)
-        assert [(e.id, e.tail, e.head) for e in net.edges] == edges
+        assert _layout_edges(net) == edges
+        assert net.edges == tuple(edge[0] for edge in edges)
         for node in ("s1", "s2", "v1", "v2", "rho"):
-            want = [edge for edge in edges if edge[2] == node]
-            assert [(e.id, e.tail, e.head) for e in net.in_edges(node)] == want, (c1, c2, node)
-        assert net.position == {edge[0]: i for i, edge in enumerate(edges)}
+            want = tuple(edge[0] for edge in edges if edge[2] == node)
+            assert net.in_edges(node) == want, (c1, c2, node)
 
 
 def test_state_classes_match_graph_walk():
@@ -329,11 +397,12 @@ def test_state_classes_match_graph_walk():
         for c2 in range(1, min(c1, 8 - c1) + 1):
             net = build_network(ChannelCaps.of(str(c1), str(c2)))
             edges = net_edges(c1, c2)
-            for state, entry in net.state_classes.items():
-                assert entry.state == state
+            for state, cut in _smallest_cuts(net):
+                entry = classify_cut(net, cut)
+                assert entry.state == state, (c1, c2, state)
+                assert entry.cut == cut, (c1, c2, state)
                 sets = (entry.i_c, entry.j_c, entry.k_c)
-                assert sets == classify(edges, entry.cut), (c1, c2, state)
-                assert classify_cut(net, entry.cut).state == state, (c1, c2, state)
+                assert sets == classify(edges, cut), (c1, c2, state)
 
 
 def test_transform_split_code_k3():
@@ -352,11 +421,11 @@ def test_tuple_ids_match_first_seen_oracle():
     for k in range(1, 5):
         size = 1 << k
         for width, distinct in ((1, 3), (2, 4 ** k), (5, 6), (12, 9), (12, 4 ** k)):
-            edges = [Edge(f"e{i}", "v1", "rho") for i in range(width)]
+            edges = [f"e{i}" for i in range(width)]
             # Rows drawn from a small pool repeat, so first appearance is not row order.
             pool = rng.choice(palette, size=(distinct, width))
             rows = pool[rng.integers(0, distinct, size * size)]
-            symbols = {e.id: rows[:, i].reshape(size, size) for i, e in enumerate(edges)}
+            symbols = {eid: rows[:, i].reshape(size, size) for i, eid in enumerate(edges)}
             ids, tuples = _tuple_ids(symbols, edges)
             want_ids, want_tuples = first_seen_tuples(rows.T.tolist())
             assert ids.tolist() == want_ids, (k, width)
@@ -381,13 +450,13 @@ def test_transform_sink_information_budget():
     for k in range(1, 6):
         code = build_split_code_01(k, CAPS21)
         ncode = transform_code(code, CAPS21)
-        sink_ids = [e.id for e in ncode.network.in_edges("rho")]
+        sink_ids = ncode.network.in_edges("rho")
         product = math.prod(np.unique(ncode.symbols[eid]).size for eid in sink_ids)
         assert product >= 3**k
 
 
 def _sink_tables(ncode):
-    return [ncode.symbols[e.id].tolist() for e in ncode.network.in_edges("rho")]
+    return [ncode.symbols[eid].tolist() for eid in ncode.network.in_edges("rho")]
 
 
 def test_network_admissibility_matches_oracle():
@@ -439,18 +508,12 @@ def test_transform_k_guard():
 
 
 def test_inverse_transform_rejects_x_dependent_narrow_edge():
-    bundles = (
-        (Edge("d1", "s1", "v1"),),
-        (Edge("d2", "s2", "v1"),),
-        (Edge("d3", "s1", "v2"),),
-        (Edge("e1", "v1", "rho"),),
-        (Edge("e2", "v2", "rho"),),
-    )
-    net = Network(c1=1, c2=1, bundles=bundles)
+    # make_network_code refuses an x-dependent e2 (v2 sees only y), so the table is
+    # swapped in after the code is built.
+    ncode = transform_code(build_split_code_01(1, CAPS11), CAPS11)
     x = np.broadcast_to(np.arange(2)[:, None], (2, 2))
-    y = np.broadcast_to(np.arange(2)[None, :], (2, 2))
-    symbols = {"d1": x, "d2": y, "d3": x, "e1": x + y, "e2": x}
-    ncode = make_network_code(net, 1, symbols, {(a, b): a for a in range(3) for b in range(2)})
+    bad = dataclasses.replace(ncode, symbols={**ncode.symbols, "e2": x})
     with pytest.raises(ZefcError) as err:
-        inverse_transform(ncode)
+        inverse_transform(bad)
     assert err.value.code == "bad_network_code"
+    assert check_admissible(inverse_transform(ncode)).ok
