@@ -19,6 +19,8 @@ from .codec import (
     rate_account,
 )
 from .coloring import (
+    EXACT_CHIM_LIMIT,
+    EXACT_QK_LIMIT,
     chi,
     chi_m_table,
     mixed_min_pair_sumset,
@@ -138,7 +140,7 @@ def run_criterion_3():
     started = time.perf_counter()
     failures = []
     tau = LOG2_3 - 1
-    tables = {k: q_k_table(k) for k in range(1, 5)}
+    tables = {k: q_k_table(k) for k in range(1, EXACT_QK_LIMIT + 1)}
     for k, table in tables.items():
         for l in range(1, (1 << k) + 1):
             bound = math.ceil((1 << k) * l**tau - 1e-9)
@@ -146,12 +148,12 @@ def run_criterion_3():
                 failures.append(f"Q_{k}({l}) = {table[l].value} < {bound}")
             if k <= 2 and l in (1, 2, 1 << k) and table[l].value != bound:
                 failures.append(f"Q_{k}({l}) = {table[l].value} != bound {bound} (equality case)")
-    for k in range(1, 4):
+    for k in range(1, EXACT_CHIM_LIMIT + 1):
         for m, result in chi_m_table(k).items():
             floor = tables[k][math.ceil((1 << k) / m)].value
             if result.value < floor:
                 failures.append(f"chi_{m} at k={k}: {result.value} < Q_k bound {floor}")
-    details = {"qk_k_max": 4, "chim_k_max": 3}
+    details = {"qk_k_max": EXACT_QK_LIMIT, "chim_k_max": EXACT_CHIM_LIMIT}
     return _finish("coloring_converse", 60.0, started, failures, details)
 
 

@@ -11,7 +11,6 @@ from .acceptance import run_all
 from .capacity import capacity, construct_for_case
 from .codec import ChannelCaps, SwitchPair, check_admissible, code_text, rate_account
 from .coloring import (
-    EXACT_QK_LIMIT,
     chi_m,
     chi_m_table,
     mixed_min_pair_sumset,
@@ -180,24 +179,17 @@ def _cmd_verify(args):
 
 
 def _cmd_qk(args):
-    if args.k < 1:
-        raise ZefcError("bad_k", "k must be at least 1", k=args.k)
-    if not args.bracket and args.k > EXACT_QK_LIMIT:
-        raise ZefcError(
-            "exact_mode_limit",
-            f"exact mode limited to k<={EXACT_QK_LIMIT}; use --bracket",
-            k=args.k,
-        )
     if args.l is not None:
         results = [q_k(args.k, args.l, bracket=args.bracket)]
+    elif not args.bracket:
+        results = list(q_k_table(args.k).values())[1:]
     elif args.k > MAX_QK_TABLE_K:
         raise ZefcError(
             "bad_arguments", f"--l is required for k>{MAX_QK_TABLE_K} (the table has 2^k rows)"
         )
-    elif args.bracket:
-        results = [q_k(args.k, l, bracket=True) for l in range(1, (1 << args.k) + 1)]
     else:
-        results = list(q_k_table(args.k).values())[1:]
+        # A k below 1 reaches q_k, which refuses it, instead of a negative shift.
+        results = [q_k(args.k, l, bracket=True) for l in range(1, (1 << max(args.k, 0)) + 1)]
     rows = []
     for result in results:
         row = {

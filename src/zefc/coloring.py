@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bitspace import sum_rows, sumset, word_to_string
+from .bitspace import digit_strings, sum_rows, sumset, word_to_string
 from .errors import ZefcError
 
 TAU = math.log2(3) - 1
@@ -133,33 +133,30 @@ def colex_prefix_value(k, l):
 
 def q_k(k, l, bracket=False):
     """Minimum |A^k + L| over subsets of size l: exact for k <= 4, else bracketed."""
-    if k < 1:
+    if not bracket:
+        table = q_k_table(k)
+    elif k < 1:
         raise ZefcError("bad_k", "k must be at least 1", k=k)
-    if k > MAX_BRACKET_K:
+    elif k > MAX_BRACKET_K:
         raise ZefcError("k_too_large", f"Q_k is limited to k<={MAX_BRACKET_K}", k=k)
     if not 0 <= l <= (1 << k):
         raise ZefcError("bad_ell", "subset size must lie in [0, 2^k]", k=k, l=l)
-    if l == 0:
-        return QkResult(k=k, l=l, value=0, lower=0, upper=0, exact=True, witness=[])
     if not bracket:
-        return q_k_table(k)[l]
-    upper = colex_prefix_value(k, l)
-    return QkResult(
-        k=k,
-        l=l,
-        value=upper,
-        lower=qk_lower_bound(k, l),
-        upper=upper,
-        exact=False,
-        witness=None,
-    )
+        return table[l]
+    return _qk_row(k, l, [] if l == 0 else None)  # l = 0 is exact: its witness is the empty set
+
+
+def _qk_row(k, l, witness):
+    """Q_k's row at l: C_k(l) over the h bound, exact when it names a witness."""
+    value = colex_prefix_value(k, l)
+    return QkResult(k, l, value, qk_lower_bound(k, l), value, witness is not None, witness)
 
 
 def q_k_table(k):
-    """Exact q_k for every subset size 0..2^k, from one union table.
+    """Exact q_k for every subset size 0..2^k: C_k(l), once the slice certificate holds.
 
-    The first l words attain the least union size at every l <= 2^k for k <= 4, and
-    as the first l-subset in itertools.combinations order they are the witness.
+    The witness is the first l words, the first l-subset in itertools.combinations
+    order, hence the first minimal one.
     """
     if k < 1:
         raise ZefcError("bad_k", "k must be at least 1", k=k)
@@ -169,23 +166,29 @@ def q_k_table(k):
             f"exact mode limited to k<={EXACT_QK_LIMIT}; use --bracket",
             k=k,
         )
-    words = [word_to_string(y, k, 2) for y in range(1 << k)]
-    counts, ells = _union_counts(k)
-    values = counts[(1 << np.arange((1 << k) + 1)) - 1]
-    if (counts < values[ells]).any():
-        raise ZefcError("qk_prefix_not_minimal", "a subset beats the word prefix of its size", k=k)
-    return {
-        l: QkResult(
-            k=k,
-            l=l,
-            value=value,
-            lower=qk_lower_bound(k, l),
-            upper=colex_prefix_value(k, l),
-            exact=True,
-            witness=words[:l],
-        )
-        for l, value in enumerate(values.tolist())
-    }
+    _certify_prefix(k)
+    words = digit_strings(k, 2)
+    return {l: _qk_row(k, l, list(words[:l])) for l in range(len(words) + 1)}
+
+
+def _certify_prefix(k):
+    """Prove Q_j = C_j, the word prefix's sumset size, at every j <= k, or raise.
+
+    Slice L by the last digit of its words, as in verify_sumset_lower_bound,
+    with la >= lb the slice sizes. Q_(j-1) increases and the union of the two
+    slice sumsets is at least either one, so |A^j + L| >= 2*Q_(j-1)(la) +
+    Q_(j-1)(lb). From Q_0 = C_0, Q_j >= C_j follows once every split of every
+    l <= 2^j has 2*C_(j-1)(la) + C_(j-1)(lb) >= C_j(l); the prefix attains C_j.
+    C_(j-1) is padded with 3^j above 2^(j-1), so a split with a slice larger
+    than that is never the least.
+    """
+    for j in range(1, k + 1):
+        half = 1 << (j - 1)
+        values = np.full(2 * half + 1, 3**j, dtype=np.int64)
+        values[: half + 1] = [colex_prefix_value(j - 1, l) for l in range(half + 1)]
+        for l, lhs, _ in _aitch_splits(values):
+            if lhs.min() < colex_prefix_value(j, l):
+                raise ZefcError("qk_prefix_not_minimal", "a split beats the word prefix", k=j, l=l)
 
 
 def chi_m_table(k):
@@ -220,7 +223,7 @@ def chi_m_table(k):
             best[m], pick[m] = worst, tuple(blocks)
 
     grow(0, [])
-    words = [word_to_string(y, k, 2) for y in range(size)]
+    words = digit_strings(k, 2)
     table = {}
     for m in sorted(best):
         witness = tuple(tuple(w for y, w in enumerate(words) if mask >> y & 1) for mask in pick[m])
@@ -236,15 +239,14 @@ def chi_m(k, m):
     return table[m]
 
 
-def _aitch_splits(tau, l_max):
-    """Per l = 1..l_max, in order: (l, lhs, rhs) with lhs[lb] = 2*h(l - lb) + h(lb).
+def _aitch_splits(h):
+    """Per l = 1..len(h) - 1, in order: (l, lhs, rhs) with lhs[lb] = 2*h[l - lb] + h[lb].
 
-    lb runs over 0..l // 2 and rhs = 2*h(l). h is evaluated once per l; each l's
-    splits are then one vector, with the float operations of a scalar loop, so
-    lhs and rhs equal its values bit for bit.
+    lb runs over 0..l // 2 and rhs = 2*h[l]. Each l's splits are one vector,
+    with the operations of a scalar loop, so for float h lhs and rhs equal its
+    values bit for bit.
     """
-    h = np.array([aitch_tau(tau, l) for l in range(l_max + 1)])
-    for l in range(1, l_max + 1):
+    for l in range(1, len(h)):
         splits = l // 2 + 1
         yield l, 2 * h[l::-1][:splits] + h[:splits], 2 * h[l]
 
@@ -255,7 +257,7 @@ def _aitch_violations(tau, l_max):
     lb is the increasing array of splits lb <= l // 2 with
     2*h(l - lb) + h(lb) < 2*h(l), lhs their left sides and rhs = 2*h(l).
     """
-    for l, lhs, rhs in _aitch_splits(tau, l_max):
+    for l, lhs, rhs in _aitch_splits(np.array([aitch_tau(tau, l) for l in range(l_max + 1)])):
         lb = np.flatnonzero(lhs < rhs - 1e-9)
         if len(lb):
             yield l, lb, lhs[lb], float(rhs)
@@ -335,7 +337,7 @@ def _exhaustive_entry(k):
     power = (ells & (ells - 1)) == 0
     power[0] = False  # the empty mask, which is not checked
     violations = [(int(m), int(ells[m]), int(counts[m])) for m in np.nonzero(counts < bounds)[0]]
-    words = [word_to_string(y, k, 2) for y in range(size)]
+    words = digit_strings(k, 2)
     subsets = {}
     for mask in map(int, np.nonzero(power & (counts == bounds))[0]):
         subsets.setdefault(int(ells[mask]), []).append(
@@ -376,7 +378,7 @@ def verify_sumset_lower_bound(k_max):
         raise ZefcError("k_too_large", message, k_max=k_max)
     entries = [_exhaustive_entry(k) for k in range(1, min(k_max, EXACT_QK_LIMIT) + 1)]
     failed, margin, split = [], math.inf, None
-    for l, lhs, rhs in _aitch_splits(TAU, 1 << k_max):
+    for l, lhs, rhs in _aitch_splits(np.array([aitch(l) for l in range((1 << k_max) + 1)])):
         failed += [[l - b, b] for b in np.flatnonzero(lhs < rhs - 1e-9).tolist()]
         gaps = lhs[1 : (l + 1) // 2] - rhs
         if len(gaps) and gaps.min() < margin:

@@ -151,6 +151,36 @@ def slice_identity_holds(k):
     return True
 
 
+def prefix_sizes(k):
+    """|A^k + L| for L the first l words of all_words(2, k), l = 0..2^k, one union at a time.
+
+    A^k + w is the product of the digit sets {w_i, w_i + 1}.
+    """
+    sums, sizes = set(), [0]
+    for word in all_words(2, k):
+        sums.update(itertools.product(*[(d, d + 1) for d in word]))
+        sizes.append(len(sums))
+    return sizes
+
+
+def prefix_certificate(k):
+    """Every split failing 2*P_(j-1)(la) + P_(j-1)(lb) >= P_j(la + lb), as (j, l, la, lb).
+
+    P_j is prefix_sizes(j), for each j = 1..k; the splits are la >= lb with
+    la <= 2^(j-1), over every l <= 2^j.
+    """
+    failed, below = [], prefix_sizes(0)
+    for j in range(1, k + 1):
+        sizes = prefix_sizes(j)
+        for l in range(1, len(sizes)):
+            for lb in range(l // 2 + 1):
+                la = l - lb
+                if la < len(below) and 2 * below[la] + below[lb] < sizes[l]:
+                    failed.append((j, l, la, lb))
+        below = sizes
+    return failed
+
+
 def set_partitions(items):
     """All set partitions of a list, blocks in first-seen order."""
     if not items:

@@ -261,6 +261,11 @@ BAD_INPUTS = (
     (f"capacity --case 11 --c1 {10**400}/3 --c2 1", "bad_caps"),
     ("qk --k -1", "bad_k"),
     ("qk --k -1 --bracket", "bad_k"),
+    ("qk --k 0", "bad_k"),
+    ("qk --k 11", "exact_mode_limit"),
+    ("qk --k 2000 --l 3", "exact_mode_limit"),
+    ("qk --k 9 --l 999", "exact_mode_limit"),
+    ("qk --k 3 --l 9", "bad_ell"),
     ("chim --k -1", "bad_k"),
     ("chim --k 0", "bad_k"),
 )

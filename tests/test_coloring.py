@@ -102,21 +102,34 @@ def test_qk_witness_is_the_bruteforce_first_minimum():
 
 
 def test_qk_table_refuses_a_subset_below_the_prefix(monkeypatch):
-    # q_k_table reads each value off the word prefix; a union table in which the
-    # one-word subset {01} is smaller than {00} must not pass as exact.
-    real = coloring._union_counts
+    # Mutation: C_2(3) one too large. The size-3 subsets sliced 2 + 1 then fall
+    # below it, 2*C_1(2) + C_1(1) = 8 < 9, so no table from k = 2 on passes as exact.
+    real = coloring.colex_prefix_value
+    monkeypatch.setattr(
+        coloring, "colex_prefix_value", lambda k, l: real(k, l) + ((k, l) == (2, 3))
+    )
+    assert q_k_table(1)[2].value == 3
+    for k in (2, 3, 4):
+        with pytest.raises(ZefcError) as err:
+            q_k_table(k)
+        assert err.value.code == "qk_prefix_not_minimal"
+        assert err.value.details == {"k": 2, "l": 3}
 
-    def fewer_for_word_one(k):
-        counts, ells = real(k)
-        counts = counts.copy()
-        counts[0b10] = counts[0b1] - 1
-        return counts, ells
 
-    monkeypatch.setattr(coloring, "_union_counts", fewer_for_word_one)
-    with pytest.raises(ZefcError) as err:
-        q_k_table(2)
-    assert err.value.code == "qk_prefix_not_minimal"
-    assert err.value.details["k"] == 2
+def test_exact_qk_builds_no_union_table(monkeypatch):
+    def refuse(k):
+        raise AssertionError(f"sum masks built at k = {k}")
+
+    monkeypatch.setattr(coloring, "_union_counts", refuse)
+    monkeypatch.setattr(coloring, "sum_rows", refuse)
+    assert [row.value for row in q_k_table(4).values()][1:] == list(Q_TABLES[4].values())
+    assert q_k(4, 7).value == Q_TABLES[4][7]
+
+
+def test_prefix_certificate_matches_oracle():
+    assert oracles.prefix_certificate(10) == []
+    for k in range(1, 11):
+        assert coloring._certify_prefix(k) is None  # it raises on a failing split
 
 
 def test_qk_witness_achieves_value():
@@ -167,11 +180,11 @@ def test_qk_exact_mode_refusal():
 
 
 def test_colex_prefix_matches_raw_sumsets():
-    for k in (1, 2, 3, 4):
-        words = oracles.all_words(2, k)
-        for l in range((1 << k) + 1):
-            want = len(oracles.raw_sumset(words, words[:l])) if l else 0
-            assert colex_prefix_value(k, l) == want
+    # The certificate proves Q_k >= C_k, which a C_k below the prefix's own
+    # sumset size also passes at k; this check compares C_k with that size.
+    for k in range(1, 11):
+        want = oracles.prefix_sizes(k)
+        assert [colex_prefix_value(k, l) for l in range((1 << k) + 1)] == want, k
 
 
 def test_qk_lower_bound_power_of_two_exact():
