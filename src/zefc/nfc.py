@@ -13,14 +13,14 @@ from .codec import MAX_EXHAUSTIVE_K, KShotCode, SwitchPair, first_seen, rate_acc
 from .errors import ZefcError
 
 # Bounds the edge ids a report lists. At this limit, caps (400,400) or (499,4),
-# `nontightness_report` takes 3-4 ms in-process (Python 3.11, one Xeon core).
+# `nontightness_report` takes about 2 ms in-process (Python 3.11, one Xeon core).
 MAX_NETWORK_EDGES = 2000
 # Tie-break among cuts of least ratio. Up to this many edges the witness is the cut
-# with fewest edges, first in edge order; above it, the one whose per-bundle edge
-# counts come first in lexicographic order, so (5,3) reports e1..e5 although d1..d5
-# ties with it. The recorded `nfc` reports carry both rules, so both stay.
+# with fewest edges, then most edges in the earliest bundle where two cuts differ,
+# which is first in edge order; above it, the one whose per-bundle edge counts come
+# first in lexicographic order, so (5,3) reports e1..e5 although d1..d5 ties with
+# it. The recorded `nfc` reports carry both rules, so both stay.
 EDGE_ORDER_WITNESS_EDGES = 20
-SOURCES = ("s1", "s2")
 SINK = "rho"
 # The five bundles of c1, c1, c1, c1 and c2 parallel edges, as (id letter, tail, head);
 # ids d1, d2, ... run through the d bundles and e1, e2, ... through the e ones, in order.
@@ -150,44 +150,45 @@ def classify_cut(net, cut):
         end += size
         count = len(ids.intersection(edges[end - size : end]))
         state.append(count if count in (0, size) else 1)
-    return _classified(net, tuple(state), tuple(eid for eid in edges if eid in ids))
+    i_c = frozenset(_cut_off([c == size for c, size in zip(state, net.sizes)]))
+    k_c = frozenset(s for s, bundles in _UPSTREAM.items() if any(state[b] for b in bundles))
+    return CutClassification(
+        cut=tuple(eid for eid in edges if eid in ids),
+        state=tuple(state),
+        i_c=i_c,
+        j_c=k_c - i_c,
+        k_c=k_c,
+    )
 
 
-def _classified(net, state, cut):
-    """I/J/K source sets of a bundle state: 0 untouched, 1 partly cut, the size if fully cut."""
-    full = [count == size for count, size in zip(state, net.sizes)]
-    i_c = frozenset(
+def _cut_off(full):
+    """Sources a bundle state disconnects, given which of its bundles are fully cut."""
+    return tuple(
         s for s, paths in _PATHS.items() if all(any(full[b] for b in path) for path in paths)
     )
-    k_c = frozenset(s for s, bundles in _UPSTREAM.items() if any(state[b] for b in bundles))
-    return CutClassification(cut=cut, state=state, i_c=i_c, j_c=k_c - i_c, k_c=k_c)
 
 
+# An lru_cache function only because perfbench/worker.py reads its cache_info().
 @functools.lru_cache(maxsize=None)
-def _structure_count(blocks_i, j_list):
-    """Best class product over side-context values, by source-set structure alone.
+def _structure_count(blocks):
+    """Class product of disjoint source blocks: 2 for a block of one source, 3 for both.
 
-    At each value of the J sources, a block's classes are the distinct x + y
-    signatures its sources leave over every value of the other sources; the count
-    is the product of the class numbers over the blocks.
+    A block's classes are the distinct x + y signatures its sources leave over every
+    value of the other sources. Held sources shift x + y but never merge its values,
+    so the side context does not change the count.
     """
-    best = 0
-    for fixed in itertools.product((0, 1), repeat=len(j_list)):
-        held = dict(zip(j_list, fixed))
-        prod = 1
-        for group in blocks_i:
-            others = [s for s in SOURCES if s not in held and s not in group]
-            keys = set()
-            for bits in itertools.product((0, 1), repeat=len(group)):
-                assign = {**held, **dict(zip(group, bits))}
-                sig = []
-                for values in itertools.product((0, 1), repeat=len(others)):
-                    assign.update(zip(others, values))
-                    sig.append(assign["s1"] + assign["s2"])
-                keys.add(tuple(sig))
-            prod *= len(keys)
-        best = max(best, prod)
-    return best
+    return math.prod(3 if len(block) == 2 else 2 for block in blocks)
+
+
+def _state_count(state, sizes):
+    """n_cf of a bundle state, or 0 if the state cuts off no source."""
+    full = [count == size for count, size in zip(state, sizes)]
+    i_c = _cut_off(full)
+    if not i_c:
+        return 0
+    if full[0] and full[1] and not state[3] and (full[2] or full[4]):
+        return _structure_count((("s1",), ("s2",)))
+    return _structure_count((i_c,))
 
 
 def n_cf(net, cls):
@@ -205,11 +206,7 @@ def n_cf(net, cls):
     """
     if not cls.is_cut:
         raise ZefcError("not_a_cut", "the class count is defined for cut sets only")
-    count = _structure_count((tuple(sorted(cls.i_c)),), tuple(sorted(cls.j_c)))
-    full = [c == size for c, size in zip(cls.state, net.sizes)]
-    if full[0] and full[1] and not cls.state[3] and (full[2] or full[4]):
-        count = max(count, _structure_count((("s1",), ("s2",)), ()))
-    return count
+    return _state_count(cls.state, net.sizes)
 
 
 def guang_bound(net):
@@ -222,14 +219,12 @@ def guang_bound(net):
     sizes = net.sizes
     states = list(itertools.product(*(sorted({0, 1, size}) for size in sizes)))
     if sum(sizes) <= EDGE_ORDER_WITNESS_EDGES:
-        starts = list(itertools.accumulate(sizes, initial=0))
-        states.sort(key=lambda st: (sum(st), [s + i for s, c in zip(starts, st) for i in range(c)]))
+        states.sort(key=lambda st: (sum(st), [-c for c in st]))
     best, best_state, witness_ncf, seen = None, None, None, 0
     for state in states:
-        cls = _classified(net, state, None)
-        if not cls.is_cut:
+        count = _state_count(state, sizes)
+        if not count:
             continue
-        count = n_cf(net, cls)
         seen += 1
         ratio = sum(state) / math.log2(count)
         if best is None or ratio < best - 1e-12:
