@@ -227,13 +227,30 @@ def run_criterion_6():
 
 
 def run_criterion_7():
-    """Minimum mixed-pair sumset equals 3 * 2^(k-1) for k = 1..8."""
+    """Minimum mixed-pair sumset is 3 * 2^(k-1) at k = 1..8, with its proof's premises.
+
+    On raw sets: the digit overlap table, the overlap of A^k + y1 and A^k + y2 as
+    the product of digit overlaps over every pair at k <= 3, and each witness.
+    """
     started = time.perf_counter()
-    failures = []
+    overlap = [[len({a, a + 1} & {b, b + 1}) for b in range(3)] for a in range(3)]
+    failures = [] if overlap == [[2, 1, 0], [1, 2, 1], [0, 1, 2]] else [f"overlap {overlap}"]
+
+    def shifted(k, y):
+        return {tuple(a + b for a, b in zip(x, y)) for x in itertools.product((0, 1), repeat=k)}
+
+    for k in (1, 2, 3):
+        sums = {y: shifted(k, y) for y in itertools.product(range(3), repeat=k)}
+        for y1, y2 in itertools.combinations(sums, 2):
+            if len(sums[y1] & sums[y2]) != math.prod(overlap[a][b] for a, b in zip(y1, y2)):
+                failures.append(f"k={k} {y1} {y2}: overlap is not the digit product")
     values = {}
     for k in range(1, 9):
         result = mixed_min_pair_sumset(k)
         values[k] = result.value
+        y1, y2 = (tuple(map(int, word)) for word in result.witness)
+        if y1 == y2 or len(shifted(k, y1) | shifted(k, y2)) != result.value:
+            failures.append(f"k={k}: witness {result.witness} does not reach {result.value}")
         if result.value != 3 * (1 << (k - 1)):
             failures.append(f"k={k}: {result.value} != {3 * (1 << (k - 1))}")
     details = {"values": values}

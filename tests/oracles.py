@@ -1,11 +1,15 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here works on plain tuples and sets: no packed integers, no bitmask
-tricks, no imports from zefc.  Intentionally slow and obvious.
+tricks, no imports from zefc.  Intentionally slow and obvious.  The one
+exception is mixed_min_pair_scan, a numpy scan of every ternary pair at k <= 8,
+where raw sets would take hours.
 """
 
 import itertools
 import math
+
+import numpy as np
 
 LOG2_3 = math.log2(3)
 
@@ -236,6 +240,38 @@ def mixed_min_pair_bruteforce(k):
         if best is None or size < best:
             best, wit = size, (y1, y2)
     return best, wit
+
+
+def mixed_min_pair_scan(k):
+    """Min over distinct ternary pairs of |A^k + {y1, y2}| and the first pair reaching it, k <= 8.
+
+    |A^k + {y1, y2}| = 2^(k+1) - M_k[y1, y2], where the overlap matrix M_k, over
+    packed words, is the Kronecker power of [[2,1,0],[1,2,1],[0,1,2]]. Rows go
+    in blocks of 3^j that share their high word hi, each block the columns from
+    3^j * hi on; a block replaces the best only when strictly larger, so the pair
+    is the first maximum of M_k above the diagonal in row-major order. Returns
+    (value, (y1, y2)) with the words as digit strings, position 1 first.
+    """
+    overlap = np.array([[2, 1, 0], [1, 2, 1], [0, 1, 2]], dtype=np.int16)
+
+    def power(n):
+        out = np.ones((1, 1), dtype=np.int16)
+        for _ in range(n):
+            out = np.kron(overlap, out)
+        return out
+
+    j = min(k, 4)
+    rows = 3**j
+    low, high = power(j), power(k - j)
+    not_above = np.tril(np.ones((rows, rows), dtype=bool))
+    best, pair = -1, None
+    for hi in range(len(high)):
+        block = (low[:, None, :] * high[hi, hi:][:, None]).reshape(rows, -1)
+        block[:, :rows][not_above] = -1
+        row, col = divmod(int(block.argmax()), block.shape[1])
+        if block[row, col] > best:
+            best, pair = int(block[row, col]), (hi * rows + row, hi * rows + col)
+    return (1 << (k + 1)) - best, tuple(digit_string(y, k, 3) for y in pair)
 
 
 # --- slow serializer for k-shot codes ------------------------------------------

@@ -101,19 +101,63 @@ def test_qk_witness_is_the_bruteforce_first_minimum():
         assert q_k(k, l).witness == ["".join(map(str, word)) for word in want], (k, l)
 
 
-def test_qk_table_refuses_a_subset_below_the_prefix(monkeypatch):
-    # Mutation: C_2(3) one too large. The size-3 subsets sliced 2 + 1 then fall
-    # below it, 2*C_1(2) + C_1(1) = 8 < 9, so no table from k = 2 on passes as exact.
-    real = coloring.colex_prefix_value
-    monkeypatch.setattr(
-        coloring, "colex_prefix_value", lambda k, l: real(k, l) + ((k, l) == (2, 3))
-    )
-    assert q_k_table(1)[2].value == 3
-    for k in (2, 3, 4):
-        with pytest.raises(ZefcError) as err:
-            q_k_table(k)
-        assert err.value.code == "qk_prefix_not_minimal"
-        assert err.value.details == {"k": 2, "l": 3}
+PROOF_K = 11
+
+
+def _qk_proof_failures(g, top):
+    """The steps of q_k_table's proof that fail on g, with g[l] = 2^K * F(l) for l <= 2^K.
+
+    All in integers, each identity times 2^K (2^(K+1) where it halves): F(0) = 0,
+    F(1) = 1, the low-digit recursion and monotonicity of F over g, then
+    D(a, b) >= 0 and its parity identities for every a >= b >= 0 with a + b <= top.
+    """
+    half = (len(g) - 1) // 2
+    failed = [] if g[:2] == [0, 2 * half] else [("base",)]
+    for l in range(half + 1):
+        if 2 * g[2 * l] != 3 * g[l]:
+            failed.append(("even", l))
+        if l < half and 2 * g[2 * l + 1] != g[l] + 2 * g[l + 1]:
+            failed.append(("odd", l))
+    failed += [("monotone", l) for l in range(2 * half) if g[l + 1] < g[l]]
+
+    def d(a, b):
+        return 2 * g[a] + g[b] - 2 * g[a + b]
+
+    for a in range(top + 1):
+        for b in range(min(a, top - a) + 1):
+            x, y = a // 2, b // 2
+            if b == 0 or (a % 2 and b % 2 and x == y):
+                twice = 0
+            elif a % 2 == 0 and b % 2 == 0:
+                twice = 3 * d(x, y)
+            elif b % 2 == 0:
+                twice = 2 * d(x + 1, y) + d(x, y)
+            elif a % 2 == 0:
+                twice = 2 * d(x, y + 1) + d(x, y)
+            else:
+                twice = d(x + 1, y) + d(x, y + 1) + d(x + 1, y + 1)
+                twice += 2 * (g[x + y + 2] - g[x + y + 1])
+            if 2 * d(a, b) != twice:
+                failed.append(("identity", a, b))
+            if d(a, b) < 0:
+                failed.append(("D", a, b))
+    return failed
+
+
+def test_qk_proof_holds_in_integers():
+    g = [colex_prefix_value(PROOF_K, l) for l in range((1 << PROOF_K) + 1)]
+    for k in range(PROOF_K + 1):
+        # The k-free form: C_k(l) * 2^(K - k) = C_K(l) for l <= 2^k.
+        scaled = [colex_prefix_value(k, l) << (PROOF_K - k) for l in range((1 << k) + 1)]
+        assert scaled == g[: len(scaled)], k
+    assert _qk_proof_failures(g, 512) == []
+
+
+def test_qk_proof_check_fails_on_a_mutated_recursion():
+    # Mutation: F(2l) = (3/2)*F(l) + 1 at l = 37 alone.
+    g = [colex_prefix_value(PROOF_K, l) for l in range((1 << PROOF_K) + 1)]
+    g[74] += 1 << PROOF_K
+    assert ("even", 37) in _qk_proof_failures(g, 512)
 
 
 def test_exact_qk_builds_no_union_table(monkeypatch):
@@ -127,9 +171,24 @@ def test_exact_qk_builds_no_union_table(monkeypatch):
 
 
 def test_prefix_certificate_matches_oracle():
+    # The proof's slice bound, checked split by split with raw sumsets: no split
+    # of any l <= 2^j beats the word prefix at any j <= 10.
     assert oracles.prefix_certificate(10) == []
-    for k in range(1, 11):
-        assert coloring._certify_prefix(k) is None  # it raises on a failing split
+
+
+class _NoNumpy:
+    """Stands in for numpy: reading any attribute fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} read")
+
+
+def test_qk_and_gamma_pair_need_no_numpy(monkeypatch):
+    monkeypatch.setattr(coloring, "np", _NoNumpy())
+    assert [row.value for row in q_k_table(4).values()][1:] == list(Q_TABLES[4].values())
+    assert q_k(4, 7).value == Q_TABLES[4][7]
+    values = [mixed_min_pair_sumset(k).value for k in range(1, 9)]
+    assert values == [3 * 2 ** (k - 1) for k in range(1, 9)]
 
 
 def test_qk_witness_achieves_value():
@@ -423,6 +482,12 @@ def test_mixed_pair_matches_bruteforce():
         res = mixed_min_pair_sumset(k)
         assert res.value == want
         assert res.witness == tuple("".join(map(str, word)) for word in pair)
+
+
+def test_mixed_pair_matches_kronecker_scan():
+    for k in range(1, 9):
+        res = mixed_min_pair_sumset(k)
+        assert (res.value, res.witness) == oracles.mixed_min_pair_scan(k), k
 
 
 K8_PAIR = mixed_min_pair_sumset(8)
