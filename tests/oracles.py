@@ -502,6 +502,58 @@ def guang_bound_oracle(c1, c2, max_cut_size=None):
     return best, wit
 
 
+# Bundle indices, in net_edges order, of each source's paths to the sink: bundles
+# 0-2 are the d edges s1->v1, s2->v1 and s2->v2, bundles 3-4 the e edges v1->rho
+# and v2->rho.
+NET_PATHS = {"s1": ((0, 3),), "s2": ((1, 3), (2, 4))}
+
+
+def state_class_count(state, sizes):
+    """Class count of a bundle state by the cut-off and two-block rules; 0 if not a cut.
+
+    A source is cut off when each of its paths crosses a fully cut bundle. Both
+    sources form separate blocks (count 4) when bundles 0 and 1 are fully cut,
+    bundle 3 is untouched and bundle 2 or 4 is fully cut; otherwise the cut is one
+    block, of count 2 for one source and 3 for both.
+    """
+    full = [count == size for count, size in zip(state, sizes)]
+    cut_off = [
+        s for s, paths in NET_PATHS.items() if all(any(full[b] for b in path) for path in paths)
+    ]
+    if not cut_off:
+        return 0
+    if full[0] and full[1] and not state[3] and (full[2] or full[4]):
+        return 4
+    return 3 if len(cut_off) == 2 else 2
+
+
+def guang_state_scan(c1, c2):
+    """Min |C| / log2(class count) over each bundle state's smallest cut, one state at a time.
+
+    Up to 20 edges the states are visited by size, then most edges in the earliest
+    bundle; above it in lexicographic order of per-bundle counts. The first state
+    whose float ratio is below the best so far by more than 1e-12 is the witness.
+    Returns (value, witness edge ids, witness class count, states that are cuts).
+    """
+    sizes = (c1, c1, c1, c1, c2)
+    states = list(itertools.product(*(sorted({0, 1, size}) for size in sizes)))
+    if sum(sizes) <= 20:
+        states.sort(key=lambda st: (sum(st), [-c for c in st]))
+    best, best_state, best_count, seen = None, None, None, 0
+    for state in states:
+        count = state_class_count(state, sizes)
+        if not count:
+            continue
+        seen += 1
+        ratio = sum(state) / math.log2(count)
+        if best is None or ratio < best - 1e-12:
+            best, best_state, best_count = ratio, state, count
+    ids = [edge[0] for edge in net_edges(c1, c2)]
+    starts = itertools.accumulate(sizes, initial=0)
+    witness = tuple(ids[start + i] for start, count in zip(starts, best_state) for i in range(count))
+    return best, witness, best_count, seen
+
+
 def network_admissible_oracle(k, sink_tables, decoder):
     """Whether a sink decodes the componentwise sum, one (x, y) pair at a time.
 

@@ -13,8 +13,10 @@ from oracles import (
     classify,
     first_seen_tuples,
     guang_bound_oracle,
+    guang_state_scan,
     net_edges,
     network_admissible_oracle,
+    state_class_count,
 )
 from zefc.codec import (
     ChannelCaps,
@@ -29,6 +31,8 @@ from zefc.nfc import (
     LAYOUT,
     Network,
     _bundle_ids,
+    _least_ratio,
+    _state_count,
     _tuple_ids,
     build_network,
     check_network_admissible,
@@ -334,11 +338,33 @@ def test_guang_bound_frozen_table():
 
 
 def test_guang_bound_matches_closed_form_sweep():
-    for total in range(2, 41):
-        for c2 in range(1, total // 2 + 1):
-            caps = ChannelCaps.of(str(total - c2), str(c2))
-            bound = guang_bound(build_network(caps))
-            assert abs(bound.value - cutset_bound_formula(caps)) < 1e-9, caps.as_strings()
+    # Every field of the bound against the one-state-at-a-time scan it replaced.
+    pairs = [(total - c2, c2) for total in range(2, 41) for c2 in range(1, total // 2 + 1)]
+    for c1, c2 in pairs + [(100, 37), (400, 400), (499, 4), (499, 1)]:
+        caps = ChannelCaps.of(str(c1), str(c2))
+        bound = guang_bound(build_network(caps))
+        assert abs(bound.value - cutset_bound_formula(caps)) < 1e-9, (c1, c2)
+        assert dataclasses.astuple(bound) == guang_state_scan(c1, c2), (c1, c2)
+
+
+def test_state_count_table_matches_cut_off_rule():
+    # Every bundle count 0..size, not only the 0, 1 and size that guang_bound visits.
+    for c1 in range(1, 5):
+        for c2 in range(1, 5):
+            sizes = build_network(ChannelCaps.of(str(c1), str(c2))).sizes
+            for state in itertools.product(*(range(size + 1) for size in sizes)):
+                want = state_class_count(state, sizes)
+                assert _state_count(state, sizes) == want, (c1, c2, state)
+
+
+def test_least_ratio_compares_exactly_and_keeps_ties():
+    # 1/log2(2) == 2/log2(4) exactly, and both beat 2/log2(3); a strict < keeps both.
+    assert _least_ratio({2: (1, ["a"]), 4: (2, ["b"]), 3: (2, ["c"])}) == ["a", "b"]
+    assert _least_ratio({4: (2, ["b"]), 2: (1, ["a", "d"])}) == ["b", "a", "d"]
+    # 19/log2(3) < 12 and 84/log2(3) < 53 < 85/log2(3): near ties from convergents of log2(3).
+    assert _least_ratio({2: (12, ["two"]), 3: (19, ["three"])}) == ["three"]
+    assert _least_ratio({3: (84, ["three"]), 2: (53, ["two"])}) == ["three"]
+    assert _least_ratio({2: (53, ["two"]), 3: (85, ["three"])}) == ["two"]
 
 
 def test_bound_table_matches_closed_form():
