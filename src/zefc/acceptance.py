@@ -216,7 +216,7 @@ def run_criterion_6():
     for c1, c2 in BOUND_PAIRS:
         rep = nontightness_report(ChannelCaps.of(str(c1), str(c2)))
         gaps[f"{c1},{c2}"] = round(rep.gap, 6)
-        if abs(rep.bound_enum - rep.bound_formula) > 1e-9:
+        if rep.bound_enum != rep.bound_formula:
             failures.append(f"({c1},{c2}): enumeration {rep.bound_enum} != formula")
     if gaps["1,1"] != 0.0:
         failures.append(f"(1,1) gap {gaps['1,1']} != 0")

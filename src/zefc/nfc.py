@@ -97,17 +97,16 @@ class GuangBound:
 
 @dataclass(frozen=True, eq=False)
 class KShotNetworkCode:
-    """Per-edge symbol tables plus a sink decoder, with realized use counts.
+    """Per-edge symbol tables plus the sink's output table, with realized use counts.
 
     symbols[e][x, y] is the symbol edge e carries for the k-bit source words x and
-    y. decoder maps each tuple of sink symbols that occurs, in in_edges(sink) order,
-    to the packed base-3 sum it decodes to.
+    y, and output[x, y] the packed base-3 sum the sink decodes there.
     """
 
     network: Network
     k: int
     symbols: dict
-    decoder: dict
+    output: np.ndarray
     n_e: dict
     n: int
 
@@ -287,10 +286,11 @@ def guang_bound(net):
 
 
 def cutset_bound_formula(caps):
-    """Closed form of the cut-set bound over the network family."""
-    c1, c2 = float(caps.c1), float(caps.c2)
-    if c1 <= c2 / (LOG2_3 - 1):
-        return c1
+    """Closed form of the cut-set bound over the network family, for integer caps."""
+    c1, c2 = int(caps.c1), int(caps.c2)
+    # c1 <= c2 / (log2 3 - 1) exactly when 3^c1 <= 2^(c1 + c2).
+    if 3**c1 <= 2 ** (c1 + c2):
+        return float(c1)
     return (c1 + c2) / LOG2_3
 
 
@@ -308,33 +308,35 @@ def _bits_for(count):
 def _tuple_ids(symbols, ids):
     """Number of the tuple of symbols the edges carry at each (x, y), x major.
 
-    Tuples are numbered in order of first appearance; they are returned in that order.
-    Each edge's symbols are numbered densely and folded into one int64 key per
-    (x, y), which is numbered densely again after every fold, so the key stays
-    below 4^k times the edge's count of distinct symbols whatever the symbols are.
+    Tuples are numbered in order of first appearance. Each edge's symbols are
+    numbered densely and folded into one int64 key per (x, y), which is numbered
+    densely again after every fold, so the key stays below 4^k times the edge's
+    count of distinct symbols whatever the symbols are.
     """
     columns = [symbols[eid].ravel() for eid in ids]
     key = np.unique(columns[0], return_inverse=True)[1]
     for column in columns[1:]:
         values, digits = np.unique(column, return_inverse=True)
         key = np.unique(key * values.size + digits, return_inverse=True)[1]
-    ids, starts = first_seen(key)
-    return ids, np.stack([column[starts] for column in columns], axis=1)
+    return first_seen(key)[0]
 
 
-def make_network_code(net, k, symbols, decoder):
-    """Assemble a network code from per-edge symbol tables, deriving use counts.
+def make_network_code(net, k, symbols, output):
+    """Assemble a network code from its tables, deriving use counts.
 
-    Each edge needs a (2^k, 2^k) integer table that its tail can compute: a function
-    of x out of s1, of y out of s2, and of the symbols on the edges into its tail
-    out of any other node.
+    Each edge needs a (2^k, 2^k) integer table that its tail can compute, and the
+    sink's output, the sum it decodes at each (x, y), one the sink can compute. A
+    node computes a table that is a function of what it sees: x at s1, y at s2,
+    and the symbols on its in-edges at any other node.
     """
     if k > MAX_EXHAUSTIVE_K:
         raise ZefcError("k_too_large", f"network codes are limited to k<={MAX_EXHAUSTIVE_K}", k=k)
     size = 1 << k
     edges = net.edges
-    for eid in edges:
-        table = symbols.get(eid)
+    tails = [tail for (_, tail, _), count in zip(LAYOUT, net.sizes) for _ in range(count)]
+    # (name, the node that computes it, table): every edge, then the sink's output.
+    tables = [*zip(edges, tails, map(symbols.get, edges)), (SINK, SINK, output)]
+    for name, _, table in tables:
         if (
             not isinstance(table, np.ndarray)
             or table.shape != (size, size)
@@ -342,32 +344,27 @@ def make_network_code(net, k, symbols, decoder):
         ):
             raise ZefcError(
                 "bad_network_code",
-                f"each edge needs a {size}x{size} integer symbol table",
-                edge=eid,
+                f"each edge and the sink's output need a {size}x{size} integer table",
+                table=name,
             )
     words = np.arange(size)
     # What each node sees at each (x, y), x major, as numbers: s1 sees x and s2 sees y.
     seen = {"s1": np.repeat(words, size), "s2": np.tile(words, size)}
-    tails = [tail for (_, tail, _), count in zip(LAYOUT, net.sizes) for _ in range(count)]
-    for eid, tail in zip(edges, tails):
-        if tail not in seen:
-            seen[tail] = _tuple_ids(symbols, net.in_edges(tail))[0]
-        feed, table = seen[tail], symbols[eid].ravel()
-        # The edge is computable iff it holds one symbol per value its tail sees.
-        value = np.empty(feed.max() + 1, dtype=table.dtype)
-        value[feed] = table
-        if (value[feed] != table).any():
-            raise ZefcError(
-                "bad_network_code",
-                "an edge's symbols must follow from what its tail sees",
-                edge=eid,
-            )
+    for name, node, table in tables:
+        if node not in seen:
+            seen[node] = _tuple_ids(symbols, net.in_edges(node))
+        feed, column = seen[node], table.ravel()
+        # The table is computable iff it holds one value per value its node sees.
+        value = np.empty(feed.max() + 1, dtype=column.dtype)
+        value[feed] = column
+        if (value[feed] != column).any():
+            raise ZefcError("bad_network_code", "a table must follow from what its node sees", table=name)
     n_e = {eid: _bits_for(np.unique(symbols[eid]).size) for eid in edges}
     return KShotNetworkCode(
         network=net,
         k=k,
         symbols={eid: symbols[eid] for eid in edges},
-        decoder=dict(decoder),
+        output=output,
         n_e=n_e,
         n=max(n_e.values()),
     )
@@ -415,12 +412,8 @@ def transform_code(code, caps):
     ):
         for eid, (offset, width) in zip(_bundle_ids(net, b, len(chunks)), chunks):
             symbols[eid] = (values >> offset) & ((1 << width) - 1)
-    # Each sink tuple spells out one label pair, which decodes through psi.
-    ids, tuples = _tuple_ids(symbols, net.in_edges(SINK))
-    sums = np.empty(len(tuples), dtype=np.int64)
-    sums[ids] = code.psi[code.phi1, phi2].ravel()
-    decoder = dict(zip(map(tuple, tuples.tolist()), sums.tolist()))
-    ncode = make_network_code(net, k, symbols, decoder)
+    # The sink's symbols spell out the label pair, which decodes through psi.
+    ncode = make_network_code(net, k, symbols, code.psi[code.phi1, phi2])
     if ncode.n != acct.n:
         raise ZefcError(
             "transform_rate_mismatch",
@@ -431,16 +424,9 @@ def transform_code(code, caps):
     return ncode
 
 
-def _decoded(ncode):
-    """What the sink decodes for each (x, y), x major; -1 where the decoder has no entry."""
-    ids, tuples = _tuple_ids(ncode.symbols, ncode.network.in_edges(SINK))
-    values = [ncode.decoder.get(t, -1) for t in map(tuple, tuples.tolist())]
-    return np.array(values, dtype=np.int64)[ids]
-
-
 def check_network_admissible(ncode):
     """Exhaustively verify the sink decodes the componentwise sum."""
-    return bool((_decoded(ncode) == sum_table(ncode.k).ravel()).all())
+    return bool((ncode.output == sum_table(ncode.k)).all())
 
 
 def inverse_transform(ncode):
@@ -450,26 +436,27 @@ def inverse_transform(ncode):
     numbered in order of first appearance.
     """
     size, net = 1 << ncode.k, ncode.network
-    (phi1, wide), (phi2, narrow) = (
-        _tuple_ids(ncode.symbols, _bundle_ids(net, b, net.sizes[b])) for b in (3, 4)
+    phi1, phi2 = (
+        _tuple_ids(ncode.symbols, _bundle_ids(net, b, net.sizes[b])).reshape(size, size)
+        for b in (3, 4)
     )
-    phi1, phi2 = phi1.reshape(size, size), phi2.reshape(size, size)
     if (phi2 != phi2[:1]).any():
         raise ZefcError("bad_network_code", "the narrow-channel message must not depend on x")
-    decoded = _decoded(ncode)
-    if (decoded < 0).any():
-        raise ZefcError("bad_network_code", "the decoder must cover every sink tuple that occurs")
     # Label pairs that never occur together decode to 0.
-    psi = np.zeros((len(wide), len(narrow)), dtype=np.int64)
-    psi[phi1.ravel(), phi2.ravel()] = decoded
+    psi = np.zeros((int(phi1.max()) + 1, int(phi2.max()) + 1), dtype=np.int64)
+    psi[phi1, phi2] = ncode.output
+    # make_network_code refuses an output that the label pair does not determine,
+    # but a code changed through dataclasses.replace skips that check.
+    if (psi[phi1, phi2] != ncode.output).any():
+        raise ZefcError("bad_network_code", "the sink's output must follow from the label pair")
     return KShotCode(
         k=ncode.k,
         switches=SwitchPair(0, 1),
         phi1=phi1,
         phi2=phi2,
         psi=psi,
-        im1=len(wide),
-        im2=len(narrow),
+        im1=psi.shape[0],
+        im2=psi.shape[1],
         name="inverse-transform",
     )
 
@@ -480,7 +467,7 @@ def nontightness_report(caps):
     cap_value = capacity(SwitchPair(0, 1), caps).value
     bound = guang_bound(net)
     formula = cutset_bound_formula(caps)
-    if abs(bound.value - formula) > 1e-9:
+    if bound.value != formula:
         raise ZefcError(
             "bound_mismatch",
             "enumerated bound disagrees with the closed form",
@@ -488,7 +475,7 @@ def nontightness_report(caps):
             formula=formula,
         )
     gap = bound.value - cap_value
-    if (gap > 1e-12) != (caps.c1 > caps.c2):
+    if (gap > 0) != (caps.c1 > caps.c2):
         raise ZefcError(
             "gap_sign_mismatch",
             "the bound must exceed the capacity exactly when c1 > c2",

@@ -343,8 +343,30 @@ def test_guang_bound_matches_closed_form_sweep():
     for c1, c2 in pairs + [(100, 37), (400, 400), (499, 4), (499, 1)]:
         caps = ChannelCaps.of(str(c1), str(c2))
         bound = guang_bound(build_network(caps))
-        assert abs(bound.value - cutset_bound_formula(caps)) < 1e-9, (c1, c2)
+        assert bound.value == cutset_bound_formula(caps), (c1, c2)
         assert dataclasses.astuple(bound) == guang_state_scan(c1, c2), (c1, c2)
+
+
+def _near_tie_pairs():
+    """Caps where 3^c1 is nearest 2^(c1 + c2): c1 + c2 over c1 a convergent of log2(3)."""
+    pairs = []
+    for c1, total in ((5, 8), (12, 19), (41, 65), (53, 84), (306, 485)):
+        pairs += [(c1, total - c1 + shift) for shift in (-1, 0, 1)]
+    return pairs
+
+
+def test_nontightness_decides_exactly():
+    # The bound's branch, its agreement with the enumeration and the gap's sign hold
+    # with room to spare, so no float tolerance is needed to decide them.
+    pairs = [(total - c2, c2) for total in range(2, 41) for c2 in range(1, total // 2 + 1)]
+    for c1, c2 in pairs + _near_tie_pairs() + [(400, 400), (499, 4)]:
+        report = nontightness_report(ChannelCaps.of(str(c1), str(c2)))
+        assert report.bound_enum == report.bound_formula, (c1, c2)
+        assert (c1 <= c2 / (math.log2(3) - 1)) == (3**c1 <= 2 ** (c1 + c2)), (c1, c2)
+        if c1 == c2:
+            assert report.gap == 0.0, (c1, c2)
+        else:
+            assert report.gap >= 0.2618, (c1, c2)
 
 
 def test_state_count_table_matches_cut_off_rule():
@@ -452,10 +474,8 @@ def test_tuple_ids_match_first_seen_oracle():
             pool = rng.choice(palette, size=(distinct, width))
             rows = pool[rng.integers(0, distinct, size * size)]
             symbols = {eid: rows[:, i].reshape(size, size) for i, eid in enumerate(edges)}
-            ids, tuples = _tuple_ids(symbols, edges)
-            want_ids, want_tuples = first_seen_tuples(rows.T.tolist())
-            assert ids.tolist() == want_ids, (k, width)
-            assert list(map(tuple, tuples.tolist())) == want_tuples, (k, width)
+            want_ids, _ = first_seen_tuples(rows.T.tolist())
+            assert _tuple_ids(symbols, edges).tolist() == want_ids, (k, width)
 
 
 def test_transform_roundtrip_small_k():
@@ -485,21 +505,43 @@ def _sink_tables(ncode):
     return [ncode.symbols[eid].tolist() for eid in ncode.network.in_edges("rho")]
 
 
+def _sink_decoder(ncode):
+    """The sink's output as a map from each tuple of sink symbols to its sum."""
+    tables, output = _sink_tables(ncode), ncode.output.tolist()
+    decoder = {}
+    for x in range(1 << ncode.k):
+        for y in range(1 << ncode.k):
+            symbols = tuple(table[x][y] for table in tables)
+            assert decoder.setdefault(symbols, output[x][y]) == output[x][y], (x, y)
+    return decoder
+
+
+def _output_changed_at_01(ncode):
+    output = ncode.output.copy()
+    output[0, 1] += 1
+    return output
+
+
 def test_network_admissibility_matches_oracle():
     for caps in (CAPS21, ChannelCaps.of("3", "2")):
         for k in range(1, 6):
             ncode = transform_code(build_split_code_01(k, caps), caps)
-            want = network_admissible_oracle(k, _sink_tables(ncode), ncode.decoder)
+            want = network_admissible_oracle(k, _sink_tables(ncode), _sink_decoder(ncode))
             assert want is check_network_admissible(ncode) is True, (caps.as_strings(), k)
     ncode = transform_code(build_split_code_01(3, CAPS21), CAPS21)
-    first = next(iter(ncode.decoder))
-    for decoder in (
-        {**ncode.decoder, first: ncode.decoder[first] + 1},
-        {t: v for t, v in ncode.decoder.items() if t != first},
-    ):
-        bad = make_network_code(ncode.network, 3, ncode.symbols, decoder)
-        assert network_admissible_oracle(3, _sink_tables(bad), decoder) is False
-        assert check_network_admissible(bad) is False
+    # Wrong on every pair whose sink tuple is that of (0, 1): the sink can compute it.
+    sink = np.stack([ncode.symbols[eid] for eid in ncode.network.in_edges("rho")])
+    shared = (sink == sink[:, :1, 1:2]).all(axis=0)
+    bad = make_network_code(ncode.network, 3, ncode.symbols, ncode.output + shared)
+    assert network_admissible_oracle(3, _sink_tables(bad), _sink_decoder(bad)) is False
+    assert check_network_admissible(bad) is False
+    # The sink cannot tell (0, 1) from (1, 0), so an output changed at (0, 1) alone
+    # is not a function of what it sees.
+    assert shared[1, 0]
+    with pytest.raises(ZefcError) as err:
+        make_network_code(ncode.network, 3, ncode.symbols, _output_changed_at_01(ncode))
+    assert err.value.code == "bad_network_code"
+    assert err.value.payload()["details"]["table"] == "rho"
 
 
 def test_make_network_code_refuses_unrealizable_tables():
@@ -509,10 +551,16 @@ def test_make_network_code_refuses_unrealizable_tables():
     # v2 sees only y; d1 leaves s1, which sees only x; and a 2x4 table fits no k.
     for eid, table in (("e2", x), ("d1", x + y), ("d1", np.zeros((2, 4), dtype=np.int64))):
         with pytest.raises(ZefcError) as err:
-            make_network_code(ncode.network, 2, {**ncode.symbols, eid: table}, ncode.decoder)
+            make_network_code(ncode.network, 2, {**ncode.symbols, eid: table}, ncode.output)
         assert err.value.code == "bad_network_code"
-        assert err.value.payload()["details"]["edge"] == eid
-    assert make_network_code(ncode.network, 2, ncode.symbols, ncode.decoder).n == ncode.n
+        assert err.value.payload()["details"]["table"] == eid
+    # The sink's output needs the same shape and integer type as an edge's table.
+    for output in (ncode.output[:2], ncode.output.ravel(), ncode.output.astype(float)):
+        with pytest.raises(ZefcError) as err:
+            make_network_code(ncode.network, 2, ncode.symbols, output)
+        assert err.value.code == "bad_network_code"
+        assert err.value.payload()["details"]["table"] == "rho"
+    assert make_network_code(ncode.network, 2, ncode.symbols, ncode.output).n == ncode.n
 
 
 def test_transform_rejects_other_cases():
@@ -529,7 +577,7 @@ def test_transform_k_guard():
     assert err.value.code == "k_too_large"
     net = build_network(CAPS11)
     with pytest.raises(ZefcError) as err:
-        make_network_code(net, 11, {}, {})
+        make_network_code(net, 11, {}, None)
     assert err.value.code == "k_too_large"
 
 
@@ -539,6 +587,17 @@ def test_inverse_transform_rejects_x_dependent_narrow_edge():
     ncode = transform_code(build_split_code_01(1, CAPS11), CAPS11)
     x = np.broadcast_to(np.arange(2)[:, None], (2, 2))
     bad = dataclasses.replace(ncode, symbols={**ncode.symbols, "e2": x})
+    with pytest.raises(ZefcError) as err:
+        inverse_transform(bad)
+    assert err.value.code == "bad_network_code"
+    assert check_admissible(inverse_transform(ncode)).ok
+
+
+def test_inverse_transform_rejects_output_not_read_off_label_pair():
+    # make_network_code refuses an output that differs at (0, 1) and (1, 0), which
+    # share a label pair, so the output is swapped in after the code is built.
+    ncode = transform_code(build_split_code_01(3, CAPS21), CAPS21)
+    bad = dataclasses.replace(ncode, output=_output_changed_at_01(ncode))
     with pytest.raises(ZefcError) as err:
         inverse_transform(bad)
     assert err.value.code == "bad_network_code"
