@@ -9,7 +9,7 @@ import time
 from . import __version__
 from .acceptance import run_all
 from .capacity import capacity, construct_for_case
-from .codec import ChannelCaps, SwitchPair, check_admissible, code_text, rate_account
+from .codec import ChannelCaps, SwitchPair, check_admissible, code_parts, rate_account
 from .coloring import (
     chi_m,
     chi_m_table,
@@ -39,26 +39,29 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _Text:
-    """JSON text that _render writes as it stands, already indented for its place."""
+    """JSON text that main writes as it stands, already indented for its place.
 
-    __slots__ = ("text",)
+    pieces is an iterable of strings, iterated once per copy of the report written.
+    """
 
-    def __init__(self, text):
-        self.text = text
+    __slots__ = ("pieces",)
+
+    def __init__(self, pieces):
+        self.pieces = pieces
 
 
 def _render(obj, pad="", default=None):
-    """json.dumps(obj, indent=2, default=default), with every float rounded to 12 places.
+    """json.dumps(obj, indent=2, default=default) in pieces, every float rounded to 12 places.
 
-    A _Text is written verbatim, so a pre-rendered code table is neither walked
-    nor encoded again, and it is copied once, into the report's text.
+    The pieces are strings, except that a _Text is put in the list as it stands,
+    so a code table is neither walked nor rendered here.
     """
     if isinstance(obj, _Text):
-        return obj.text
+        return [obj]
     if isinstance(obj, float):
-        return json.dumps(round(obj, 12))
+        return [json.dumps(round(obj, 12))]
     if not isinstance(obj, (dict, list, tuple)) or not obj:
-        return json.dumps(obj, default=default)
+        return [json.dumps(obj, default=default)]
     inner = pad + "  "
     if isinstance(obj, dict):
         # json.dumps writes an int, float, bool or None key as its JSON text, quoted.
@@ -72,10 +75,30 @@ def _render(obj, pad="", default=None):
         brackets = "[]"
     parts = []
     for head, value in members:
-        parts += (f",\n{inner}{head}", _render(value, inner, default))
+        parts.append(f",\n{inner}{head}")
+        parts += _render(value, inner, default)
     parts[0] = brackets[0] + parts[0][1:]
     parts.append(f"\n{pad}{brackets[1]}")
-    return "".join(parts)
+    return parts
+
+
+def _chunks(pieces):
+    """The report's text and a closing newline, in the strings to write it in.
+
+    Each run of plain pieces is joined into one string, and a _Text's pieces
+    follow one by one, so a report without a code table is a single string.
+    """
+    run = []
+    for piece in pieces:
+        if isinstance(piece, _Text):
+            if run:
+                yield "".join(run)
+            run = []
+            yield from piece.pieces
+        else:
+            run.append(piece)
+    run.append("\n")
+    yield "".join(run)
 
 
 def _caps_of(args):
@@ -128,7 +151,7 @@ def _cmd_construct(args):
         "uses": {"n1": acct.n1, "n2": acct.n2, "n": acct.n},
         "admissible": admissible,
         # The code sits one level into the report.
-        "code": _Text(code_text(code, pad="  ")),
+        "code": _Text(code_parts(code, pad="  ")),
     }, 0
 
 
@@ -387,31 +410,30 @@ def main(argv=None):
         payload, exit_code = args.handler(args)
         if getattr(args, "timings", False):
             payload["elapsed_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
-        text = _render(payload)
+        pieces = _render(payload)
         summary = None
         if args.command == "reproduce":
             passed = sum(1 for row in payload["results"] if row["passed"])
             summary = f"# {passed}/{len(payload['results'])} criteria passed"
-        # The text holds the whole report; the payload's copy of a code table would
-        # otherwise stay alive while print encodes the text, a third copy of it.
-        del payload
         if getattr(args, "emit", None):
+            # The file is written first, so a failed emit prints only the error; the
+            # code tables are rendered once for it and once more for stdout.
             try:
                 with open(args.emit, "w") as fh:
-                    fh.write(text + "\n")
+                    fh.writelines(_chunks(pieces))
             except OSError as exc:
                 raise ZefcError(
                     "emit_failed", "could not write the report", path=args.emit, reason=exc.strerror
                 ) from exc
         if getattr(args, "format", "json") == "table":
-            _print_table(json.loads(text), sys.stdout)
+            _print_table(json.loads("".join(_chunks(pieces))), sys.stdout)
         else:
-            print(text)
+            sys.stdout.writelines(_chunks(pieces))
         if summary is not None:
             print(summary, file=sys.stderr)
         return exit_code
     except ZefcError as err:
-        print(_render({"error": err.payload()}, default=str))
+        sys.stdout.writelines(_chunks(_render({"error": err.payload()}, default=str)))
         return 2
 
 

@@ -29,6 +29,9 @@ MAX_PACKING_BITS = 1 << 20
 # integer. At this k, capacity with a witness takes about 0.04 s and 17 MB; at
 # k = 10^11 it would need 12.5 GB.
 MAX_IDENTITY_K = 1 << 26
+# Bytes of records per block of a rendered code table; the text is a little
+# shorter once the padding is dropped.
+BLOCK_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -459,31 +462,30 @@ def _digit_rows(k, radix):
     return _ascii("".join(digit_strings(k, radix))).reshape(-1, k)
 
 
-def _decimal_rows(values):
-    """Decimal digits of non-negative integers in a trailing axis, right-aligned after 0 bytes.
-
-    The rows of 0..max are rendered once and gathered by value, so the digit
-    arithmetic runs over max + 1 numbers, not over every cell of values.
-    """
-    table = np.arange(int(values.max()) + 1)
-    powers = 10 ** np.arange(len(str(table[-1])) - 1, -1, -1)
+def _decimal_table(count):
+    """Decimal digits of 0..count-1 as rows, right-aligned after 0 bytes."""
+    table = np.arange(count)
+    powers = 10 ** np.arange(len(str(count - 1)) - 1, -1, -1)
     rows = (table[:, None] // powers % 10 + ord("0")).astype(np.uint8)
     rows[(table[:, None] < powers) & (powers > 1)] = 0
-    return np.take(rows, values, axis=0)
+    return rows
 
 
-def _object_text(pad, shape, key, value):
+def _object_blocks(pad, shape, key, value):
     """A JSON object with one member per cell of shape, as json.dumps(indent=2) nests it at pad.
 
-    key and value are tuples of uint8 columns: bytes along the last axis, the
-    other axes broadcast to shape, 0 bytes as padding. Each member is the lead
-    ',\\n<pad>  "', the key columns, '": ' and the value columns side by side: one
-    record of a structured array with a void field per column, so the object is
-    the array's bytes with the 0 bytes dropped. The first lead opens the object
-    instead; the closing line is left to the caller.
+    key is a tuple of uint8 columns: bytes along the last axis, the other axes
+    broadcast to shape, 0 bytes as padding. value is a pair (rows, index): the
+    member at a cell takes the row of rows that index holds there. Each member is
+    the lead ',\\n<pad>  "', the key columns, '": ' and the value row side by side:
+    one record of a structured array with a void field per column, so the text
+    is the array's bytes with the 0 bytes dropped. The text comes in blocks of
+    leading rows of shape, about BLOCK_BYTES of records each, and the value rows
+    are gathered one block at a time. The first lead opens the object instead;
+    the closing line is left to the caller.
     """
     columns = [_ascii(f',\n{pad}  "')]
-    for column in (*key, _ascii('": '), *value):
+    for column in (*key, _ascii('": ')):
         # Fold a column into its left neighbour while the two span less than the
         # whole shape: fewer fields to fill, and no second full-shape array.
         left = columns[-1]
@@ -494,20 +496,84 @@ def _object_text(pad, shape, key, value):
             )
         else:
             columns.append(column)
+    rows, index = value
+    columns.append(rows)
     record = np.dtype([(f"c{i}", f"V{c.shape[-1]}") for i, c in enumerate(columns)])
-    rows = np.empty(shape, dtype=record)
-    for name, column in zip(record.names, columns):
-        rows[name] = np.ascontiguousarray(column).view(record[name])[..., 0]
-    rows.view(np.uint8).flat[0] = ord("{")
-    return rows.tobytes().replace(b"\0", b"").decode("ascii")
+    *fixed, gather = [
+        np.ascontiguousarray(c).view(record[name])[..., 0]
+        for name, c in zip(record.names, columns)
+    ]
+    step = max(1, BLOCK_BYTES // (record.itemsize * math.prod(shape[1:])))
+    for start in range(0, shape[0], step):
+        stop = min(start + step, shape[0])
+        block = np.empty((stop - start, *shape[1:]), dtype=record)
+        for name, view in zip(record.names, fixed):
+            # A column with the table's leading axis is sliced; any other broadcasts.
+            whole = view.ndim < len(shape) or view.shape[0] == 1
+            block[name] = view if whole else view[start:stop]
+        block[record.names[-1]] = gather[index[start:stop]]
+        if start == 0:
+            block.view(np.uint8).flat[0] = ord("{")
+        yield block.tobytes().replace(b"\0", b"").decode("ascii")
 
 
-def _psi_digits(code, old1, old2):
-    """psi over the canonical label pairs, as ternary digit rows."""
+class _Pieces:
+    """An iterable whose every iteration calls generate() for a fresh run of text pieces."""
+
+    __slots__ = ("generate",)
+
+    def __init__(self, generate):
+        self.generate = generate
+
+    def __iter__(self):
+        return self.generate()
+
+
+def code_parts(code, pad=""):
+    """The pieces of code_text(code, pad), in order: header, table blocks, footer.
+
+    Every refusal is raised here, before any text is rendered; the blocks are
+    rendered as the pieces are iterated, and anew on each iteration, so no
+    string ever holds more than about BLOCK_BYTES of a table.
+    """
+    (labels1, old1), (labels2, old2) = _canonical_labels(code)
+    k, inner = code.k, pad + "  "
     decoded = code.psi[np.ix_(old1, old2)]
-    if decoded.min() < 0 or decoded.max() >= 3**code.k:
-        raise ZefcError("bad_code", "psi values must lie in range(3^k)", k=code.k)
-    return np.take(_digit_rows(code.k, 3), decoded, axis=0)
+    if decoded.min() < 0 or decoded.max() >= 3**k:
+        raise ZefcError("bad_code", "psi values must lie in range(3^k)", k=k)
+    size = 1 << k
+    words = _digit_rows(k, 2)
+    comma = _ascii(",")
+    # Ternary digit rows between quotes, one per value of psi.
+    ternary = np.full((3**k, k + 2), ord('"'), dtype=np.uint8)
+    ternary[:, 1:-1] = _digit_rows(k, 3)
+    psi_key = (_decimal_table(code.im1)[:, None], comma, _decimal_table(code.im2)[None])
+
+    def encoder(labels, top, paired, pair_key):
+        shape, key = ((size, size), pair_key) if paired else ((size,), (words,))
+        return _object_blocks(inner, shape, key, (_decimal_table(top), labels.reshape(shape)))
+
+    def generate():
+        yield (
+            f'{{\n{inner}"k": {k},\n{inner}"switches": "{code.switches.as_string()}",\n'
+            f'{inner}"phi1": '
+        )
+        yield from encoder(
+            labels1, code.im1, code.switches.s2 == 1, (words[:, None], comma, words[None])
+        )
+        yield f'\n{inner}}},\n{inner}"phi2": '
+        # Encoder 2's labels run y major, but its keys still read "x,y".
+        yield from encoder(
+            labels2, code.im2, code.switches.s1 == 1, (words[None], comma, words[:, None])
+        )
+        yield f'\n{inner}}},\n{inner}"psi": '
+        yield from _object_blocks(inner, (code.im1, code.im2), psi_key, (ternary, decoded))
+        yield (
+            f'\n{inner}}},\n{inner}"images": [\n{inner}  {code.im1},\n{inner}  {code.im2}\n'
+            f"{inner}]\n{pad}}}"
+        )
+
+    return _Pieces(generate)
 
 
 def code_text(code, pad=""):
@@ -518,34 +584,7 @@ def code_text(code, pad=""):
     label, psi maps "a,b" label pairs to a ternary digit string. The text is
     rendered from the arrays directly, without building a dict per table.
     """
-    (labels1, old1), (labels2, old2) = _canonical_labels(code)
-    k, inner = code.k, pad + "  "
-    words = _digit_rows(k, 2)
-    comma, quote = _ascii(","), _ascii('"')
-    size = 1 << k
-
-    def encoder(labels, paired, pair_key):
-        shape, key = ((size, size), pair_key) if paired else ((size,), (words,))
-        return _object_text(inner, shape, key, (_decimal_rows(labels.reshape(shape)),))
-
-    phi1 = encoder(labels1, code.switches.s2 == 1, (words[:, None], comma, words[None]))
-    del labels1  # each sweep is freed once rendered, so it is not held at the next peak
-    # Encoder 2's labels run y major, but its keys still read "x,y".
-    phi2 = encoder(labels2, code.switches.s1 == 1, (words[None], comma, words[:, None]))
-    del labels2
-    psi_key = (
-        _decimal_rows(np.arange(code.im1))[:, None],
-        comma,
-        _decimal_rows(np.arange(code.im2))[None],
-    )
-    psi_value = (quote, _psi_digits(code, old1, old2), quote)
-    psi = _object_text(inner, (code.im1, code.im2), psi_key, psi_value)
-    return (
-        f'{{\n{inner}"k": {k},\n{inner}"switches": "{code.switches.as_string()}",\n'
-        f'{inner}"phi1": {phi1}\n{inner}}},\n{inner}"phi2": {phi2}\n{inner}}},\n'
-        f'{inner}"psi": {psi}\n{inner}}},\n'
-        f'{inner}"images": [\n{inner}  {code.im1},\n{inner}  {code.im2}\n{inner}]\n{pad}}}'
-    )
+    return "".join(code_parts(code, pad))
 
 
 def code_to_json(code):

@@ -4,6 +4,7 @@ import io
 import json
 import pathlib
 import argparse
+import dataclasses
 import re
 import subprocess
 import sys
@@ -11,13 +12,14 @@ import threading
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import validate
 
 from oracles import printed_code_admissible
-from zefc import cli
+from zefc import cli, codec
 from zefc.cli import _print_table, _render, build_parser, main
 
 SCHEMAS = pathlib.Path(__file__).resolve().parent.parent / "schemas"
@@ -573,10 +575,117 @@ REPORTS = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(REPORTS)
 def test_render_matches_json_dumps(report):
-    assert _render(report) == json.dumps(_rounded_report(report), indent=2)
+    assert "".join(_render(report)) == json.dumps(_rounded_report(report), indent=2)
 
 
 def test_render_falls_back_to_default_for_error_details():
     details = {"caps": (Fraction(7, 3), 0.1 + 0.2), "seen": {3}, "empty": {}}
     want = json.dumps(_rounded_report(details), indent=2, default=str)
-    assert _render(details, default=str) == want
+    assert "".join(_render(details, default=str)) == want
+
+
+class _Writes(io.StringIO):
+    """A stdout that keeps the string of each write call."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def write(self, text):
+        self.calls.append(text)
+        return super().write(text)
+
+
+def _written(monkeypatch, argv):
+    """(exit code, the strings main wrote to stdout, one per write call)."""
+    out = _Writes()
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", out)
+        code = main(argv)
+    assert "".join(out.calls) == out.getvalue()
+    return code, out.calls
+
+
+@pytest.mark.parametrize(
+    "request_text",
+    ["nfc --c1 2 --c2 1", "capacity --case 01 --c1 2 --c2 1 --k 12", "qk --k 2", "qk --k 9"],
+)
+def test_reports_without_a_code_table_are_one_write(monkeypatch, request_text):
+    code, calls = _written(monkeypatch, request_text.split())
+    assert code in (0, 2)
+    assert len(calls) == 1
+    json.loads(calls[0])
+
+
+def test_construct_streams_its_code_in_blocks(monkeypatch):
+    code, calls = _written(monkeypatch, CONSTRUCT21 + ["--case", "11", "--k", "7"])
+    assert code == 0
+    # No write holds more than one block of a table, let alone the whole report.
+    assert len(calls) > 10
+    assert max(map(len, calls)) <= codec.BLOCK_BYTES
+    doc = json.loads("".join(calls))
+    assert doc["code"]["images"] == [137, 16]
+
+
+def _relabeled(code):
+    """The code with one phi1 label past im1, refused when the code is rebuilt."""
+    phi1 = np.array(code.phi1)
+    phi1.flat[0] = code.im1
+    return dataclasses.replace(code, phi1=phi1)
+
+
+def _grown_image(code):
+    """The code with im1 one larger and a psi row to match, so no label ever uses it."""
+    psi = np.concatenate([code.psi, code.psi[:1]])
+    return dataclasses.replace(code, im1=code.im1 + 1, psi=psi)
+
+
+def _psi_out_of_range(code):
+    """The code with one psi value past 3^k, set after construction checked it."""
+    psi = np.array(code.psi)
+    psi.flat[-1] = 3**code.k
+    object.__setattr__(code, "psi", psi)
+    return code
+
+
+@pytest.mark.parametrize(
+    "k,change,error",
+    [
+        ("11", None, "k_too_large"),
+        ("0", None, "bad_k"),
+        ("3", _relabeled, "bad_code"),
+        ("3", _grown_image, "bad_image_count"),
+        ("3", _psi_out_of_range, "bad_code"),
+        ("9", _psi_out_of_range, "bad_code"),
+    ],
+)
+@pytest.mark.parametrize("case", ["00", "01", "10", "11"])
+def test_construct_refusals_print_only_the_error(monkeypatch, case, k, change, error):
+    if change is not None:
+        build = cli.construct_for_case
+        monkeypatch.setattr(cli, "construct_for_case", lambda *a: change(build(*a)))
+    code, calls = _written(monkeypatch, CONSTRUCT21 + ["--case", case, "--k", k])
+    assert code == 2
+    # One write of exactly one JSON object, which json.loads would refuse as extra data.
+    assert len(calls) == 1
+    doc = json.loads(calls[0])
+    assert list(doc) == ["error"]
+    assert doc["error"]["code"] == error
+    validate(doc, schema("error"))
+
+
+@pytest.mark.parametrize("block_bytes", [1, 1 << 40], ids=["one_row", "whole_table"])
+def test_block_size_does_not_change_the_output(capsys, monkeypatch, tmp_path, block_bytes):
+    target = tmp_path / "out.json"
+    for case in ("00", "01", "10", "11"):
+        argv = CONSTRUCT21 + ["--case", case, "--k", "7"]
+        printed = {}
+        for size in (codec.BLOCK_BYTES, block_bytes):
+            with monkeypatch.context() as patch:
+                patch.setattr(codec, "BLOCK_BYTES", size)
+                assert main(argv + ["--emit", str(target)]) == 0
+                json_out = capsys.readouterr().out
+                assert target.read_bytes() == json_out.encode(), (case, size)
+                assert main(argv + ["--format", "table"]) == 0
+                printed[size] = (json_out, capsys.readouterr().out)
+        assert printed[block_bytes] == printed[codec.BLOCK_BYTES], case

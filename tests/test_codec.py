@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zefc import codec
 from zefc.capacity import construct_for_case
 from zefc.codec import (
     MAX_PACKING_BITS,
@@ -17,11 +18,12 @@ from zefc.codec import (
     KShotCode,
     SwitchPair,
     _canonical_labels,
-    _decimal_rows,
+    _decimal_table,
     build_identity_code,
     build_packing_code_11,
     build_split_code_01,
     check_admissible,
+    code_parts,
     code_text,
     code_to_json,
     exact_pow2_floor,
@@ -310,7 +312,7 @@ def test_code_json_canonical_labels():
     assert doc["phi1"]["00,00"] == 0
     labels1 = sorted(set(doc["phi1"].values()))
     assert labels1 == list(range(len(labels1)))
-    for render in (code_text, code_to_json):
+    for render in (code_parts, code_text, code_to_json):
         with pytest.raises(ZefcError) as err:
             render(build_identity_code(11))
         assert err.value.code == "k_too_large"
@@ -331,7 +333,8 @@ DECIMAL_EDGES = (0, 9, 10, 99, 100, 999, 1000, 1023, 59048)
     ],
 )
 def test_decimal_rows_match_str(values):
-    rows = _decimal_rows(values)
+    # Labels are rendered as the rows of the table for 0..max, gathered by value.
+    rows = _decimal_table(int(values.max()) + 1)[values]
     assert rows.shape == (*values.shape, len(str(values.max())))
     for value, row in zip(values.ravel().tolist(), rows.reshape(-1, rows.shape[-1])):
         # Right-aligned: every 0 byte comes before the digits.
@@ -403,7 +406,7 @@ def test_rate_only_codes_refuse_table_consumers():
         code = construct_for_case(SwitchPair.from_string(case), 200, CAPS21)
         assert code.phi1 is None and code.phi2 is None and code.psi is None
         assert rate_account(code, CAPS21).n >= 1
-        for consumer in (code_text, code_to_json, check_admissible):
+        for consumer in (code_parts, code_text, code_to_json, check_admissible):
             with pytest.raises(ZefcError) as err:
                 consumer(code)
             assert err.value.code == "k_too_large"
@@ -482,10 +485,36 @@ def test_code_text_refuses_out_of_range_tables():
             corrupted = np.array(getattr(code, table))
             corrupted.flat[0] = value
             object.__setattr__(code, table, corrupted)
-            for render in (code_text, code_to_json):
+            # code_parts is called, not iterated: it refuses before any text exists.
+            for render in (code_parts, code_text, code_to_json):
                 with pytest.raises(ZefcError) as err:
                     render(code)
                 assert err.value.code == "bad_code", (code.name, table, value)
+
+
+@pytest.mark.parametrize("block_bytes", [1, 1 << 40], ids=["one_row", "whole_table"])
+def test_block_size_does_not_change_the_text(monkeypatch, block_bytes):
+    caps = ChannelCaps.of("3", "2")
+    codes = {
+        (case, k): construct_for_case(SwitchPair.from_string(case), k, caps)
+        for case in ("00", "01", "10", "11")
+        for k in (1, 2, 3, 4, 7)
+    }
+    default = {key: code_text(code) for key, code in codes.items() if key[1] == 7}
+    monkeypatch.setattr(codec, "BLOCK_BYTES", block_bytes)
+    for (case, k), code in codes.items():
+        parts = code_parts(code)
+        pieces = list(parts)
+        # Header, three tables and footer; one block per leading row, or per table.
+        rows = 2 * (1 << k) + code.im1 if block_bytes == 1 else 3
+        assert len(pieces) == 4 + rows, (case, k)
+        assert list(parts) == pieces, (case, k)  # each iteration renders anew
+        text = "".join(pieces)
+        if k == 7:
+            assert text == default[case, k], case
+        else:
+            want = oracles.code_to_json_oracle(k, case, *closure_code(case, k, caps))
+            assert text == json.dumps(want, indent=2), (case, k)
 
 
 CAP_VALUES = st.builds(Fraction, st.integers(1, 12), st.integers(1, 4))
