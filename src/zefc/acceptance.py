@@ -101,7 +101,8 @@ def run_criterion_1():
                 failures.append(f"case {case} caps ({c1s},{c2s}): tag {result.formula!r} != {tag!r}")
     if worst_ms >= 1.0:
         failures.append(f"slowest query {worst_ms:.3f} ms >= 1 ms")
-    details = {"queries": checked, "max_query_ms": round(worst_ms, 4)}
+    # The time is checked, not reported: a measured value would make the report vary.
+    details = {"queries": checked, "max_query_ms": None}
     return _finish("capacity_closed_forms", None, started, failures, details)
 
 

@@ -2,6 +2,7 @@
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 import time
@@ -38,67 +39,38 @@ class _Parser(argparse.ArgumentParser):
         raise ZefcError("bad_arguments", message)
 
 
-class _Text:
-    """JSON text that main writes as it stands, already indented for its place.
-
-    pieces is an iterable of strings, iterated once per copy of the report written.
-    """
-
-    __slots__ = ("pieces",)
-
-    def __init__(self, pieces):
-        self.pieces = pieces
+# construct's payload carries this string where its code table goes. Only this
+# exact string dumps to its JSON text, "\u0000code", so the dumped report is split
+# there and the table's blocks are written in its place.
+_TABLE = "\0code"
 
 
-def _render(obj, pad="", default=None):
-    """json.dumps(obj, indent=2, default=default) in pieces, every float rounded to 12 places.
-
-    The pieces are strings, except that a _Text is put in the list as it stands,
-    so a code table is neither walked nor rendered here.
-    """
-    if isinstance(obj, _Text):
-        return [obj]
+def _rounded(obj):
+    """obj with every float rounded to 12 places and tuples as lists, key order kept."""
     if isinstance(obj, float):
-        return [json.dumps(round(obj, 12))]
-    if not isinstance(obj, (dict, list, tuple)) or not obj:
-        return [json.dumps(obj, default=default)]
-    inner = pad + "  "
+        return round(obj, 12)
     if isinstance(obj, dict):
-        # json.dumps writes an int, float, bool or None key as its JSON text, quoted.
-        members = [
-            (json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": ", value)
-            for key, value in obj.items()
-        ]
-        brackets = "{}"
-    else:
-        members = [("", value) for value in obj]
-        brackets = "[]"
-    parts = []
-    for head, value in members:
-        parts.append(f",\n{inner}{head}")
-        parts += _render(value, inner, default)
-    parts[0] = brackets[0] + parts[0][1:]
-    parts.append(f"\n{pad}{brackets[1]}")
-    return parts
+        return {key: _rounded(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_rounded(value) for value in obj]
+    return obj
 
 
-def _chunks(pieces):
-    """The report's text and a closing newline, in the strings to write it in.
+def _dumps(payload, default=None):
+    """The report text: json.dumps(indent=2) of payload, floats rounded, and a newline."""
+    return json.dumps(_rounded(payload), indent=2, default=default) + "\n"
 
-    Each run of plain pieces is joined into one string, and a _Text's pieces
-    follow one by one, so a report without a code table is a single string.
+
+def _chunks(text, table=None):
+    """The report's text in the strings to write it in.
+
+    A report without a code table is one string. Otherwise the pieces of table,
+    a codec.code_parts iterable, are yielded one by one in place of the marker.
     """
-    run = []
-    for piece in pieces:
-        if isinstance(piece, _Text):
-            if run:
-                yield "".join(run)
-            run = []
-            yield from piece.pieces
-        else:
-            run.append(piece)
-    run.append("\n")
-    yield "".join(run)
+    if table is None:
+        return (text,)
+    head, tail = text.split(json.dumps(_TABLE), 1)
+    return itertools.chain((head,), table, (tail,))
 
 
 def _caps_of(args):
@@ -112,7 +84,6 @@ def _switches_of(args):
 def _cmd_capacity(args):
     result = capacity(_switches_of(args), _caps_of(args), witness_k=args.k)
     payload = {
-        "version": __version__,
         "query": {
             "command": "capacity",
             "case": args.case,
@@ -138,7 +109,6 @@ def _cmd_construct(args):
     if args.k <= MAX_ADMISSIBLE_CHECK_K:
         admissible = check_admissible(code).ok
     return {
-        "version": __version__,
         "query": {
             "command": "construct",
             "case": args.case,
@@ -150,8 +120,8 @@ def _cmd_construct(args):
         "rate": str(acct.rate),
         "uses": {"n1": acct.n1, "n2": acct.n2, "n": acct.n},
         "admissible": admissible,
-        # The code sits one level into the report.
-        "code": _Text(code_parts(code, pad="  ")),
+        # main writes this table's blocks in place of the marker it puts here.
+        "code": code_parts(code, pad="  "),
     }, 0
 
 
@@ -159,7 +129,6 @@ def _cmd_verify(args):
     if args.check == "aitch":
         report = verify_aitch_superadditivity(args.l_max, tau=args.tau)
         return {
-            "version": __version__,
             "query": {
                 "command": "verify",
                 "check": "aitch",
@@ -189,7 +158,6 @@ def _cmd_verify(args):
             row["certificate"] = entry["certificate"]
         entries.append(row)
     return {
-        "version": __version__,
         "query": {
             "command": "verify",
             "check": "sumset-bound",
@@ -226,7 +194,6 @@ def _cmd_qk(args):
             row["witness"] = list(result.witness)
         rows.append(row)
     return {
-        "version": __version__,
         "query": {
             "command": "qk",
             "k": args.k,
@@ -247,7 +214,6 @@ def _cmd_chim(args):
         for r in results
     ]
     return {
-        "version": __version__,
         "query": {"command": "chim", "k": args.k, "m": args.m},
         "rows": rows,
     }, 0
@@ -256,7 +222,6 @@ def _cmd_chim(args):
 def _cmd_gamma_pair(args):
     result = mixed_min_pair_sumset(args.k)
     return {
-        "version": __version__,
         "query": {"command": "gamma-pair", "k": args.k},
         "value": result.value,
         "witness": list(result.witness),
@@ -267,7 +232,6 @@ def _cmd_nfc(args):
     caps = _caps_of(args)
     report = nontightness_report(caps)
     return {
-        "version": __version__,
         "query": {"command": "nfc", "c1": args.c1, "c2": args.c2},
         "edges": report.edges,
         "capacity": report.capacity,
@@ -294,7 +258,6 @@ def _cmd_reproduce(args):
         rows.append(row)
     ok = all(result.passed for result in results)
     payload = {
-        "version": __version__,
         "query": {"command": "reproduce"},
         "results": rows,
         "passed": ok,
@@ -408,32 +371,33 @@ def main(argv=None):
         thread_count(args.threads)
         started = time.perf_counter()
         payload, exit_code = args.handler(args)
-        if getattr(args, "timings", False):
+        payload = {"version": __version__, **payload}
+        if args.timings:
             payload["elapsed_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
-        pieces = _render(payload)
-        summary = None
-        if args.command == "reproduce":
-            passed = sum(1 for row in payload["results"] if row["passed"])
-            summary = f"# {passed}/{len(payload['results'])} criteria passed"
-        if getattr(args, "emit", None):
+        table = payload.get("code")  # construct's code_parts table, if any
+        if table is not None:
+            payload["code"] = _TABLE
+        text = _dumps(payload)
+        if args.emit:
             # The file is written first, so a failed emit prints only the error; the
-            # code tables are rendered once for it and once more for stdout.
+            # code table is rendered once for it and once more for stdout.
             try:
                 with open(args.emit, "w") as fh:
-                    fh.writelines(_chunks(pieces))
+                    fh.writelines(_chunks(text, table))
             except OSError as exc:
                 raise ZefcError(
                     "emit_failed", "could not write the report", path=args.emit, reason=exc.strerror
                 ) from exc
-        if getattr(args, "format", "json") == "table":
-            _print_table(json.loads("".join(_chunks(pieces))), sys.stdout)
+        if args.format == "table":
+            _print_table(json.loads("".join(_chunks(text, table))), sys.stdout)
         else:
-            sys.stdout.writelines(_chunks(pieces))
-        if summary is not None:
-            print(summary, file=sys.stderr)
+            sys.stdout.writelines(_chunks(text, table))
+        if args.command == "reproduce":
+            passed = sum(1 for row in payload["results"] if row["passed"])
+            print(f"# {passed}/{len(payload['results'])} criteria passed", file=sys.stderr)
         return exit_code
     except ZefcError as err:
-        sys.stdout.writelines(_chunks(_render({"error": err.payload()}, default=str)))
+        sys.stdout.write(_dumps({"error": err.payload()}, default=str))
         return 2
 
 

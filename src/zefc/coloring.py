@@ -10,10 +10,12 @@ from .bitspace import digit_strings, sum_rows, sumset
 from .errors import ZefcError
 
 TAU = math.log2(3) - 1
-# verify sumset-bound checks all 2^(2^k) subsets up to this k: 65535 at k = 4, about
-# 4.3e9 at k = 5. Exact Q_k is a closed form at every k; its tables stop here too
-# only because the recorded benchmark refusal `qk --k 9` pins it until re-recorded.
+# Exact Q_k is a closed form at every k; exact mode stops here only because the
+# recorded benchmark refusal `qk --k 9` pins it until the refusals are re-recorded.
 EXACT_QK_LIMIT = 4
+# verify sumset-bound checks all 2^(2^k) subsets up to this k (65535 at k = 4, about
+# 4.3e9 at k = 5) and proves the bound by induction beyond it.
+EXHAUSTIVE_SUMSET_K = 4
 # chi_m_table walks every set partition of the 2^k words: Bell(8) = 4140 of them
 # in about 5 ms at k = 3, but Bell(16), about 1.0e10, at k = 4.
 EXACT_CHIM_LIMIT = 3
@@ -23,8 +25,7 @@ MIXED_PAIR_LIMIT = 8
 # The superadditivity check visits about l_max^2 / 4 splits as l_max vectors; 4096
 # takes about 0.05 s, and 0.08 s when every split fails (tau = 1).
 MAX_AITCH_L = 4096
-# The sumset bound is checked over every subset up to EXACT_QK_LIMIT and proved
-# by induction beyond it, from the split scan of every l <= 2^k_max.
+# The induction past EXHAUSTIVE_SUMSET_K scans every split of every l <= 2^k_max.
 MAX_SUMSET_BOUND_K = MAX_AITCH_L.bit_length() - 1
 # 2^k as a float overflows from k = 1024 on; below it, qk_lower_bound refuses the l
 # whose float bound 2^k * h(l) does.
@@ -388,7 +389,7 @@ def verify_sumset_lower_bound(k_max):
     if k_max > MAX_SUMSET_BOUND_K:
         message = f"the induction scans l <= 2^k_max; k_max is limited to {MAX_SUMSET_BOUND_K}"
         raise ZefcError("k_too_large", message, k_max=k_max)
-    entries = [_exhaustive_entry(k) for k in range(1, min(k_max, EXACT_QK_LIMIT) + 1)]
+    entries = [_exhaustive_entry(k) for k in range(1, min(k_max, EXHAUSTIVE_SUMSET_K) + 1)]
     failed, margin, split = [], math.inf, None
     for l, lhs, rhs in _aitch_splits(np.array([aitch(l) for l in range((1 << k_max) + 1)])):
         failed += [[l - b, b] for b in np.flatnonzero(lhs < rhs - 1e-9).tolist()]
@@ -396,7 +397,7 @@ def verify_sumset_lower_bound(k_max):
         if len(gaps) and gaps.min() < margin:
             lb = int(gaps.argmin()) + 1
             margin, split = float(gaps[lb - 1]), [l - lb, lb]
-        if l > 1 << EXACT_QK_LIMIT and l & (l - 1) == 0:
+        if l > 1 << EXHAUSTIVE_SUMSET_K and l & (l - 1) == 0:
             entry = {"k": l.bit_length() - 1, "mode": "inductive", "subsets_checked": 0}
             certificate = {"l_max": l, "margin": margin, "split": split}
             entries.append(entry | {"violations": list(failed), "certificate": certificate})

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import pathlib
 import argparse
 import dataclasses
@@ -14,13 +15,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from jsonschema import validate
 
 from oracles import printed_code_admissible
 from zefc import cli, codec
-from zefc.cli import _print_table, _render, build_parser, main
+from zefc.cli import _dumps, _print_table, _rounded, build_parser, main
+from zefc.errors import ZefcError
 
 SCHEMAS = pathlib.Path(__file__).resolve().parent.parent / "schemas"
 
@@ -527,61 +527,69 @@ def test_handlers_are_looked_up_when_the_parser_is_built(capsys, monkeypatch):
     assert calls == ["2"]
 
 
+def _run_module(*args):
+    """`python -m zefc *args` in a subprocess that imports the zefc these tests import."""
+    paths = [str(pathlib.Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    argv = [sys.executable, "-m", "zefc", *args]
+    return subprocess.run(argv, capture_output=True, text=True, env=env)
+
+
 def test_module_entry_point_is_deterministic():
-    argv = [sys.executable, "-m", "zefc", "capacity", "--case", "11", "--c1", "2", "--c2", "1"]
-    runs = [subprocess.run(argv, capture_output=True, text=True) for _ in range(2)]
+    argv = ["capacity", "--case", "11", "--c1", "2", "--c2", "1"]
+    runs = [_run_module(*argv) for _ in range(2)]
     assert all(run.returncode == 0 for run in runs)
     assert runs[0].stdout == runs[1].stdout
     assert json.loads(runs[0].stdout)["formula"] == "(C1+C2)/log2(3)"
 
 
 def test_module_entry_point_error_exit():
-    argv = [sys.executable, "-m", "zefc", "qk", "--k", "9"]
-    run = subprocess.run(argv, capture_output=True, text=True)
+    run = _run_module("qk", "--k", "9")
     assert run.returncode == 2
     assert json.loads(run.stdout)["error"]["code"] == "exact_mode_limit"
 
 
-def _rounded_report(obj):
-    """obj with every float rounded to 12 places and tuples as lists, key order kept."""
-    if isinstance(obj, float):
-        return round(obj, 12)
-    if isinstance(obj, dict):
-        return {key: _rounded_report(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_rounded_report(value) for value in obj]
-    return obj
+def test_rounded_rounds_floats_at_any_depth_and_writes_tuples_as_lists():
+    report = {"a": 1 / 3, "b": [(0.1 + 0.2, {"c": (2 / 3, 7, True, None, "x")})], "d": ()}
+    want = {"a": 0.333333333333, "b": [[0.3, {"c": [0.666666666667, 7, True, None, "x"]}]], "d": []}
+    # A tuple never equals a list, so == also checks that every tuple became a list.
+    assert _rounded(report) == want
 
 
-TEXTS = st.text(max_size=6) | st.sampled_from(['"', "\\", "\n\t\x00\x1f\x7f", "é—🙂", "a\"b\\c", ""])
-LEAVES = (
-    st.none()
-    | st.booleans()
-    | st.integers(-(2**70), 2**70)
-    | st.floats()
-    | st.integers(-(10**9), 10**9).map(lambda n: n / 3)
-    | TEXTS
-)
-KEYS = TEXTS | st.integers(-5, 5) | st.booleans() | st.none() | st.floats(-2, 2)
-REPORTS = st.recursive(
-    LEAVES,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.lists(inner, max_size=4).map(tuple)
-    | st.dictionaries(KEYS, inner, max_size=4),
-    max_leaves=30,
-)
+def test_rounded_keeps_every_key_and_its_order():
+    report = {"z": 1, 3: 2, True: 3, None: 4, "a": {2.5: 0.1 + 0.2, "": {}}}
+    rounded = _rounded(report)
+    assert list(rounded) == ["z", 3, True, None, "a"]
+    assert list(rounded["a"].items()) == [(2.5, 0.3), ("", {})]
+    assert _dumps(report) == (
+        '{\n  "z": 1,\n  "3": 2,\n  "true": 3,\n  "null": 4,\n'
+        '  "a": {\n    "2.5": 0.3,\n    "": {}\n  }\n}\n'
+    )
 
 
-@settings(max_examples=300, deadline=None)
-@given(REPORTS)
-def test_render_matches_json_dumps(report):
-    assert "".join(_render(report)) == json.dumps(_rounded_report(report), indent=2)
+def test_error_details_render_through_str(capsys, monkeypatch):
+    def refusing(args):
+        raise ZefcError("bad_caps", "refused", caps=(Fraction(7, 3), 0.1 + 0.2), seen={3}, empty={})
+
+    build_parser.cache_clear()
+    monkeypatch.setattr(cli, "_cmd_nfc", refusing)
+    try:
+        code = main(["nfc", "--c1", "2", "--c2", "1"])
+    finally:
+        build_parser.cache_clear()
+    assert code == 2
+    details = {"caps": ["7/3", 0.3], "empty": {}, "seen": "{3}"}
+    want = {"error": {"code": "bad_caps", "message": "refused", "details": details}}
+    assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"
 
 
-def test_render_falls_back_to_default_for_error_details():
-    details = {"caps": (Fraction(7, 3), 0.1 + 0.2), "seen": {3}, "empty": {}}
-    want = json.dumps(_rounded_report(details), indent=2, default=str)
-    assert "".join(_render(details, default=str)) == want
+def test_reproduce_is_byte_identical_in_process(capsys):
+    runs = []
+    for _ in range(2):
+        assert main(["reproduce"]) == 0
+        runs.append(capsys.readouterr().out)
+    assert runs[0] == runs[1]
+    assert json.loads(runs[0])["results"][0]["details"]["max_query_ms"] is None
 
 
 class _Writes(io.StringIO):
