@@ -8,7 +8,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .bitspace import binary_to_base3_table
-from .capacity import LOG2_3, capacity
+from .capacity import capacity
 from .codec import (
     ChannelCaps,
     KShotCode,
@@ -28,6 +28,7 @@ from .coloring import (
     verify_aitch_superadditivity,
     verify_sumset_lower_bound,
 )
+from .exact import LOG2_3, log2_3_sign
 from .nfc import (
     build_network,
     check_network_admissible,
@@ -74,7 +75,7 @@ def run_criterion_1():
     started = time.perf_counter()
     failures, checked = [], 0
     worst_ms = 0.0
-    log32 = math.log(2, 3)
+    log32 = 1 / LOG2_3
     for c1s, c2s in CAP_PAIRS:
         caps = ChannelCaps.of(c1s, c2s)
         c1f, c2f = float(caps.c1), float(caps.c2)
@@ -85,7 +86,7 @@ def run_criterion_1():
             "01": ((c1f - c2f) * log32 + c2f, "(C1-C2)*log3(2)+C2"),
         }
         if (caps.c1, caps.c2) == (Fraction(2), Fraction(1)):
-            expected["01"] = (math.log(6, 3), "log3(6)")
+            expected["01"] = (math.log2(6) / LOG2_3, "log3(6)")
         for case, (value, tag) in expected.items():
             switches = SwitchPair.from_string(case)
             capacity(switches, caps)
@@ -117,7 +118,7 @@ def run_criterion_2():
     started = time.perf_counter()
     failures = []
     caps = ChannelCaps.of("2", "1")
-    target = math.log(6, 3)
+    target = math.log2(6) / LOG2_3
     rates = {}
     for k in [1, 2, 4, 8, 16, 32, 64, 128]:
         code = build_split_code_01(k, caps)
@@ -198,9 +199,9 @@ def run_criterion_6():
     failures = []
     caps21 = ChannelCaps.of("2", "1")
     report = nontightness_report(caps21)
-    if abs(report.capacity - math.log(6, 3)) > 1e-9:
+    if abs(report.capacity - math.log2(6) / LOG2_3) > 1e-9:
         failures.append(f"capacity {report.capacity} != log3(6)")
-    if abs(report.bound_enum - math.log(8, 3)) > 1e-9:
+    if abs(report.bound_enum - 3 / LOG2_3) > 1e-9:
         failures.append(f"bound {report.bound_enum} != log3(8)")
     if report.witness_cut != ("e1", "e2", "e3"):
         failures.append(f"witness {report.witness_cut} != (e1, e2, e3)")
@@ -307,7 +308,7 @@ def run_criterion_8():
             code = KShotCode(k, SwitchPair(1, 1), None, None, None, wide, narrow, "packing11")
             acct = rate_account(code, caps)
             need = total * acct.n
-            if 2 ** need.numerator < 3 ** (k * need.denominator):
+            if log2_3_sign(need, -k) < 0:  # 2^need < 3^k
                 failures.append(f"packing budget fails at caps ({c1s},{c2s}) k={k}")
     details = {"coloring_pairs_k2": "prefixes plus split picks", "packing_k_max": 64}
     return _finish("property_suite", None, started, failures, details)

@@ -12,8 +12,7 @@ from .codec import (
     rate_account,
 )
 from .errors import ZefcError
-
-LOG2_3 = math.log2(3)
+from .exact import LOG2_3, least_integer, log2_3_sign
 
 
 @dataclass(frozen=True)
@@ -51,6 +50,25 @@ def _closed_form(switches, caps):
     return (c1 - c2) / LOG2_3 + c2, "(C1-C2)*log3(2)+C2"
 
 
+def capacity_pair(switches, caps):
+    """(alpha, beta) with the capacity equal to alpha / log2(3) + beta."""
+    case = switches.as_string()
+    if case in ("00", "10"):
+        return 0, caps.c2
+    if case == "11":
+        return caps.c1 + caps.c2, 0
+    return caps.c1 - caps.c2, caps.c2
+
+
+def least_converse_uses(switches, caps, k):
+    """Least n >= 1 with k/n at most the capacity: n*alpha + (n*beta - k)*log2(3) >= 0.
+
+    No code computes the sum with zero channel uses, however wide the channels.
+    """
+    alpha, beta = capacity_pair(switches, caps)
+    return max(1, least_integer(0, -k, alpha, beta))
+
+
 def _converse_uses(switches, caps, k):
     """Lower bound on channel uses n at block length k for the matching converse."""
     case = switches.as_string()
@@ -67,11 +85,13 @@ def capacity(switches, caps, witness_k=None):
     if witness_k is None:
         return CapacityResult(value=value, formula=formula)
     code = construct_for_case(switches, witness_k, caps)
-    achieved = float(rate_account(code, caps).rate)
-    uses = _converse_uses(switches, caps, witness_k)
-    # No code computes the sum with zero channel uses, however wide the channels.
-    converse = witness_k / max(1, math.ceil(uses - 1e-9))
-    if achieved > value + 1e-12 or achieved > converse + 1e-12:
+    rate = rate_account(code, caps).rate
+    achieved = float(rate)
+    n = least_converse_uses(switches, caps, witness_k)
+    converse = witness_k / n
+    alpha, beta = capacity_pair(switches, caps)
+    # rate > alpha / log2(3) + beta exactly when (rate - beta) * log2(3) - alpha > 0.
+    if log2_3_sign(-alpha, rate - beta) > 0 or rate * n > witness_k:
         raise ZefcError(
             "rate_above_bound",
             "the witness rate must not exceed the capacity or the converse bound",
@@ -79,6 +99,7 @@ def capacity(switches, caps, witness_k=None):
             capacity=value,
             converse=converse,
         )
+    uses = _converse_uses(switches, caps, witness_k)
     # Relative to the capacity too: at caps near 1e30 one float step exceeds 1e-9.
     if not math.isclose(value, witness_k / uses, rel_tol=1e-12, abs_tol=1e-9):
         raise ZefcError(

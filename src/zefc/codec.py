@@ -10,16 +10,18 @@ import numpy as np
 
 from .bitspace import binary_to_base3_table, digit_strings, sum_table, word_to_string
 from .errors import ZefcError
+from .exact import exact_pow2_floor, least_integer, least_uses, log2_3_sign
 
 MAX_EXHAUSTIVE_K = 10
 MAX_CAP_DENOMINATOR = 64
 # Largest cap. Capacities are floats formed from c1 + c2 and k*c*log2(3), which
 # caps near the float limit, such as 1e308, overflow to inf or nan.
 MAX_CAP = Fraction(1 << 512)
-# Largest exponent split_index raises 2 to, after dividing both exponents by their
-# gcd, when neither is at least twice the other. One comparison at this size takes
-# about 0.1 s; caps (2,1) stay below it up to k of about 1.7 million.
-MAX_SPLIT_EXPONENT = 1 << 20
+# Budget of the case-01 code: it builds the integer 3^(k1-1), about 0.61*k bits at
+# caps (2,1) and up to k*log2(3) bits when c2 is far below c1. At this k, capacity
+# with the witness takes about 0.2 s at caps (2,1) and 1.1 s at caps (1, 1/64)
+# (Python 3.11, one Xeon core).
+MAX_SPLIT_BASE_K = 1 << 22
 # Budget of the case-11 construction: k*log2(3), the size in bits of 3^k, times
 # the denominator q of c2. It divides 3^k by floor(2^(n*c2)), a q-th root of a
 # number of about that many bits. Caps (2,1) reach it at k of about 660 000 and
@@ -201,39 +203,6 @@ def check_admissible(code):
     )
 
 
-def least_uses(image_size, cap):
-    """Least n >= 0 with 2^(n*cap) >= image_size, by exact integer comparison."""
-    if image_size < 1:
-        raise ZefcError("empty_image", "encoder image must be nonempty", size=image_size)
-    if image_size == 1:
-        return 0
-    p, q = cap.numerator, cap.denominator
-    bits = image_size.bit_length()
-    # image_size lies in [top, top + 1) * 2^shift with top of 64 bits, so
-    # image_size^q lies in [low, high) * 2^(q*shift); only a power of two inside
-    # that bracket needs image_size^q itself.
-    shift = max(0, bits - 64)
-    top = image_size >> shift
-    low = top**q
-    high = low if top << shift == image_size else (top + 1) ** q
-
-    def enough(n):
-        # image_size < 2^bits, so n*p >= q*bits settles a large cap at once.
-        if n * p >= q * bits:
-            return True
-        e = n * p - q * shift
-        if e < 0 or (1 << e) < low:
-            return False
-        return (1 << e) >= high or (1 << (n * p)) >= image_size**q
-
-    n = max(0, math.floor(math.log2(image_size) / float(cap)) - 2)
-    while not enough(n):
-        n += 1
-    while n > 0 and enough(n - 1):
-        n -= 1
-    return n
-
-
 def rate_account(code, caps):
     """Channel uses n1, n2 and rate k/max(n1,n2) for an admissible code."""
     n1 = least_uses(code.im1, caps.c1)
@@ -285,27 +254,6 @@ def lift_code(code, switches):
     )
 
 
-def _iroot(value, power):
-    """Integer floor of value ** (1/power)."""
-    if power == 1 or value < 2:
-        return value
-    x = 1 << -(-value.bit_length() // power)
-    while True:
-        y = ((power - 1) * x + value // x ** (power - 1)) // power
-        if y >= x:
-            break
-        x = y
-    while x ** power > value:
-        x -= 1
-    return x
-
-
-def exact_pow2_floor(n, cap):
-    """floor(2^(n*cap)) for rational cap, exactly."""
-    p, q = cap.numerator, cap.denominator
-    return _iroot(1 << (n * p), q)
-
-
 def packing_sizes(k, caps):
     """Image sizes (wide, narrow) of the case-11 packing code at block length k.
 
@@ -315,7 +263,8 @@ def packing_sizes(k, caps):
     """
     if k < 1:
         raise ZefcError("bad_k", "block length must be at least 1", k=k)
-    if math.ceil(k * math.log2(3)) * caps.c2.denominator > MAX_PACKING_BITS:
+    # ceil(k*log2(3)) * q > budget exactly when k*log2(3) > floor(budget / q).
+    if log2_3_sign(-(MAX_PACKING_BITS // caps.c2.denominator), k) > 0:
         raise ZefcError(
             "packing_too_costly",
             f"the case-11 code is limited to k*log2(3) * denominator(c2) <= {MAX_PACKING_BITS} bits",
@@ -347,37 +296,9 @@ def build_packing_code_11(k, caps):
 
 def split_index(k, caps):
     """Boundary k1 for the case-01 split: least k1 >= 1 with 3^(k1*c2) >= 2^((c1-c2)(k-k1))."""
-    a = caps.c1 - caps.c2
-    if a == 0:
-        return 1
-    b = caps.c2
-
-    def enough(k1):
-        """3^e3 >= 2^e2, decided from the exponents alone when one is far larger."""
-        e3 = k1 * b.numerator * a.denominator
-        e2 = a.numerator * b.denominator * (k - k1)
-        g = math.gcd(e3, e2)
-        e3, e2 = e3 // g, e2 // g
-        if e3 >= e2:
-            return True
-        if e2 >= 2 * e3:
-            return False  # 3^e3 < 4^e3 <= 2^e2
-        if e2 > MAX_SPLIT_EXPONENT:
-            raise ZefcError(
-                "split_too_costly",
-                f"the case-01 split compares powers of 2 and 3 up to exponent {MAX_SPLIT_EXPONENT}",
-                k=k,
-                caps=caps.as_strings(),
-            )
-        return 3**e3 >= 2**e2
-
-    seed = float(a) * k / (float(a) + float(b) * math.log2(3))
-    k1 = min(max(1, math.ceil(seed - 1e-9)), k)
-    while not enough(k1):
-        k1 += 1
-    while k1 > 1 and enough(k1 - 1):
-        k1 -= 1
-    return k1
+    a, b = caps.c1 - caps.c2, caps.c2
+    # k1*c2*log2(3) - (c1-c2)*(k-k1) >= 0, which holds at k1 = k.
+    return max(1, least_integer(-a * k, 0, a, b))
 
 
 def build_split_code_01(k, caps):
@@ -388,6 +309,8 @@ def build_split_code_01(k, caps):
     """
     if k < 1:
         raise ZefcError("bad_k", "block length must be at least 1", k=k)
+    if k > MAX_SPLIT_BASE_K:
+        raise ZefcError("k_too_large", f"the case-01 code is limited to k<={MAX_SPLIT_BASE_K}", k=k)
     low = split_index(k, caps) - 1
     base = 3 ** low
     hi_width = k - low

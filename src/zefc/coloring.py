@@ -8,8 +8,9 @@ import numpy as np
 
 from .bitspace import digit_strings, sum_rows, sumset
 from .errors import ZefcError
+from .exact import LOG2_3, colex_prefix_value
 
-TAU = math.log2(3) - 1
+TAU = LOG2_3 - 1
 # Exact Q_k is a closed form at every k; exact mode stops here only because the
 # recorded benchmark refusal `qk --k 9` pins it until the refusals are re-recorded.
 EXACT_QK_LIMIT = 4
@@ -116,25 +117,6 @@ def qk_lower_bound(k, l):
     if math.isinf(bound):
         raise ZefcError("k_too_large", "the bound 2^k * h(l) exceeds the float range", k=k, l=l)
     return math.ceil(bound - 1e-9)
-
-
-def colex_prefix_value(k, l):
-    """Sumset size |A^k + {0, ..., l-1}|, by the prefix recursion run as a loop.
-
-    With half = 2^(k-1), the size is 2 * |A^(k-1) + {0..l-1}| when l <= half, and
-    2 * 3^(k-1) + |A^(k-1) + {0..l-half-1}| otherwise; at k = 0 it is 1.
-    """
-    if l == 0:
-        return 0
-    value, scale = 0, 1
-    for j in range(k - 1, -1, -1):
-        half = 1 << j
-        if l <= half:
-            scale *= 2
-        else:
-            value += scale * 2 * 3**j
-            l -= half
-    return value + scale
 
 
 def q_k(k, l, bracket=False):

@@ -9,9 +9,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitspace import sum_table
-from .capacity import LOG2_3, capacity
+from .capacity import capacity
 from .codec import MAX_EXHAUSTIVE_K, KShotCode, SwitchPair, first_seen, rate_account
 from .errors import ZefcError
+from .exact import LOG2_3, cutset_bound_formula, log2_3_sign
 
 # Bounds the edge ids a report lists. At this limit, caps (400,400) or (499,4),
 # `nontightness_report` takes about 0.3 ms in-process (Python 3.11, one Xeon core).
@@ -232,17 +233,26 @@ def n_cf(net, cls):
     return _state_count(cls.state, net.sizes)
 
 
+# log2 of each class count as (p, q): log2(count) = p + q*log2(3).
+_LOG2_COUNT = {2: (1, 0), 3: (0, 1), 4: (2, 0)}
+
+
 def _least_ratio(minima):
     """States of least size / log2(count), given each class count's least size and states.
 
-    Compared exactly, by the integer rule in `guang_bound`'s docstring; states of
-    equal ratio are all kept, whatever their count.
+    Compared exactly, by the rule in `guang_bound`'s docstring; states of equal
+    ratio are all kept, whatever their count.
     """
-    best_count, best_size, tied = None, None, []
+    best, tied = None, []  # best: (count, size)
     for count, (size, states) in minima.items():
-        if best_count is None or best_count**size < count**best_size:
-            best_count, best_size, tied = count, size, list(states)
-        elif best_count**size == count**best_size:
+        sign = -1
+        if best is not None:
+            # size / log2(count) - best size / log2(best count) has this sign.
+            (p, q), (bp, bq) = _LOG2_COUNT[count], _LOG2_COUNT[best[0]]
+            sign = log2_3_sign(size * bp - best[1] * p, size * bq - best[1] * q)
+        if sign < 0:
+            best, tied = (count, size), list(states)
+        elif sign == 0:
             tied += states
     return tied
 
@@ -255,8 +265,9 @@ def guang_bound(net):
     bundle's first edges, as many as the state counts. n_cf is 2, 3 or 4, and among
     states of one class count the ratio grows with the cut size, so only each
     count's least size can reach the minimum: at most three candidates. They are
-    compared exactly, in integers: s_a / log2(c_a) < s_b / log2(c_b) exactly when
-    c_b^s_a < c_a^s_b. The tie-break then runs over the states of least ratio alone.
+    compared exactly: s_a / log2(c_a) < s_b / log2(c_b) exactly when
+    s_a * log2(c_b) - s_b * log2(c_a) < 0, a sign `exact.log2_3_sign` decides. The
+    tie-break then runs over the states of least ratio alone.
     """
     sizes = net.sizes
     minima, seen = {}, 0  # class count -> (least cut size, the states of that size)
@@ -277,21 +288,13 @@ def guang_bound(net):
     else:
         best = min(tied)
     count = _state_count(best, sizes)
+    p, q = _LOG2_COUNT[count]
     return GuangBound(
-        value=sum(best) / math.log2(count),
+        value=sum(best) / (p + q * LOG2_3),
         witness=tuple(eid for b, c in enumerate(best) for eid in _bundle_ids(net, b, c)),
         witness_ncf=count,
         cuts_seen=seen,
     )
-
-
-def cutset_bound_formula(caps):
-    """Closed form of the cut-set bound over the network family, for integer caps."""
-    c1, c2 = int(caps.c1), int(caps.c2)
-    # c1 <= c2 / (log2 3 - 1) exactly when 3^c1 <= 2^(c1 + c2).
-    if 3**c1 <= 2 ** (c1 + c2):
-        return float(c1)
-    return (c1 + c2) / LOG2_3
 
 
 def _chunk_layout(bits, parts):

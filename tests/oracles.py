@@ -82,6 +82,42 @@ def converse_envelope(k, c1, c2, t):
     return max((k * LOG2_3 - (LOG2_3 - 1) * t) / c1, t / c2)
 
 
+def split_index_powers(k, c1, c2, max_exponent=1 << 20):
+    """Least k1 >= 1 with 3^(k1*c2) >= 2^((c1-c2)(k-k1)), by powers of 2 and 3; None if costly.
+
+    The case-01 split as zefc once computed it: a float seed, then integer powers
+    of both sides once their exponents are divided by their gcd. Where it raised
+    2 past max_exponent, it refused the request; that is None here.
+    """
+    a, b = c1 - c2, c2
+    if a == 0:
+        return 1
+
+    def enough(k1):
+        e3 = k1 * b.numerator * a.denominator
+        e2 = a.numerator * b.denominator * (k - k1)
+        g = math.gcd(e3, e2)
+        e3, e2 = e3 // g, e2 // g
+        if e3 >= e2:
+            return True
+        if e2 >= 2 * e3:
+            return False  # 3^e3 < 4^e3 <= 2^e2
+        if e2 > max_exponent:
+            raise OverflowError(e2)
+        return 3**e3 >= 2**e2
+
+    seed = float(a) * k / (float(a) + float(b) * LOG2_3)
+    k1 = min(max(1, math.ceil(seed - 1e-9)), k)
+    try:
+        while not enough(k1):
+            k1 += 1
+        while k1 > 1 and enough(k1 - 1):
+            k1 -= 1
+    except OverflowError:
+        return None
+    return k1
+
+
 def qk_bruteforce(k, l):
     """Exact minimum |A^k + L| over size-l subsets, with the first witness."""
     words = all_words(2, k)

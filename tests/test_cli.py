@@ -238,6 +238,7 @@ COSTLY_REQUESTS = (
     ("verify aitch --l-max 200000", "l_too_large"),
     ("capacity --case 11 --c1 2 --c2 1 --k 100000000", "packing_too_costly"),
     ("capacity --case 11 --c1 127/64 --c2 63/64 --k 100000", "packing_too_costly"),
+    ("capacity --case 01 --c1 2 --c2 1 --k 4194305", "k_too_large"),
     ("verify sumset-bound --k-max 8 --samples 100000000", "bad_samples"),
     ("capacity --case 00 --c1 1 --c2 1 --k 100000000000", "k_too_large"),
     ("capacity --case 10 --c1 1 --c2 1 --k 100000000000", "k_too_large"),

@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from zefc import codec
 from zefc.capacity import construct_for_case
 from zefc.codec import (
     MAX_PACKING_BITS,
+    MAX_SPLIT_BASE_K,
     ChannelCaps,
     KShotCode,
     SwitchPair,
@@ -26,13 +28,12 @@ from zefc.codec import (
     code_parts,
     code_text,
     code_to_json,
-    exact_pow2_floor,
-    least_uses,
     lift_code,
     rate_account,
     split_index,
 )
 from zefc.errors import ZefcError
+from zefc.exact import exact_pow2_floor, least_uses
 
 import oracles
 
@@ -147,12 +148,34 @@ def test_packing_code_refuses_costly_block_lengths():
     assert rate_account(build_packing_code_11(1000, caps), caps).n == 534
 
 
-def test_split_index_refuses_costly_exponents():
-    huge = ChannelCaps.of(2 * 10**30 + 3, 10**30 + 1)
+def test_split_code_refuses_blocks_above_its_budget():
     with pytest.raises(ZefcError) as err:
-        split_index(5, huge)
-    assert err.value.code == "split_too_costly"
-    assert split_index(5, ChannelCaps.of("2e30", "1e30")) == split_index(5, ChannelCaps.of(2, 1))
+        build_split_code_01(MAX_SPLIT_BASE_K + 1, CAPS21)
+    assert err.value.code == "k_too_large"
+    # No exponent budget: caps whose exponents share no factor answer like any other.
+    assert split_index(5, ChannelCaps.of(2 * 10**30 + 3, 10**30 + 1)) == 2
+    assert split_index(5, ChannelCaps.of("2e30", "1e30")) == split_index(5, CAPS21)
+    # Caps (2,1): least k1 >= k / (1 + log2(3)), past the k the exponent budget refused.
+    log2_3 = Decimal(3).ln() / Decimal(2).ln()
+    for k in (2_000_001, MAX_SPLIT_BASE_K):
+        assert split_index(k, CAPS21) == math.ceil(k / (1 + log2_3)), k
+
+
+# The old power comparison stops at a gcd-reduced exponent of 2^20; every cap pair here
+# answers to k = 400 either way.
+SWEEP_CAPS = [(2, 1), (3, 2), ("7/3", "5/4"), ("3/2", 1), ("127/64", "63/64"), (5, 1), (64, "1/64")]
+
+
+def test_split_index_matches_power_oracle():
+    checked = 0
+    for c1, c2 in SWEEP_CAPS:
+        caps = ChannelCaps.of(c1, c2)
+        for k in range(1, 401):
+            want = oracles.split_index_powers(k, caps.c1, caps.c2)
+            if want is not None:
+                assert split_index(k, caps) == want, (c1, c2, k)
+                checked += 1
+    assert checked == 2800
 
 
 def test_exact_pow2_floor():

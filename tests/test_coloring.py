@@ -18,7 +18,6 @@ from zefc.coloring import (
     chi,
     chi_m,
     chi_m_table,
-    colex_prefix_value,
     mixed_min_pair_sumset,
     q_k,
     q_k_table,
@@ -27,6 +26,7 @@ from zefc.coloring import (
     verify_sumset_lower_bound,
 )
 from zefc.errors import ZefcError
+from zefc.exact import colex_prefix_value
 
 import oracles
 

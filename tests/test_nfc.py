@@ -27,6 +27,7 @@ from zefc.codec import (
     rate_account,
 )
 from zefc.errors import ZefcError
+from zefc.exact import cutset_bound_formula
 from zefc.nfc import (
     LAYOUT,
     Network,
@@ -37,7 +38,6 @@ from zefc.nfc import (
     build_network,
     check_network_admissible,
     classify_cut,
-    cutset_bound_formula,
     guang_bound,
     inverse_transform,
     make_network_code,
