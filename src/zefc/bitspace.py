@@ -90,6 +90,18 @@ def sum_rows(k):
         present[row] = False
 
 
+def distinct(values):
+    """The distinct entries of an array, ascending, from one sort.
+
+    It stands in for a plain np.unique, whose first call in a process imports
+    numpy.ma under numpy 2.
+    """
+    flat = np.sort(values, axis=None)
+    keep = np.ones(flat.size, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=keep[1:])
+    return flat[keep]
+
+
 def sumset(k, m, l):
     """The distinct packed base-3 sums a + b of packed k-bit words a in m and b in l, ascending."""
     t3 = binary_to_base3_table(k)
@@ -98,4 +110,4 @@ def sumset(k, m, l):
     if not all(isinstance(w, (int, np.integer)) and 0 <= w < len(t3) for w in m + l):
         raise ZefcError("bad_value", "words must be integers in [0, 2^k)", k=k)
     m, l = np.array(m, dtype=np.int64), np.array(l, dtype=np.int64)
-    return np.unique(t3[m][:, None] + t3[l][None, :])
+    return distinct(t3[m][:, None] + t3[l][None, :])

@@ -4,6 +4,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import sys
 import time
 
@@ -364,6 +365,31 @@ def build_parser():
     return parser
 
 
+def _send(write):
+    """Call write(sys.stdout) and flush it; False if that raised an OSError.
+
+    A closed pipe or a full disk raises here. fd 1 is then pointed at os.devnull,
+    so the flush at interpreter exit cannot raise again, and a stdout_failed error
+    goes to stderr.
+    """
+    try:
+        write(sys.stdout)
+        sys.stdout.flush()
+        return True
+    except OSError as exc:
+        try:
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):
+            fd = None  # a stand-in stream with no file behind it
+        if fd is not None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        err = ZefcError("stdout_failed", "could not write the report to stdout", reason=exc.strerror)
+        sys.stderr.write(_dumps({"error": err.payload()}, default=str))
+        return False
+
+
 def main(argv=None):
     parser = build_parser()
     try:
@@ -389,15 +415,17 @@ def main(argv=None):
                     "emit_failed", "could not write the report", path=args.emit, reason=exc.strerror
                 ) from exc
         if args.format == "table":
-            _print_table(json.loads("".join(_chunks(text, table))), sys.stdout)
+            written = _send(lambda out: _print_table(json.loads("".join(_chunks(text, table))), out))
         else:
-            sys.stdout.writelines(_chunks(text, table))
+            written = _send(lambda out: out.writelines(_chunks(text, table)))
+        if not written:
+            return 2
         if args.command == "reproduce":
             passed = sum(1 for row in payload["results"] if row["passed"])
             print(f"# {passed}/{len(payload['results'])} criteria passed", file=sys.stderr)
         return exit_code
     except ZefcError as err:
-        sys.stdout.write(_dumps({"error": err.payload()}, default=str))
+        _send(lambda out: out.write(_dumps({"error": err.payload()}, default=str)))
         return 2
 
 

@@ -17,8 +17,9 @@ EXACT_QK_LIMIT = 4
 # verify sumset-bound checks all 2^(2^k) subsets up to this k (65535 at k = 4, about
 # 4.3e9 at k = 5) and proves the bound by induction beyond it.
 EXHAUSTIVE_SUMSET_K = 4
-# chi_m_table walks every set partition of the 2^k words: Bell(8) = 4140 of them
-# in about 5 ms at k = 3, but Bell(16), about 1.0e10, at k = 4.
+# The chi_m search finds every m at k = 5 in under a second; exact mode stops here only
+# because the recorded benchmark refusal `chim --k 4` pins it until the refusals are
+# re-recorded.
 EXACT_CHIM_LIMIT = 3
 # The mixed-pair minimum is a closed form at every k; the recorded benchmark refusal
 # `gamma-pair --k 9` pins this limit until the refusals are re-recorded.
@@ -187,12 +188,20 @@ def q_k_table(k):
 
 
 def chi_m_table(k):
-    """chi_m for every m at a fixed k, keyed by m, from one walk over the set partitions.
+    """chi_m for every m at a fixed k, keyed by m."""
+    _check_chim_k(k)
+    return {m: _chi_m_search(k, m) for m in range(1, (1 << k) + 1)}
 
-    The walk visits each partition of the 2^k words once, in growth-string order,
-    with its blocks as word bitmasks, and keeps per block count the first
-    partition whose largest block sumset is least.
-    """
+
+def chi_m(k, m):
+    """Least achievable max-block color count over partitions into exactly m blocks."""
+    _check_chim_k(k)
+    if not 1 <= m <= 1 << k:
+        raise ZefcError("bad_m", "block count must lie in [1, 2^k]", k=k, m=m)
+    return _chi_m_search(k, m)
+
+
+def _check_chim_k(k):
     if k < 1:
         raise ZefcError("bad_k", "k must be at least 1", k=k)
     if k > EXACT_CHIM_LIMIT:
@@ -201,37 +210,54 @@ def chi_m_table(k):
             f"partition enumeration is limited to k<={EXACT_CHIM_LIMIT}",
             k=k,
         )
+
+
+def _chi_m_search(k, m):
+    """chi_m(k, m) and the first partition reaching it in growth-string order, at any k.
+
+    The largest of m blocks holds at least ceil(2^k/m) words, and Q_k = C_k never
+    decreases, so chi_m >= t = C_k(ceil(2^k/m)). A depth-first search places
+    the words in order, each in an existing block, first to last, then in a new
+    one, which visits the partitions in growth-string order. It keeps a block
+    only while its sumset, the OR of its words' sum_rows masks, has at most t
+    sums, opens a block only while fewer than m exist, and drops a branch once
+    too few words are left to open the rest. If no partition passes, t goes up
+    by one, so the first hit is the first minimum in growth order.
+    """
     size = 1 << k
-    counts = _union_counts(k)[0].tolist()
-    best, pick = {}, {}
+    rows = [int.from_bytes(row, "little") for row in sum_rows(k)]
+    sums, blocks = [], []
 
-    def grow(y, blocks):
-        if y < size:
-            for i in range(len(blocks)):
-                blocks[i] |= 1 << y
-                grow(y + 1, blocks)
-                blocks[i] ^= 1 << y
-            grow(y + 1, blocks + [1 << y])
-            return
-        m, worst = len(blocks), max(counts[mask] for mask in blocks)
-        if worst < best.get(m, math.inf):
-            best[m], pick[m] = worst, tuple(blocks)
+    def place(y, bound):
+        if y == size:
+            return len(blocks) == m
+        if len(blocks) + size - y < m:
+            return False
+        row, bit = rows[y], 1 << y
+        for i, before in enumerate(sums):
+            union = before | row
+            if union.bit_count() <= bound:
+                sums[i] = union
+                blocks[i] |= bit
+                if place(y + 1, bound):
+                    return True
+                sums[i] = before
+                blocks[i] ^= bit
+        if len(blocks) < m:
+            sums.append(row)
+            blocks.append(bit)
+            if place(y + 1, bound):
+                return True
+            sums.pop()
+            blocks.pop()
+        return False
 
-    grow(0, [])
+    bound = colex_prefix_value(k, -(-size // m))
+    while not place(0, bound):
+        bound += 1
     words = digit_strings(k, 2)
-    table = {}
-    for m in sorted(best):
-        witness = tuple(tuple(w for y, w in enumerate(words) if mask >> y & 1) for mask in pick[m])
-        table[m] = ChiMResult(k=k, m=m, value=best[m], witness=witness)
-    return table
-
-
-def chi_m(k, m):
-    """Least achievable max-block color count over partitions into exactly m blocks."""
-    table = chi_m_table(k)
-    if m not in table:
-        raise ZefcError("bad_m", "block count must lie in [1, 2^k]", k=k, m=m)
-    return table[m]
+    witness = tuple(tuple(w for y, w in enumerate(words) if mask >> y & 1) for mask in blocks)
+    return ChiMResult(k=k, m=m, value=bound, witness=witness)
 
 
 def _aitch_splits(h):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitspace import sum_table
+from .bitspace import distinct, sum_table
 from .capacity import capacity
 from .codec import MAX_EXHAUSTIVE_K, KShotCode, SwitchPair, first_seen, rate_account
 from .errors import ZefcError
@@ -311,16 +311,18 @@ def _bits_for(count):
 def _tuple_ids(symbols, ids):
     """Number of the tuple of symbols the edges carry at each (x, y), x major.
 
-    Tuples are numbered in order of first appearance. Each edge's symbols are
-    numbered densely and folded into one int64 key per (x, y), which is numbered
-    densely again after every fold, so the key stays below 4^k times the edge's
-    count of distinct symbols whatever the symbols are.
+    Tuples are numbered in order of first appearance. One lexsort over the edges'
+    columns puts equal tuples next to each other; a new number starts wherever
+    any column changes, so the numbers stay below 4^k whatever the symbols are.
     """
     columns = [symbols[eid].ravel() for eid in ids]
-    key = np.unique(columns[0], return_inverse=True)[1]
-    for column in columns[1:]:
-        values, digits = np.unique(column, return_inverse=True)
-        key = np.unique(key * values.size + digits, return_inverse=True)[1]
+    order = np.lexsort(columns)
+    change = np.zeros(order.size, dtype=bool)
+    for column in columns:
+        run = column[order]
+        change[1:] |= run[1:] != run[:-1]
+    key = np.empty(order.size, dtype=np.int64)
+    key[order] = np.cumsum(change)
     return first_seen(key)[0]
 
 
@@ -362,7 +364,7 @@ def make_network_code(net, k, symbols, output):
         value[feed] = column
         if (value[feed] != column).any():
             raise ZefcError("bad_network_code", "a table must follow from what its node sees", table=name)
-    n_e = {eid: _bits_for(np.unique(symbols[eid]).size) for eid in edges}
+    n_e = {eid: _bits_for(distinct(symbols[eid]).size) for eid in edges}
     return KShotNetworkCode(
         network=net,
         k=k,
@@ -393,7 +395,7 @@ def transform_code(code, caps):
     size = 1 << k
     # Encoder 2 of a case-01 code reads y alone, so its table is any one row.
     phi2 = np.broadcast_to(code.phi2[:1], (size, size))
-    realized = (np.unique(code.phi1).size, np.unique(phi2[0]).size)
+    realized = (distinct(code.phi1).size, distinct(phi2[0]).size)
     if realized != (code.im1, code.im2):
         raise ZefcError(
             "bad_image_count",

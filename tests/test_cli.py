@@ -6,6 +6,7 @@ import os
 import pathlib
 import argparse
 import dataclasses
+import errno
 import re
 import subprocess
 import sys
@@ -528,12 +529,23 @@ def test_handlers_are_looked_up_when_the_parser_is_built(capsys, monkeypatch):
     assert calls == ["2"]
 
 
-def _run_module(*args):
-    """`python -m zefc *args` in a subprocess that imports the zefc these tests import."""
+def _subprocess_env():
+    """The environment of a subprocess that imports the zefc these tests import."""
     paths = [str(pathlib.Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+
+
+def _run_module(*args):
+    """`python -m zefc *args` in a subprocess."""
     argv = [sys.executable, "-m", "zefc", *args]
-    return subprocess.run(argv, capture_output=True, text=True, env=env)
+    return subprocess.run(argv, capture_output=True, text=True, env=_subprocess_env())
+
+
+def _run_python(code):
+    """The stripped stdout of `python -c code` in a fresh interpreter."""
+    argv = [sys.executable, "-c", code]
+    run = subprocess.run(argv, capture_output=True, text=True, env=_subprocess_env(), check=True)
+    return run.stdout.strip()
 
 
 def test_module_entry_point_is_deterministic():
@@ -548,6 +560,63 @@ def test_module_entry_point_error_exit():
     run = _run_module("qk", "--k", "9")
     assert run.returncode == 2
     assert json.loads(run.stdout)["error"]["code"] == "exact_mode_limit"
+
+
+def test_closed_pipe_is_a_structured_error():
+    # The report runs to megabytes, so the writer is blocked on a full pipe when the
+    # reader closes it after 100 bytes.
+    argv = [sys.executable, "-m", "zefc", "construct", "--case", "00", "--c1", "1", "--c2", "1"]
+    pipes = dict(stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_subprocess_env())
+    with subprocess.Popen(argv + ["--k", "8"], **pipes) as proc:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 2
+    assert head.startswith(b"{")
+    assert "Traceback" not in err
+    doc = json.loads(err)
+    assert doc["error"]["code"] == "stdout_failed"
+    validate(doc, schema("error"))
+
+
+class _FullStream(io.StringIO):
+    """A stdout whose every write fails, as on a full disk."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("argv", [["nfc", "--c1", "2", "--c2", "1"], ["chim", "--k", "9"]])
+def test_failed_stdout_write_is_a_structured_error(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "stdout", _FullStream())
+    assert main(argv) == 2
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["error"]["code"] == "stdout_failed"
+    assert doc["error"]["details"]["reason"] == os.strerror(errno.ENOSPC)
+    validate(doc, schema("error"))
+
+
+def test_requests_never_import_numpy_ma():
+    # A plain np.unique imports numpy.ma on its first call under numpy 2, which
+    # costs each request that reaches it 10-20 ms.
+    if _run_python("import sys, numpy; print('numpy.ma' in sys.modules)") == "True":
+        pytest.skip("importing numpy loads numpy.ma by itself")
+    requests = [
+        ["reproduce"],
+        ["construct", "--case", "01", "--c1", "2", "--c2", "1", "--k", "6"],
+        ["nfc", "--c1", "3", "--c2", "2"],
+        ["chim", "--k", "3"],
+        ["verify", "sumset-bound", "--k-max", "4"],
+    ]
+    code = (
+        "import contextlib, io, sys\n"
+        "from zefc.cli import main\n"
+        f"for argv in {requests!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    assert _run_python(code) == "False"
 
 
 def test_rounded_rounds_floats_at_any_depth_and_writes_tuples_as_lists():

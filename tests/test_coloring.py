@@ -13,6 +13,7 @@ from zefc.coloring import (
     MAX_AITCH_L,
     TAU,
     _aitch_violations,
+    _chi_m_search,
     aitch,
     aitch_tau,
     chi,
@@ -295,6 +296,20 @@ def test_chi_m_witness_is_the_first_minimum_in_growth_order():
         for m in range(1, (1 << k) + 1):
             want = [["".join(map(str, w)) for w in block] for block in firsts[m]]
             assert [list(block) for block in chi_m(k, m).witness] == want
+
+
+def test_chi_m_search_reaches_the_prefix_bound_beyond_the_cli_limit():
+    # k = 5, m = 11 is the hardest case, at about 2.2e5 search nodes.
+    for k in (4, 5):
+        words = oracles.all_words(2, k)
+        for m in range(1, (1 << k) + 1):
+            res = _chi_m_search(k, m)
+            assert res.value == colex_prefix_value(k, -(-(1 << k) // m)), (k, m)
+            blocks = [parsed(block) for block in res.witness]
+            assert len(blocks) == m and all(blocks)
+            assert sorted(w for block in blocks for w in block) == sorted(words)
+            worst = max(len(oracles.raw_sumset(words, block)) for block in blocks)
+            assert worst == res.value, (k, m)
 
 
 def test_chi_m_pigeonhole_lower_bound():

@@ -1,4 +1,4 @@
-"""Source rules: invariants are checked by code that `python -O` keeps, and no name is dead."""
+"""Source rules: checks that `python -O` keeps, no dead names, and no call that loads numpy.ma."""
 
 import ast
 import collections
@@ -222,3 +222,37 @@ def test_log2_3_rule_flags_a_new_site():
     lines = len(modules["nfc"].splitlines())
     assert sites == [f"nfc:{lines}", f"nfc:{lines}"]
     assert log2_3_sites({"exact": modules["exact"]}) == []
+
+
+# np.unique without any of these keywords goes through the hash path, whose first
+# call in a process imports numpy.ma under numpy 2.
+_UNIQUE_RETURNS = {"return_index", "return_inverse", "return_counts"}
+
+
+def plain_unique_sites(modules):
+    """module:line of each np.unique call that asks for none of index, inverse or counts."""
+    sites = []
+    for module, text in modules.items():
+        for node in ast.walk(ast.parse(text)):
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "unique"
+                and not _UNIQUE_RETURNS & {kw.arg for kw in node.keywords}
+            ):
+                sites.append(f"{module}:{node.lineno}")
+    return sites
+
+
+def test_no_plain_np_unique():
+    assert plain_unique_sites(_package()) == [], "use bitspace.distinct, which imports no numpy.ma"
+
+
+def test_plain_unique_rule_flags_a_new_site():
+    modules = _package()
+    modules["nfc"] += (
+        "\n\ndef _count(a):\n    # np.unique(a) in a comment\n"
+        "    text = 'np.unique(a)'\n"
+        "    return np.unique(a).size, np.unique(a, return_counts=True), len(text)\n"
+    )
+    lines = len(modules["nfc"].splitlines())
+    assert plain_unique_sites(modules) == [f"nfc:{lines}"]
