@@ -22,9 +22,9 @@ from .coloring import (
     EXACT_CHIM_LIMIT,
     EXACT_QK_LIMIT,
     chi,
-    chi_m_table,
+    chi_m,
     mixed_min_pair_sumset,
-    q_k_table,
+    q_k,
     verify_aitch_superadditivity,
     verify_sumset_lower_bound,
 )
@@ -142,7 +142,7 @@ def run_criterion_3():
     started = time.perf_counter()
     failures = []
     tau = LOG2_3 - 1
-    tables = {k: q_k_table(k) for k in range(1, EXACT_QK_LIMIT + 1)}
+    tables = {k: {l: q_k(k, l) for l in range((1 << k) + 1)} for k in range(1, EXACT_QK_LIMIT + 1)}
     for k, table in tables.items():
         for l in range(1, (1 << k) + 1):
             bound = math.ceil((1 << k) * l**tau - 1e-9)
@@ -151,7 +151,8 @@ def run_criterion_3():
             if k <= 2 and l in (1, 2, 1 << k) and table[l].value != bound:
                 failures.append(f"Q_{k}({l}) = {table[l].value} != bound {bound} (equality case)")
     for k in range(1, EXACT_CHIM_LIMIT + 1):
-        for m, result in chi_m_table(k).items():
+        for m in range(1, (1 << k) + 1):
+            result = chi_m(k, m)
             floor = tables[k][math.ceil((1 << k) / m)].value
             if result.value < floor:
                 failures.append(f"chi_{m} at k={k}: {result.value} < Q_k bound {floor}")

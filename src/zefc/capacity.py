@@ -69,16 +69,6 @@ def least_converse_uses(switches, caps, k):
     return max(1, least_integer(0, -k, alpha, beta))
 
 
-def _converse_uses(switches, caps, k):
-    """Lower bound on channel uses n at block length k for the matching converse."""
-    case = switches.as_string()
-    if case in ("00", "10"):
-        return k / float(caps.c2)
-    if case == "11":
-        return k * LOG2_3 / float(caps.c1 + caps.c2)
-    return f_k_min(k, caps)[1]
-
-
 def capacity(switches, caps, witness_k=None):
     """Closed-form capacity of X + Y, optionally sandwiched by a finite-k construction."""
     value, formula = _closed_form(switches, caps)
@@ -99,22 +89,7 @@ def capacity(switches, caps, witness_k=None):
             capacity=value,
             converse=converse,
         )
-    uses = _converse_uses(switches, caps, witness_k)
-    # Relative to the capacity too: at caps near 1e30 one float step exceeds 1e-9.
-    if not math.isclose(value, witness_k / uses, rel_tol=1e-12, abs_tol=1e-9):
-        raise ZefcError(
-            "converse_mismatch",
-            "k over the converse channel uses must equal the capacity",
-            capacity=value,
-            converse_rate=witness_k / uses,
-        )
     return CapacityResult(
         value=value, formula=formula, achievable_witness=achieved, converse_bound=converse
     )
 
-
-def f_k_min(k, caps):
-    """Minimizing point and value of the converse envelope over real t."""
-    c1, c2 = float(caps.c1), float(caps.c2)
-    t_star = k * c2 * LOG2_3 / ((c1 - c2) + c2 * LOG2_3)
-    return t_star, k * LOG2_3 / ((c1 - c2) + c2 * LOG2_3)

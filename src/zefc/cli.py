@@ -1,6 +1,7 @@
 """Command-line front end: JSON reports for every computation, plus `reproduce`."""
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -13,11 +14,10 @@ from .acceptance import run_all
 from .capacity import capacity, construct_for_case
 from .codec import ChannelCaps, SwitchPair, check_admissible, code_parts, rate_account
 from .coloring import (
+    EXACT_CHIM_LIMIT,
     chi_m,
-    chi_m_table,
     mixed_min_pair_sumset,
     q_k,
-    q_k_table,
     verify_aitch_superadditivity,
     verify_sumset_lower_bound,
 )
@@ -171,17 +171,14 @@ def _cmd_verify(args):
 
 
 def _cmd_qk(args):
-    if args.l is not None:
-        results = [q_k(args.k, args.l, bracket=args.bracket)]
-    elif not args.bracket:
-        results = list(q_k_table(args.k).values())[1:]
-    elif args.k > MAX_QK_TABLE_K:
+    if args.bracket and args.l is None and args.k > MAX_QK_TABLE_K:
         raise ZefcError(
             "bad_arguments", f"--l is required for k>{MAX_QK_TABLE_K} (the table has 2^k rows)"
         )
-    else:
-        # A k below 1 reaches q_k, which refuses it, instead of a negative shift.
-        results = [q_k(args.k, l, bracket=True) for l in range(1, (1 << max(args.k, 0)) + 1)]
+    # Clamped so that 1 << top stays small and nonnegative; q_k refuses a clamped k at l = 1.
+    top = min(max(args.k, 0), MAX_QK_TABLE_K)
+    ells = range(1, (1 << top) + 1) if args.l is None else [args.l]
+    results = [q_k(args.k, l, bracket=args.bracket) for l in ells]
     rows = []
     for result in results:
         row = {
@@ -206,10 +203,10 @@ def _cmd_qk(args):
 
 
 def _cmd_chim(args):
-    if args.m is not None:
-        results = [chi_m(args.k, args.m)]
-    else:
-        results = list(chi_m_table(args.k).values())
+    # Clamped so that 1 << top stays small and nonnegative; chi_m refuses a clamped k at m = 1.
+    top = min(max(args.k, 0), EXACT_CHIM_LIMIT)
+    ms = range(1, (1 << top) + 1) if args.m is None else [args.m]
+    results = [chi_m(args.k, m) for m in ms]
     rows = [
         {"m": r.m, "value": r.value, "witness": [list(block) for block in r.witness]}
         for r in results
@@ -365,29 +362,36 @@ def build_parser():
     return parser
 
 
-def _send(write):
-    """Call write(sys.stdout) and flush it; False if that raised an OSError.
+def _write(stream, write):
+    """Call write(stream) and flush it; the OSError that raised, or None.
 
-    A closed pipe or a full disk raises here. fd 1 is then pointed at os.devnull,
-    so the flush at interpreter exit cannot raise again, and a stdout_failed error
-    goes to stderr.
+    A closed pipe or a full disk raises here. The stream's fd is then pointed at
+    os.devnull, so the flush at interpreter exit cannot raise again.
     """
     try:
-        write(sys.stdout)
-        sys.stdout.flush()
-        return True
+        write(stream)
+        stream.flush()
     except OSError as exc:
-        try:
-            fd = sys.stdout.fileno()
-        except (OSError, ValueError):
-            fd = None  # a stand-in stream with no file behind it
-        if fd is not None:
+        with contextlib.suppress(OSError, ValueError):  # a stand-in stream has no fd
+            fd = stream.fileno()
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, fd)
             os.close(devnull)
+        return exc
+    return None
+
+
+def _send(write):
+    """Write to stdout with _write; on failure, a stdout_failed error to stderr and False.
+
+    Like every stderr write, that error is dropped if it fails too: a failed
+    stderr write never changes the exit code.
+    """
+    exc = _write(sys.stdout, write)
+    if exc is not None:
         err = ZefcError("stdout_failed", "could not write the report to stdout", reason=exc.strerror)
-        sys.stderr.write(_dumps({"error": err.payload()}, default=str))
-        return False
+        _write(sys.stderr, lambda out: out.write(_dumps({"error": err.payload()}, default=str)))
+    return exc is None
 
 
 def main(argv=None):
@@ -422,7 +426,8 @@ def main(argv=None):
             return 2
         if args.command == "reproduce":
             passed = sum(1 for row in payload["results"] if row["passed"])
-            print(f"# {passed}/{len(payload['results'])} criteria passed", file=sys.stderr)
+            note = f"# {passed}/{len(payload['results'])} criteria passed\n"
+            _write(sys.stderr, lambda out: out.write(note))
         return exit_code
     except ZefcError as err:
         _send(lambda out: out.write(_dumps({"error": err.payload()}, default=str)))

@@ -121,37 +121,10 @@ def qk_lower_bound(k, l):
 
 
 def q_k(k, l, bracket=False):
-    """Minimum |A^k + L| over subsets of size l: exact for k <= 4, else bracketed."""
-    _check_qk_k(k, bracket)
-    if not 0 <= l <= (1 << k):
-        raise ZefcError("bad_ell", "subset size must lie in [0, 2^k]", k=k, l=l)
-    return _qk_row(k, l, bracket)
+    """Minimum |A^k + L| over subsets of size l: exact for k <= 4, else bracketed.
 
-
-def _check_qk_k(k, bracket):
-    """Refuse a k below 1, then one above the exact or the bracketed limit."""
-    if k < 1:
-        raise ZefcError("bad_k", "k must be at least 1", k=k)
-    if not bracket and k > EXACT_QK_LIMIT:
-        raise ZefcError(
-            "exact_mode_limit",
-            f"exact mode limited to k<={EXACT_QK_LIMIT}; use --bracket",
-            k=k,
-        )
-    if k > MAX_BRACKET_K:
-        raise ZefcError("k_too_large", f"Q_k is limited to k<={MAX_BRACKET_K}", k=k)
-
-
-def _qk_row(k, l, bracket):
-    """Q_k's row at l: C_k(l) over the h bound; an exact row names the first l words."""
-    # A bracketed row is exact only at l = 0, whose witness is the empty set.
-    witness = [] if l == 0 else None if bracket else list(digit_strings(k, 2)[:l])
-    value = colex_prefix_value(k, l)
-    return QkResult(k, l, value, qk_lower_bound(k, l), value, witness is not None, witness)
-
-
-def q_k_table(k):
-    """Exact Q_k(l) for every l = 0..2^k: C_k(l), the sumset size of the first l words.
+    A row holds Q_k(l) = C_k(l), the sumset size of the first l words, above the
+    bound ceil(2^k * h(l)); an exact row also names those words.
 
     The first l words, the first l-subset in itertools.combinations order, reach
     C_k(l), so Q_k <= C_k; they are the witness, hence the first minimal subset.
@@ -183,25 +156,26 @@ def q_k_table(k):
     Related work: Bollobas and Leader, "Sums in the grid" (Discrete Math. 162,
     1996), study sumset sizes in the grid {0, ..., n-1}^k.
     """
-    _check_qk_k(k, bracket=False)
-    return {l: _qk_row(k, l, bracket=False) for l in range((1 << k) + 1)}
-
-
-def chi_m_table(k):
-    """chi_m for every m at a fixed k, keyed by m."""
-    _check_chim_k(k)
-    return {m: _chi_m_search(k, m) for m in range(1, (1 << k) + 1)}
+    if k < 1:
+        raise ZefcError("bad_k", "k must be at least 1", k=k)
+    if not bracket and k > EXACT_QK_LIMIT:
+        raise ZefcError(
+            "exact_mode_limit",
+            f"exact mode limited to k<={EXACT_QK_LIMIT}; use --bracket",
+            k=k,
+        )
+    if k > MAX_BRACKET_K:
+        raise ZefcError("k_too_large", f"Q_k is limited to k<={MAX_BRACKET_K}", k=k)
+    if not 0 <= l <= (1 << k):
+        raise ZefcError("bad_ell", "subset size must lie in [0, 2^k]", k=k, l=l)
+    # A bracketed row is exact only at l = 0, whose witness is the empty set.
+    witness = [] if l == 0 else None if bracket else list(digit_strings(k, 2)[:l])
+    value = colex_prefix_value(k, l)
+    return QkResult(k, l, value, qk_lower_bound(k, l), value, witness is not None, witness)
 
 
 def chi_m(k, m):
     """Least achievable max-block color count over partitions into exactly m blocks."""
-    _check_chim_k(k)
-    if not 1 <= m <= 1 << k:
-        raise ZefcError("bad_m", "block count must lie in [1, 2^k]", k=k, m=m)
-    return _chi_m_search(k, m)
-
-
-def _check_chim_k(k):
     if k < 1:
         raise ZefcError("bad_k", "k must be at least 1", k=k)
     if k > EXACT_CHIM_LIMIT:
@@ -210,6 +184,9 @@ def _check_chim_k(k):
             f"partition enumeration is limited to k<={EXACT_CHIM_LIMIT}",
             k=k,
         )
+    if not 1 <= m <= 1 << k:
+        raise ZefcError("bad_m", "block count must lie in [1, 2^k]", k=k, m=m)
+    return _chi_m_search(k, m)
 
 
 def _chi_m_search(k, m):

@@ -82,6 +82,20 @@ def converse_envelope(k, c1, c2, t):
     return max((k * LOG2_3 - (LOG2_3 - 1) * t) / c1, t / c2)
 
 
+def converse_uses_float(case, c1, c2, k):
+    """Channel uses a code needs at block length k, k over the capacity, in floats.
+
+    k/c2 in cases 00 and 10, k*log2(3)/(c1 + c2) in case 11, and in case 01 the
+    least value of converse_envelope over t. c1 and c2 are exact rationals.
+    """
+    if case in ("00", "10"):
+        return k / float(c2)
+    if case == "11":
+        return k * LOG2_3 / float(c1 + c2)
+    c1, c2 = float(c1), float(c2)
+    return k * LOG2_3 / ((c1 - c2) + c2 * LOG2_3)
+
+
 def split_index_powers(k, c1, c2, max_exponent=1 << 20):
     """Least k1 >= 1 with 3^(k1*c2) >= 2^((c1-c2)(k-k1)), by powers of 2 and 3; None if costly.
 

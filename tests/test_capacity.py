@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from oracles import converse_envelope
-from zefc.capacity import capacity, construct_for_case, f_k_min
-from zefc.codec import ChannelCaps, SwitchPair, rate_account
+from zefc import capacity as capacity_module
+from zefc.capacity import capacity, construct_for_case
+from zefc.codec import ChannelCaps, KShotCode, SwitchPair, rate_account
 from zefc.errors import ZefcError
 
 LOG2_3 = math.log2(3)
@@ -63,35 +64,30 @@ def test_capacity_with_witness():
         assert err.value.code == "bad_k"
 
 
-def test_f_k_min_values():
-    t_star, value = f_k_min(1, CAPS21)
-    assert abs(value - math.log(3, 6)) < 1e-12
-    assert abs(t_star - LOG2_3 / (LOG2_3 + 1)) < 1e-12
-    _, value10 = f_k_min(10, CAPS21)
-    assert abs(value10 - 10 * value) < 1e-12
-    t_star6, value6 = f_k_min(6, ChannelCaps.of(3, 2))
-    assert abs(value6 - 2.2805626002956054) < 1e-12
-    assert abs(t_star6 - 4.561125200591211) < 1e-12
+def test_witness_above_the_bound_is_refused(monkeypatch):
+    def rate_only(im1, im2):
+        return lambda switches, k, caps: KShotCode(k, switches, None, None, None, im1, im2, "stub")
+
+    # Images of two labels each: one channel use apiece carries all 100 digits.
+    monkeypatch.setattr(capacity_module, "construct_for_case", rate_only(2, 2))
+    for case in ("00", "01", "10", "11"):
+        with pytest.raises(ZefcError) as err:
+            capacity(*query(case, 2, 1), witness_k=100)
+        assert err.value.code == "rate_above_bound", case
+    monkeypatch.setattr(capacity_module, "construct_for_case", rate_only(1, 1))
+    with pytest.raises(ZefcError) as err:
+        capacity(*query("01", 2, 1), witness_k=100)
+    assert err.value.code == "degenerate_code"
 
 
-def test_f_k_min_times_capacity_identity():
-    cap = capacity(*query("01", 2, 1)).value
-    for k in (1, 3, 17, 100):
-        _, value = f_k_min(k, CAPS21)
-        assert abs(value * cap - k) < 1e-9
-
-
-def test_f_k_evaluate_grid():
-    # f_k_min against the envelope it minimizes, evaluated by the oracle over t in [0, k].
+def test_converse_envelope_minimum_is_k_over_capacity():
+    # The case-01 envelope over t in [0, k], evaluated by the oracle, bottoms out at k / C.
+    k = 5
     for caps in (CAPS21, ChannelCaps.of(3, 2)):
-        k = 5
-        t_star, value = f_k_min(k, caps)
+        low = k / capacity(SwitchPair.from_string("01"), caps).value
         c1, c2 = float(caps.c1), float(caps.c2)
-        assert 0 <= t_star <= k
-        assert abs(converse_envelope(k, c1, c2, t_star) - value) < 1e-12
         grid = [converse_envelope(k, c1, c2, k * i / 999) for i in range(1000)]
-        assert min(grid) >= value - 1e-12
-        assert min(grid) <= value + 0.05
+        assert low - 1e-12 <= min(grid) <= low + 0.05
 
 
 def witness_gaps(case, ks):

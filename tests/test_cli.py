@@ -596,6 +596,23 @@ def test_failed_stdout_write_is_a_structured_error(capsys, monkeypatch, argv):
     validate(doc, schema("error"))
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to fail writes on")
+@pytest.mark.parametrize(
+    "argv, full_stdout, want", [(["reproduce"], False, 0), (["chim", "--k", "2"], True, 2)]
+)
+def test_failed_stderr_write_keeps_the_exit_code(argv, full_stdout, want):
+    # Every write to /dev/full fails with ENOSPC: reproduce's criteria count, and
+    # the stdout_failed error that follows a failed report.
+    with open("/dev/full", "w") as full:
+        out = full if full_stdout else subprocess.PIPE
+        run = subprocess.run(
+            [sys.executable, "-m", "zefc", *argv], stdout=out, stderr=full, env=_subprocess_env()
+        )
+    assert run.returncode == want
+    if not full_stdout:
+        assert json.loads(run.stdout)["passed"] is True
+
+
 def test_requests_never_import_numpy_ma():
     # A plain np.unique imports numpy.ma on its first call under numpy 2, which
     # costs each request that reaches it 10-20 ms.

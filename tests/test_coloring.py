@@ -18,10 +18,8 @@ from zefc.coloring import (
     aitch_tau,
     chi,
     chi_m,
-    chi_m_table,
     mixed_min_pair_sumset,
     q_k,
-    q_k_table,
     qk_lower_bound,
     verify_aitch_superadditivity,
     verify_sumset_lower_bound,
@@ -78,7 +76,7 @@ def test_chi_matches_materialized_graph_oracle():
 
 def test_qk_frozen_tables():
     for k, table in Q_TABLES.items():
-        got = q_k_table(k)
+        got = {l: q_k(k, l) for l in range((1 << k) + 1)}
         assert got[0].value == 0
         for l, want in table.items():
             assert got[l].value == want
@@ -106,7 +104,7 @@ PROOF_K = 11
 
 
 def _qk_proof_failures(g, top):
-    """The steps of q_k_table's proof that fail on g, with g[l] = 2^K * F(l) for l <= 2^K.
+    """The steps of q_k's proof that fail on g, with g[l] = 2^K * F(l) for l <= 2^K.
 
     All in integers, each identity times 2^K (2^(K+1) where it halves): F(0) = 0,
     F(1) = 1, the low-digit recursion and monotonicity of F over g, then
@@ -167,7 +165,7 @@ def test_exact_qk_builds_no_union_table(monkeypatch):
 
     monkeypatch.setattr(coloring, "_union_counts", refuse)
     monkeypatch.setattr(coloring, "sum_rows", refuse)
-    assert [row.value for row in q_k_table(4).values()][1:] == list(Q_TABLES[4].values())
+    assert [q_k(4, l).value for l in range(1, 17)] == list(Q_TABLES[4].values())
     assert q_k(4, 7).value == Q_TABLES[4][7]
 
 
@@ -186,7 +184,7 @@ class _NoNumpy:
 
 def test_qk_and_gamma_pair_need_no_numpy(monkeypatch):
     monkeypatch.setattr(coloring, "np", _NoNumpy())
-    assert [row.value for row in q_k_table(4).values()][1:] == list(Q_TABLES[4].values())
+    assert [q_k(4, l).value for l in range(1, 17)] == list(Q_TABLES[4].values())
     assert q_k(4, 7).value == Q_TABLES[4][7]
     values = [mixed_min_pair_sumset(k).value for k in range(1, 9)]
     assert values == [3 * 2 ** (k - 1) for k in range(1, 9)]
@@ -255,14 +253,14 @@ def test_qk_lower_bound_power_of_two_exact():
 
 def test_chi_m_frozen_tables():
     for k, table in CHI_M_TABLES.items():
-        got = chi_m_table(k)
+        got = {m: chi_m(k, m) for m in range(1, (1 << k) + 1)}
         assert {m: r.value for m, r in got.items()} == table
 
 
 def test_chi_m_matches_bruteforce_oracle():
     for k in (1, 2, 3):
         want = oracles.chim_bruteforce(k)
-        got = chi_m_table(k)
+        got = {m: chi_m(k, m) for m in range(1, (1 << k) + 1)}
         assert {m: r.value for m, r in got.items()} == want
 
 
@@ -285,7 +283,7 @@ def test_chi_m_witness_is_partition_achieving_value():
 def test_chi_m_witness_is_the_first_minimum_in_growth_order():
     for k in (1, 2, 3):
         words = oracles.all_words(2, k)
-        values = {m: r.value for m, r in chi_m_table(k).items()}
+        values = {m: chi_m(k, m).value for m in range(1, (1 << k) + 1)}
         sizes, firsts = {}, {}
         for part in oracles.growth_partitions(words):
             for block in map(tuple, part):

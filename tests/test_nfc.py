@@ -428,6 +428,15 @@ def test_nontightness_report_raises_on_gap_sign_violation(monkeypatch):
     assert err.value.code == "gap_sign_mismatch"
 
 
+def test_nontightness_report_raises_on_bound_mismatch(monkeypatch):
+    # A closed form one unit off the enumerated cut bound.
+    formula = cutset_bound_formula(CAPS21)
+    monkeypatch.setattr("zefc.nfc.cutset_bound_formula", lambda caps: formula + 1)
+    with pytest.raises(ZefcError) as err:
+        nontightness_report(CAPS21)
+    assert err.value.code == "bound_mismatch"
+
+
 def test_network_lookups_match_edge_scans():
     for c1, c2 in ((1, 1), (3, 2), (5, 2)):
         net = build_network(ChannelCaps.of(str(c1), str(c2)))
@@ -602,3 +611,22 @@ def test_inverse_transform_rejects_output_not_read_off_label_pair():
         inverse_transform(bad)
     assert err.value.code == "bad_network_code"
     assert check_admissible(inverse_transform(ncode)).ok
+
+
+@pytest.mark.parametrize(
+    "change, code",
+    [
+        # Encoder 1's label no longer fits its bundle.
+        (lambda acct: dataclasses.replace(acct, n1=0), "image_over_budget"),
+        # One more channel use than the network code has.
+        (lambda acct: dataclasses.replace(acct, n=acct.n + 1), "transform_rate_mismatch"),
+    ],
+    ids=["n1_zero", "n_plus_one"],
+)
+def test_transform_refuses_a_wrong_rate_account(monkeypatch, change, code):
+    split = build_split_code_01(3, CAPS21)
+    wrong = change(rate_account(split, CAPS21))
+    monkeypatch.setattr("zefc.nfc.rate_account", lambda *_: wrong)
+    with pytest.raises(ZefcError) as err:
+        transform_code(split, CAPS21)
+    assert err.value.code == code

@@ -1,4 +1,5 @@
-"""Source rules: checks that `python -O` keeps, no dead names, and no call that loads numpy.ma."""
+"""Source rules: checks that `python -O` keeps, no dead names, no call that loads numpy.ma,
+and no error code that no test names."""
 
 import ast
 import collections
@@ -7,7 +8,10 @@ import pathlib
 import re
 import tokenize
 
-SOURCES = sorted((pathlib.Path(__file__).resolve().parent.parent / "src" / "zefc").glob("*.py"))
+HERE = pathlib.Path(__file__).resolve()
+SOURCES = sorted((HERE.parent.parent / "src" / "zefc").glob("*.py"))
+# The test files whose strings name error codes; this file plants codes of its own.
+TESTS = sorted(path for path in HERE.parent.glob("test_*.py") if path != HERE)
 
 # Top-level names that nothing in the package refers to, kept on purpose.
 UNREFERENCED_ALLOWED = {
@@ -28,7 +32,6 @@ UNREFERENCED_METHODS_ALLOWED = {
 # counts as checks become exact.
 FLOAT_TOLERANCES_ALLOWED = {
     "acceptance": 6,
-    "capacity": 3,
     "coloring": 3,
 }
 
@@ -256,3 +259,47 @@ def test_plain_unique_rule_flags_a_new_site():
     )
     lines = len(modules["nfc"].splitlines())
     assert plain_unique_sites(modules) == [f"nfc:{lines}"]
+
+
+def unnamed_error_codes(modules, tests):
+    """Code -> module:line sites of each ZefcError("<code>", ...) whose code no test names.
+
+    A test names a code when the code is a whole string constant in its source,
+    so a mention in a comment does not count. tests holds the test sources.
+    """
+    named = {
+        node.value
+        for text in tests
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    unnamed = {}
+    for module, text in modules.items():
+        for node in ast.walk(ast.parse(text)):
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "ZefcError"
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and node.args[0].value not in named
+            ):
+                unnamed.setdefault(node.args[0].value, []).append(f"{module}:{node.lineno}")
+    return unnamed
+
+
+def test_every_error_code_is_named_by_a_test():
+    tests = [path.read_text() for path in TESTS]
+    assert len(tests) > 5, "the test files were not found"
+    assert unnamed_error_codes(_package(), tests) == {}, "raise each error code in a test"
+
+
+def test_error_code_rule_flags_an_unnamed_code():
+    modules = _package()
+    modules["nfc"] += (
+        "\n\ndef _planted():\n    # planted_code in a comment\n"
+        '    raise ZefcError("planted_code", "no test raises this")\n'
+    )
+    lines = len(modules["nfc"].splitlines())
+    tests = [path.read_text() for path in TESTS] + ['# "planted_code"\n']
+    assert unnamed_error_codes(modules, tests) == {"planted_code": [f"nfc:{lines}"]}
+    assert unnamed_error_codes(modules, tests + ['code = "planted_code"\n']) == {}
