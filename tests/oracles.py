@@ -164,6 +164,52 @@ def aitch_violations(tau, l_max):
     return found
 
 
+def sumset_certificate(k_max, tau=LOG2_3 - 1):
+    """The induction's split scan of every l <= 2^k_max, one split at a time, in (l, lb) order.
+
+    h(l) = l^tau. Returns, per k = 0..k_max, (violations, margin, split)
+    for l <= 2^k: the splits [la, lb] with 2*h(la) + h(lb) < 2*h(l) - 1e-9, and
+    the least 2*h(la) + h(lb) - 2*h(l) over 1 <= lb < la with the first split
+    reaching it (math.inf and None while there is none).
+    """
+
+    def h(l):
+        return math.pow(l, tau) if l else 0.0
+
+    found, violations, margin, split = [], [], math.inf, None
+    for l in range(1, (1 << k_max) + 1):
+        rhs = 2 * h(l)
+        for lb in range(l // 2 + 1):
+            lhs = 2 * h(l - lb) + h(lb)
+            if lhs < rhs - 1e-9:
+                violations.append([l - lb, lb])
+            if 1 <= lb < l - lb and lhs - rhs < margin:
+                margin, split = lhs - rhs, [l - lb, lb]
+        if l & (l - 1) == 0:
+            found.append((list(violations), margin, split))
+    return found
+
+
+def subset_union_sizes(k):
+    """|A^k + L| and |L| for every subset mask L of all_words(2, k), in mask order.
+
+    Mask bit y picks the y-th word. Each A^k + y is a raw_sumset, and a mask's
+    set is its mask without the top bit's set, united with the top word's set:
+    the doubling over masks, walked depth first so that few sets are alive at once.
+    """
+    words = all_words(2, k)
+    shifted = [raw_sumset(words, [y]) for y in words]
+    sizes, ells = [0] * (1 << len(words)), [0] * (1 << len(words))
+
+    def extend(mask, sums, ell, low):
+        sizes[mask], ells[mask] = len(sums), ell
+        for y in range(low, len(words)):
+            extend(mask | 1 << y, sums | shifted[y], ell + 1, y + 1)
+
+    extend(0, set(), 0, 0)
+    return sizes, ells
+
+
 def sumset_bound_oracle(k):
     """Exhaustive 2^k * h(l) check over every nonempty subset, one subset at a time.
 

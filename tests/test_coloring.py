@@ -4,6 +4,7 @@ import decimal
 import math
 from decimal import Decimal
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,8 +13,9 @@ from zefc import coloring
 from zefc.coloring import (
     MAX_AITCH_L,
     TAU,
-    _aitch_violations,
     _chi_m_search,
+    _split_columns,
+    _union_counts,
     aitch,
     aitch_tau,
     chi,
@@ -359,14 +361,45 @@ def test_aitch_keeps_a_count_and_the_first_ten_violations():
     assert [(v["l"], v["split"]) for v in report.violation_examples] == found[:10]
 
 
+def _column_violations(tau, l_max):
+    """_split_columns' failed splits as (l, la, lb, lhs, rhs), in (l, lb) order."""
+    found = [
+        (2 * lb + i, lb + i, lb, float(lhs[i]), float(rhs[i]))
+        for lb, lhs, rhs, failed in _split_columns(tau, l_max)
+        for i in failed.tolist()
+    ]
+    return sorted(found, key=lambda v: (v[0], v[2]))
+
+
 @pytest.mark.parametrize("tau", [TAU, math.log2(3) - 0.99, 0.595, 1.0, -2.0])
 def test_aitch_violations_match_scalar_oracle(tau):
-    got = [
-        (l, l - b, b, x, rhs)
-        for l, lb, lhs, rhs in _aitch_violations(tau, 300)
-        for b, x in zip(lb.tolist(), lhs.tolist())
-    ]
-    assert got == oracles.aitch_violations(tau, 300)
+    assert _column_violations(tau, 300) == oracles.aitch_violations(tau, 300)
+
+
+@pytest.mark.parametrize("tau", [TAU, 1.0])
+def test_split_columns_match_scalar_oracle_at_l_1024(tau):
+    # At tau = 1 every split with lb >= 1 fails.
+    want = oracles.aitch_violations(tau, 1024)
+    assert _column_violations(tau, 1024) == want
+    assert len(want) == (0 if tau == TAU else 512 * 512)
+
+
+@pytest.mark.parametrize("tau", [1.0, 1.5])
+def test_aitch_examples_are_the_oracles_first_ten(tau):
+    # The first ten failing splits span several columns lb.
+    report = verify_aitch_superadditivity(200, tau=tau)
+    want = oracles.aitch_violations(tau, 200)
+    assert report.violations == len(want)
+    got = [(v["l"], *v["split"], v["lhs"], v["rhs"]) for v in report.violation_examples]
+    assert got == want[:10] and len({lb for _, _, lb, _, _ in got}) > 1
+
+
+@pytest.mark.parametrize("l_max", [1, 2, 3, 64, 300])
+def test_aitch_tau_maximality_is_the_oracles_first_violation(l_max):
+    want = None
+    for l, la, lb, x, y in oracles.aitch_violations(TAU + 0.01, l_max)[:1]:
+        want = {"tau": TAU + 0.01, "l": l, "split": [la, lb], "lhs": x, "rhs": y}
+    assert verify_aitch_superadditivity(l_max).tau_maximality == want
 
 
 def test_aitch_refuses_large_l_max():
@@ -416,6 +449,40 @@ def test_sumset_lower_bound_matches_oracle():
         assert entry["equality_subsets"] == equalities
         assert entry["equality_counts"] == {l: len(s) for l, s in equalities.items()}
         assert entry["subsets_checked"] == (1 << (1 << k)) - 1
+
+
+def test_union_counts_match_raw_sumset_oracle():
+    # Every subset mask at k <= 4, counted with no numpy popcount.
+    for k in (1, 2, 3, 4):
+        counts, ells = _union_counts(k)
+        sizes, lengths = oracles.subset_union_sizes(k)
+        assert counts.dtype == np.int16 and ells.dtype == np.uint8
+        assert counts.tolist() == sizes and ells.tolist() == lengths
+
+
+def _inductive_entries_match(found, k_max):
+    report = verify_sumset_lower_bound(k_max)
+    assert [e["k"] for e in report.entries[4:]] == list(range(5, k_max + 1))
+    for entry in report.entries[4:]:
+        certificate = entry["certificate"]
+        assert certificate["l_max"] == 1 << entry["k"]
+        got = (entry["violations"], certificate["margin"], certificate["split"])
+        assert got == found[entry["k"]]
+
+
+def test_sumset_inductive_entries_match_scalar_oracle():
+    found = oracles.sumset_certificate(10)
+    for k_max in range(5, 11):
+        _inductive_entries_match(found, k_max)
+
+
+def test_sumset_inductive_violations_keep_scan_order(monkeypatch):
+    # Above tau = log2(3) - 1 splits fail, in many columns lb per entry.
+    monkeypatch.setattr(coloring, "TAU", 0.6)
+    found = oracles.sumset_certificate(7, tau=0.6)
+    assert len(found[7][0]) > 100
+    for k_max in (5, 6, 7):
+        _inductive_entries_match(found, k_max)
 
 
 def test_sumset_lower_bound_refuses_large_k_max():
