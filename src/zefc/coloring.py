@@ -247,10 +247,10 @@ def _split_columns(tau, l_max):
     """
     h = np.array([aitch_tau(tau, l) for l in range(l_max + 1)])
     twice = 2 * h
-    bar = twice - 1e-9
+    limit = twice - 1e-9
     for lb in range(l_max // 2 + 1):
         lhs = twice[lb : l_max - lb + 1] + h[lb]
-        yield lb, lhs, twice[2 * lb :], (lhs < bar[2 * lb :]).nonzero()[0]
+        yield lb, lhs, twice[2 * lb :], (lhs < limit[2 * lb :]).nonzero()[0]
 
 
 def verify_aitch_superadditivity(l_max, tau=None):
