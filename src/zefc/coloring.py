@@ -25,7 +25,7 @@ EXACT_CHIM_LIMIT = 3
 # `gamma-pair --k 9` pins this limit until the refusals are re-recorded.
 MIXED_PAIR_LIMIT = 8
 # The superadditivity check visits about l_max^2 / 4 splits as l_max / 2 column vectors;
-# 4096 takes about 0.025 s, and 0.05 s when every split fails (tau = 1).
+# 4096 takes about 0.02 s, and 0.04 s when every split fails (tau = 1).
 MAX_AITCH_L = 4096
 # The induction past EXHAUSTIVE_SUMSET_K scans every split of every l <= 2^k_max.
 MAX_SUMSET_BOUND_K = MAX_AITCH_L.bit_length() - 1
