@@ -1,7 +1,6 @@
 """Deterministic chunked parallelism honoring a caller-provided thread bound."""
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import ZefcError
 
@@ -21,5 +20,9 @@ def chunked_map(fn, chunks, threads=None):
     t = thread_count(threads)
     if t == 1 or len(chunks) <= 1:
         return [fn(c) for c in chunks]
+    # Imported here, not at the top: concurrent.futures loads logging, which would
+    # add about 5 ms to every `import zefc.cli`.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=min(t, len(chunks))) as ex:
         return list(ex.map(fn, chunks))

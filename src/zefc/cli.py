@@ -281,84 +281,118 @@ def _print_table(payload, stream):
     emit("", payload)
 
 
-@functools.lru_cache(maxsize=None)
-def build_parser():
-    """The argument parser, built on the first call and reused by every later one.
+def _common(sub, threads=False):
+    sub.add_argument("--format", choices=("json", "table"), default="json")
+    sub.add_argument("--emit", metavar="PATH", help="also write the JSON report here")
+    sub.add_argument("--timings", action="store_true", help="include elapsed_ms in output")
+    if threads:
+        sub.add_argument("--threads", type=int, default=None)
+    else:
+        sub.set_defaults(threads=None)
 
-    It is not built at import: the handlers are looked up when it is built, so a
-    wrapper set on a `_cmd_*` function before the first request is the one it calls.
-    """
-    parser = _Parser(prog="zefc", description="Zero-error sum compression toolkit.")
-    parser.add_argument("--version", action="version", version=__version__)
-    commands = parser.add_subparsers(dest="command", required=True)
 
-    def common(sub, threads=False):
-        sub.add_argument("--format", choices=("json", "table"), default="json")
-        sub.add_argument("--emit", metavar="PATH", help="also write the JSON report here")
-        sub.add_argument("--timings", action="store_true", help="include elapsed_ms in output")
-        if threads:
-            sub.add_argument("--threads", type=int, default=None)
-        else:
-            sub.set_defaults(threads=None)
-
-    sub = commands.add_parser("capacity", help="closed-form compression capacity")
+def _capacity_arguments(sub):
     sub.add_argument("--case", required=True, choices=("00", "01", "10", "11"))
     sub.add_argument("--c1", required=True)
     sub.add_argument("--c2", required=True)
     sub.add_argument("--k", type=int, default=None, help="also build a k-shot witness")
-    common(sub)
+    _common(sub)
     sub.set_defaults(handler=_cmd_capacity)
 
-    sub = commands.add_parser("construct", help="explicit k-shot code for a case")
+
+def _construct_arguments(sub):
     sub.add_argument("--case", required=True, choices=("00", "01", "10", "11"))
     sub.add_argument("--c1", required=True)
     sub.add_argument("--c2", required=True)
     sub.add_argument("--k", type=int, required=True)
-    common(sub)
+    _common(sub)
     sub.set_defaults(handler=_cmd_construct)
 
-    sub = commands.add_parser("verify", help="property checks with reports")
+
+def _verify_arguments(sub):
     checks = sub.add_subparsers(dest="check", required=True)
     aitch = checks.add_parser("aitch", help="superadditivity of the l^tau bound shape")
     aitch.add_argument("--l-max", type=int, default=1024, dest="l_max")
     aitch.add_argument("--tau", type=float, default=None)
-    common(aitch)
+    _common(aitch)
     aitch.set_defaults(handler=_cmd_verify)
     sumset = checks.add_parser("sumset-bound", help="sumset size lower bound")
     sumset.add_argument("--k-max", type=int, default=4, dest="k_max")
     sumset.add_argument("--samples", type=int, default=200)
     sumset.add_argument("--seed", type=int, default=0)
-    common(sumset, threads=True)
+    _common(sumset, threads=True)
     sumset.set_defaults(handler=_cmd_verify)
 
-    sub = commands.add_parser("qk", help="minimum sumset size over subsets of size l")
+
+def _qk_arguments(sub):
     sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--l", type=int, default=None)
     sub.add_argument("--bracket", action="store_true", help="bounds instead of exact values")
-    common(sub, threads=True)
+    _common(sub, threads=True)
     sub.set_defaults(handler=_cmd_qk)
 
-    sub = commands.add_parser("chim", help="partition chromatic table")
+
+def _chim_arguments(sub):
     sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--m", type=int, default=None)
-    common(sub)
+    _common(sub)
     sub.set_defaults(handler=_cmd_chim)
 
-    sub = commands.add_parser("gamma-pair", help="minimum mixed-pair sumset size")
+
+def _gamma_pair_arguments(sub):
     sub.add_argument("--k", type=int, required=True)
-    common(sub, threads=True)
+    _common(sub, threads=True)
     sub.set_defaults(handler=_cmd_gamma_pair)
 
-    sub = commands.add_parser("nfc", help="cut-set bound vs capacity on the relay network")
+
+def _nfc_arguments(sub):
     sub.add_argument("--c1", required=True)
     sub.add_argument("--c2", required=True)
-    common(sub)
+    _common(sub)
     sub.set_defaults(handler=_cmd_nfc)
 
-    sub = commands.add_parser("reproduce", help="run the full acceptance suite")
-    common(sub)
+
+def _reproduce_arguments(sub):
+    _common(sub)
     sub.set_defaults(handler=_cmd_reproduce)
 
+
+# Each command's name, its help line in `zefc -h`, and the function that adds its arguments.
+_COMMANDS = {
+    "capacity": ("closed-form compression capacity", _capacity_arguments),
+    "construct": ("explicit k-shot code for a case", _construct_arguments),
+    "verify": ("property checks with reports", _verify_arguments),
+    "qk": ("minimum sumset size over subsets of size l", _qk_arguments),
+    "chim": ("partition chromatic table", _chim_arguments),
+    "gamma-pair": ("minimum mixed-pair sumset size", _gamma_pair_arguments),
+    "nfc": ("cut-set bound vs capacity on the relay network", _nfc_arguments),
+    "reproduce": ("run the full acceptance suite", _reproduce_arguments),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def build_parser(command=None):
+    """The parser of one command, or with command None the full `zefc` parser.
+
+    A command's parser reads the arguments after its name, the same way as the
+    full parser's subparser for that command, and sets `command` to its name.
+    Building the full parser costs every command's arguments, so `main` builds it
+    only for a request that does not start with a command's name.
+
+    Each parser is built on its first call and reused by every later one. None is
+    built at import: the handlers are looked up when a parser is built, so a
+    wrapper set on a `_cmd_*` function before the first request is the one it calls.
+    """
+    if command is not None:
+        parser = _Parser(prog=f"zefc {command}")
+        parser.set_defaults(command=command)
+        _COMMANDS[command][1](parser)
+        return parser
+    parser = _Parser(prog="zefc", description="Zero-error sum compression toolkit.")
+    parser.add_argument("--version", action="version", version=__version__)
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments) in _COMMANDS.items():
+        add_arguments(commands.add_parser(name, help=help_line))
     return parser
 
 
@@ -395,9 +429,13 @@ def _send(write):
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # --version, -h, no argument, an unknown command or an option before the
+    # command go to the full parser.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser = build_parser(command)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv if command is None else argv[1:])
         thread_count(args.threads)
         started = time.perf_counter()
         payload, exit_code = args.handler(args)

@@ -19,11 +19,12 @@ import pytest
 from jsonschema import validate
 
 from oracles import printed_code_admissible
-from zefc import cli, codec
+from zefc import _parallel, cli, codec
 from zefc.cli import _dumps, _print_table, _rounded, build_parser, main
 from zefc.errors import ZefcError
 
 SCHEMAS = pathlib.Path(__file__).resolve().parent.parent / "schemas"
+PERFBENCH = SCHEMAS.parent / "perfbench"
 
 
 def _reject_constant(name):
@@ -341,6 +342,11 @@ def test_converse_scans_start_no_thread(capsys, monkeypatch, argv):
     assert code == 0
 
 
+def test_chunked_map_keeps_chunk_order_on_threads():
+    # No command reaches the threaded branch, which imports its pool on use.
+    assert _parallel.chunked_map(lambda c: c * c, range(5), threads=3) == [0, 1, 4, 9, 16]
+
+
 @pytest.mark.parametrize("request_text", ["nfc --c1 1 --c2 1", "reproduce"])
 @pytest.mark.parametrize("threads", ["0", "-1", "1"])
 def test_threads_is_refused_where_unused(capsys, request_text, threads):
@@ -501,13 +507,98 @@ def _printed(capsys, argv):
 def test_cached_parser_leaks_no_state(capsys):
     build_parser.cache_clear()
     printed = [_printed(capsys, request.split()) for request in PARSER_SEQUENCE]
-    assert build_parser.cache_info().misses == 1
+    # One parser each for qk, capacity and nfc, and the full parser for --version.
+    assert build_parser.cache_info().misses == 4
     assert [code for code, _ in printed] == [0, 0, 2, ("SystemExit", 0), 0, 0]
     assert json.loads(printed[2][1])["error"]["code"] == "bad_arguments"
     assert '"elapsed_ms": 0' in printed[4][1]
     for request, want in zip(PARSER_SEQUENCE, printed):
         build_parser.cache_clear()
         assert _printed(capsys, request.split()) == want, request
+
+
+# Requests the command's own parser must read as the full parser does: arguments
+# each command lacks or does not know, and ways of spelling an option.
+PARSER_EDGE_REQUESTS = (
+    "capacity --case 01 --c1 2",
+    "capacity --case 00 --c1 2 --c2 1 --target identity",
+    "construct --case 01 --c1 2 --c2 1",
+    "construct --case 01 --c1 2 --c2 1 --k x",
+    "verify",
+    "verify nope",
+    "verify aitch --k-max 3",
+    "verify sumset-bound --l-max 3",
+    "verify aitch --l-max 8 extra",
+    "qk",
+    "qk --l 2",
+    "qk --k 3 --threads",
+    "chim",
+    "chim --k 2 --l 3",
+    "gamma-pair",
+    "gamma-pair --k",
+    "nfc",
+    "nfc --c1 2",
+    "nfc --c 2 --c2 1",
+    "nfc --c1=2 --c2=1",
+    "nfc --c1 2 --c2 1 --version",
+    "nfc --c1 2 --c2 1 --threads 1",
+    "nfc -- --c1 2 --c2 1",
+    "reproduce extra",
+    "reproduce --format xml",
+    "reproduce --timings --timings --emit",
+)
+
+
+def _parity_requests():
+    """Every request the parity test reads, each as an argv that starts with a command."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    texts = [text for text, _ in COSTLY_REQUESTS + BAD_INPUTS]
+    texts += [text for text in PARSER_SEQUENCE if text.split()[0] in cli._COMMANDS]
+    texts += PARSER_EDGE_REQUESTS
+    argvs = [text.split() for text in texts]
+    for name in workloads.WORKLOADS:
+        argvs += [list(request.argv) for request in workloads.requests(name, seed=1)]
+    return argvs
+
+
+def _parsed(parser, argv):
+    """The namespace parser reads from argv as {name: repr}, or the (code, message) it refuses with.
+
+    Values are compared by repr, so that a --tau of nan equals itself.
+    """
+    try:
+        return {name: repr(value) for name, value in vars(parser.parse_args(argv)).items()}
+    except ZefcError as err:
+        return err.code, err.message
+
+
+def test_command_parser_reads_every_request_as_the_full_parser():
+    argvs = _parity_requests()
+    assert len(argvs) > 100 and {argv[0] for argv in argvs} == set(cli._COMMANDS)
+    refused = 0
+    for argv in argvs:
+        want = _parsed(build_parser(), argv)
+        assert _parsed(build_parser(argv[0]), argv[1:]) == want, argv
+        refused += isinstance(want, tuple)
+    assert refused >= len(PARSER_EDGE_REQUESTS) - 1  # all but the --c1=2 spelling
+
+
+@pytest.mark.parametrize(
+    "argv", [[name] for name in cli._COMMANDS] + [["verify", "aitch"], ["verify", "sumset-bound"]]
+)
+def test_command_parser_prints_the_full_parsers_help(capsys, argv):
+    printed = []
+    for parser, args in ((build_parser(), argv), (build_parser(argv[0]), argv[1:])):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(args + ["-h"])
+        assert exc.value.code == 0
+        printed.append(capsys.readouterr())
+    assert printed[0] == printed[1]
+    assert printed[0].out.startswith(f"usage: zefc {' '.join(argv)} [-h]")
 
 
 def test_handlers_are_looked_up_when_the_parser_is_built(capsys, monkeypatch):
@@ -634,6 +725,47 @@ def test_requests_never_import_numpy_ma():
         "print('numpy.ma' in sys.modules)\n"
     )
     assert _run_python(code) == "False"
+
+
+def test_a_request_builds_only_its_own_commands_parser():
+    code = (
+        "import contextlib, io\n"
+        "from zefc.cli import build_parser, main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['nfc', '--c1', '2', '--c2', '1']) == 0\n"
+        "print(build_parser.cache_info().currsize)\n"
+    )
+    assert _run_python(code) == "1"
+
+
+def test_requests_never_import_a_thread_pool():
+    # concurrent.futures loads logging: about 5 ms and 0.6 MB of every cold start.
+    modules = ("concurrent.futures", "logging")
+    loaded = f"print([name for name in {modules!r} if name in sys.modules])\n"
+    if _run_python("import sys, numpy\n" + loaded) != "[]":
+        pytest.skip("importing numpy loads a thread pool module by itself")
+    requests = [
+        ["capacity", "--case", "01", "--c1", "2", "--c2", "1", "--k", "12"],
+        ["construct", "--case", "11", "--c1", "2", "--c2", "1", "--k", "4"],
+        ["verify", "aitch", "--l-max", "64"],
+        ["verify", "sumset-bound", "--k-max", "4"],
+        ["qk", "--k", "3"],
+        ["chim", "--k", "2"],
+        ["gamma-pair", "--k", "4"],
+        ["nfc", "--c1", "3", "--c2", "2"],
+        ["reproduce"],
+    ]
+    assert {argv[0] for argv in requests} == set(cli._COMMANDS)
+    code = (
+        "import contextlib, io, sys\n"
+        "from zefc.cli import main\n"
+        + loaded
+        + f"for argv in {requests!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        + loaded
+    )
+    assert _run_python(code).splitlines() == ["[]", "[]"]
 
 
 def test_rounded_rounds_floats_at_any_depth_and_writes_tuples_as_lists():
