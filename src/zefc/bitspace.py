@@ -4,10 +4,11 @@ Words are packed into single integers: binary words as k-bit integers,
 ternary words, such as the sum x + y of two binary words, in base 3.
 Position 1 is the least significant digit.  The canonical text form is the
 digit string with position 1 leftmost, so "011" is the word (0, 1, 1).
-Only this module adds words, all through the one cached array
-`binary_to_base3_table(k)`: `sum_table` gives every x + y as an array,
-`sum_rows` each sumset A^k + y as a bitmask, and `sumset` the distinct sums
-of two iterables of packed k-bit words.
+Only this module adds words, all through the one cached int64 array
+`binary_to_base3_table(k)`: `sum_table` gives every x + y as an array of the
+narrowest unsigned dtype that holds range(3^k), `sum_rows` each sumset
+A^k + y as a bitmask, and `sumset` the distinct sums of two iterables of
+packed k-bit words, as int64.
 """
 
 from functools import lru_cache
@@ -66,9 +67,18 @@ def binary_to_base3_table(k):
     return table
 
 
+def narrowest(values, top):
+    """values, which lie in range(top), in the narrowest unsigned dtype that holds that range."""
+    return values.astype(np.min_scalar_type(top - 1), copy=False)
+
+
 def sum_table(k):
-    """sums[x, y]: the packed base-3 sum of the k-bit words x and y, as a 2^k x 2^k array."""
-    t3 = binary_to_base3_table(k)
+    """sums[x, y]: the packed base-3 sum of the k-bit words x and y, as a 2^k x 2^k array.
+
+    Its dtype is the narrowest that holds range(3^k): uint8 up to k = 5, uint16
+    up to k = 10 and uint32 up to MAX_K.
+    """
+    t3 = narrowest(binary_to_base3_table(k), 3**k)
     return t3[:, None] + t3[None, :]
 
 

@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bitspace import binary_to_base3_table, digit_strings, sum_table, word_to_string
+from .bitspace import binary_to_base3_table, narrowest, sum_table, word_to_string
 from .errors import ZefcError
 from .exact import exact_pow2_floor, least_integer, least_uses, log2_3_sign
 
@@ -113,9 +113,10 @@ class KShotCode:
 
     phi1[x, y] and phi2[x, y] are the labels the two encoders send for the k-bit
     words x and y, with values in range(im1) and range(im2); psi[a, b] is the packed
-    base-3 sum decoded from the label pair (a, b). Above MAX_EXHAUSTIVE_K the three
-    tables are None and the code carries only its image sizes, which is all rate
-    accounting needs.
+    base-3 sum decoded from the label pair (a, b). The tables may have any integer
+    dtype; the builders give each the narrowest unsigned one that holds its range
+    (`bitspace.narrowest`). Above MAX_EXHAUSTIVE_K the three tables are None and
+    the code carries only its image sizes, which is all rate accounting needs.
     """
 
     k: int
@@ -224,7 +225,7 @@ def build_identity_code(k):
     size = 1 << k
     tables = (None, None, None)
     if k <= MAX_EXHAUSTIVE_K:
-        words = np.arange(size)
+        words = narrowest(np.arange(size), size)
         tables = (
             np.broadcast_to(words[:, None], (size, size)),
             np.broadcast_to(words[None, :], (size, size)),
@@ -288,9 +289,14 @@ def build_packing_code_11(k, caps):
     wide, narrow = packing_sizes(k, caps)
     tables = (None, None, None)
     if k <= MAX_EXHAUSTIVE_K:
-        sums = sum_table(k)
+        # narrow <= 3^k fits sum_table's dtype, so np.divmod keeps that dtype.
+        high, low = np.divmod(sum_table(k), narrow)
         packed = np.arange(wide)[:, None] * narrow + np.arange(narrow)[None, :]
-        tables = (sums // narrow, sums % narrow, np.minimum(packed, 3**k - 1))
+        tables = (
+            narrowest(high, wide),
+            narrowest(low, narrow),
+            narrowest(np.minimum(packed, 3**k - 1), 3**k),
+        )
     return KShotCode(k, SwitchPair(1, 1), *tables, im1=wide, im2=narrow, name="packing11")
 
 
@@ -322,10 +328,14 @@ def build_split_code_01(k, caps):
         low3 = binary_to_base3_table(low)[words & ((1 << low) - 1)]
         hi3 = binary_to_base3_table(hi_width)
         a = np.arange(im1)
+        # phi1 and psi each add a column and a row that lie in the table's range;
+        # both are narrowed first, so the sum is built narrow.
+        phi1_column = narrowest(low3 + base * (words >> low), im1)
+        psi_column = narrowest(a % base + base * hi3[a // base], 3**k)
         tables = (
-            (low3 + base * (words >> low))[:, None] + low3[None, :],
-            np.broadcast_to((words >> low)[None, :], (size, size)),
-            (a % base + base * hi3[a // base])[:, None] + base * hi3[None, :],
+            phi1_column[:, None] + narrowest(low3, im1)[None, :],
+            np.broadcast_to(narrowest(words >> low, im2)[None, :], (size, size)),
+            psi_column[:, None] + narrowest(base * hi3, 3**k)[None, :],
         )
     return KShotCode(k, SwitchPair(0, 1), *tables, im1=im1, im2=im2, name="split01")
 
@@ -333,16 +343,19 @@ def build_split_code_01(k, caps):
 def first_seen(flat):
     """Renumber non-negative integer labels in order of first appearance.
 
-    Returns the new label at each position and, for each new label, the position
-    where it first appears.
+    Returns the new label at each position, in the narrowest unsigned dtype that
+    holds them, and, for each new label, the int32 position where it first
+    appears; flat has fewer than 2^31 entries (at most 4^MAX_EXHAUSTIVE_K here).
     """
     # first[v]: the first position of label v, or flat.size if v never occurs.
-    first = np.full(int(flat.max()) + 1, flat.size, dtype=np.int64)
-    np.minimum.at(first, flat, np.arange(flat.size))
+    # first and the positions share one dtype. With two, np.minimum.at takes
+    # ufunc.at's slow path: over 4^9 positions, 0.8 ms becomes 14 ms (numpy 2.4).
+    first = np.full(int(flat.max()) + 1, flat.size, dtype=np.int32)
+    np.minimum.at(first, flat, np.arange(flat.size, dtype=np.int32))
     starts = np.sort(first[first < flat.size])
-    rank = np.zeros(first.size, dtype=np.int64)
+    rank = np.zeros(first.size, dtype=np.min_scalar_type(starts.size - 1))
     rank[flat[starts]] = np.arange(starts.size)
-    return rank[flat], starts
+    return np.take(rank, flat), starts
 
 
 def _canonical_labels(code):
@@ -381,8 +394,11 @@ def _ascii(text):
 
 
 def _digit_rows(k, radix):
-    """digit_strings(k, radix) as a radix^k x k array of ASCII digits."""
-    return _ascii("".join(digit_strings(k, radix))).reshape(-1, k)
+    """Row v: the ASCII digits of word_to_string(v, k, radix), for every v < radix^k."""
+    values = narrowest(np.arange(radix**k), radix**k)
+    rows = values[:, None] // radix ** np.arange(k, dtype=values.dtype)
+    rows %= radix
+    return (rows + ord("0")).astype(np.uint8)
 
 
 def _decimal_table(count):
@@ -434,7 +450,7 @@ def _object_blocks(pad, shape, key, value):
             # A column with the table's leading axis is sliced; any other broadcasts.
             whole = view.ndim < len(shape) or view.shape[0] == 1
             block[name] = view if whole else view[start:stop]
-        block[record.names[-1]] = gather[index[start:stop]]
+        block[record.names[-1]] = np.take(gather, index[start:stop])
         if start == 0:
             block.view(np.uint8).flat[0] = ord("{")
         yield block.tobytes().replace(b"\0", b"").decode("ascii")

@@ -360,7 +360,7 @@ def make_network_code(net, k, symbols, output):
             seen[node] = _tuple_ids(symbols, net.in_edges(node))
         feed, column = seen[node], table.ravel()
         # The table is computable iff it holds one value per value its node sees.
-        value = np.empty(feed.max() + 1, dtype=column.dtype)
+        value = np.empty(int(feed.max()) + 1, dtype=column.dtype)
         value[feed] = column
         if (value[feed] != column).any():
             raise ZefcError("bad_network_code", "a table must follow from what its node sees", table=name)

@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zefc import codec
+from zefc.bitspace import word_to_string
 from zefc.capacity import construct_for_case
 from zefc.codec import (
     MAX_PACKING_BITS,
@@ -21,6 +23,7 @@ from zefc.codec import (
     SwitchPair,
     _canonical_labels,
     _decimal_table,
+    _digit_rows,
     build_identity_code,
     build_packing_code_11,
     build_split_code_01,
@@ -28,6 +31,7 @@ from zefc.codec import (
     code_parts,
     code_text,
     code_to_json,
+    first_seen,
     lift_code,
     rate_account,
     split_index,
@@ -364,6 +368,15 @@ def test_decimal_rows_match_str(values):
         assert row.tobytes().lstrip(b"\0").decode("ascii") == str(value)
 
 
+def test_digit_rows_match_word_to_string():
+    for radix in (2, 3):
+        for k in range(1, codec.MAX_EXHAUSTIVE_K + 1):
+            rows = _digit_rows(k, radix)
+            assert rows.shape == (radix**k, k) and rows.dtype == np.uint8
+            want = [word_to_string(v, k, radix) for v in range(radix**k)]
+            assert [row.tobytes().decode("ascii") for row in rows] == want, (radix, k)
+
+
 def _random_label_code(rng, k, switches):
     """A code whose swept labels are seeded random and dense in range(im1), range(im2)."""
     size = 1 << k
@@ -399,6 +412,66 @@ def test_canonical_labels_match_a_first_seen_loop(case):
             with pytest.raises(ZefcError) as err:
                 _canonical_labels(short)
             assert err.value.code == "bad_image_count", (case, k)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+def test_first_seen_matches_a_first_appearance_loop(dtype):
+    rng = np.random.default_rng(np.dtype(dtype).itemsize)
+    top = min(np.iinfo(dtype).max, 1 << 20) + 1
+    # 256 and 65536 distinct labels put the largest new label at the top of uint8
+    # and uint16, one more label just past it.
+    for count in (1, 7, 256, 257, 1 << 16, (1 << 16) + 1):
+        if count > top:
+            continue
+        size = max(64, 4 * count)
+        pool = rng.choice(top, size=count, replace=False).astype(dtype)
+        flat = np.concatenate([pool, pool[rng.integers(0, count, size)]])
+        rng.shuffle(flat)
+        labels, starts = first_seen(flat)
+        values = flat.tolist()
+        order = oracles.first_seen_order(values)
+        firsts = {}
+        for position, value in enumerate(values):
+            firsts.setdefault(value, position)
+        assert labels.tolist() == [order[v] for v in values], (dtype, count)
+        assert starts.tolist() == [firsts[v] for v in order], (dtype, count)
+        assert labels.dtype == np.min_scalar_type(count - 1) and starts.dtype == np.int32
+
+
+def _builders():
+    """Each code builder with the caps it is checked at, as functions of k."""
+    yield build_identity_code
+    for caps in (CAPS21, CAPS11, CAPS32):
+        yield functools.partial(build_split_code_01, caps=caps)
+        yield functools.partial(build_packing_code_11, caps=caps)
+
+
+def test_tables_have_the_narrowest_dtype_for_their_range():
+    for build in _builders():
+        for k in range(1, codec.MAX_EXHAUSTIVE_K + 1):
+            code = build(k)
+            for name, top in (("phi1", code.im1), ("phi2", code.im2), ("psi", 3**k)):
+                table = getattr(code, name)
+                assert table.dtype == np.min_scalar_type(top - 1), (code.name, k, name)
+
+
+def test_case_11_code_builds_and_renders_within_a_memory_bound():
+    # With int64 tables and cached digit strings the peak was 10.7 MB; the narrow
+    # tables and the ASCII rows built in numpy keep it near 2.5 MB.
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        code = construct_for_case(SwitchPair(1, 1), 9, CAPS11)
+        size = sum(len(piece) for piece in code_parts(code))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert size > 16_000_000
+    assert peak < 6_000_000, peak
 
 
 def test_split_rate_capped_and_doubling_improves():
@@ -503,9 +576,10 @@ def test_code_text_refuses_out_of_range_tables():
         for table, value in (("psi", -1), ("psi", 27), ("phi1", -1), ("phi2", 1 << 40)):
             # Corrupt a built code the way its construction checks cannot see: a
             # negative entry would wrap around in numpy and list indexing, and a
-            # huge label would size the relabeling array.
+            # huge label would size the relabeling array. The copy is int64, as
+            # the built tables are too narrow to hold either value.
             code = build(3)
-            corrupted = np.array(getattr(code, table))
+            corrupted = np.array(getattr(code, table), dtype=np.int64)
             corrupted.flat[0] = value
             object.__setattr__(code, table, corrupted)
             # code_parts is called, not iterated: it refuses before any text exists.

@@ -487,6 +487,20 @@ def test_tuple_ids_match_first_seen_oracle():
             assert _tuple_ids(symbols, edges).tolist() == want_ids, (k, width)
 
 
+def test_narrow_tables_with_a_full_byte_of_tuples_at_a_node():
+    # In N(1,1) the relay v1 reads all of x and y, so at k = 4 it sees 256 tuples
+    # and at k = 8 65536: their ids top out at the largest uint8 and uint16 value,
+    # where a table size of ids.max() + 1 would wrap around to 0.
+    for k, dtype in ((4, np.uint8), (8, np.uint16)):
+        code = build_split_code_01(k, CAPS11)
+        assert code.phi1.dtype == code.phi2.dtype == np.uint8 and code.psi.dtype == dtype
+        ncode = transform_code(code, CAPS11)
+        ids = _tuple_ids(ncode.symbols, ncode.network.in_edges("v1"))
+        assert ids.dtype == dtype and int(ids.max()) == 4**k - 1
+        assert check_network_admissible(ncode)
+        assert check_admissible(inverse_transform(ncode)).ok
+
+
 def test_transform_roundtrip_small_k():
     cases = [(caps, k) for caps in (CAPS21, ChannelCaps.of("3", "2")) for k in range(1, 7)]
     for caps, k in cases + [(CAPS21, 8)]:

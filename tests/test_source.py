@@ -1,5 +1,5 @@
 """Source rules: checks that `python -O` keeps, no dead names, no call that loads numpy.ma,
-and no error code that no test names."""
+no error code that no test names, and no arithmetic on an array's extremum."""
 
 import ast
 import collections
@@ -303,3 +303,36 @@ def test_error_code_rule_flags_an_unnamed_code():
     tests = [path.read_text() for path in TESTS] + ['# "planted_code"\n']
     assert unnamed_error_codes(modules, tests) == {"planted_code": [f"nfc:{lines}"]}
     assert unnamed_error_codes(modules, tests + ['code = "planted_code"\n']) == {}
+
+
+def extremum_arithmetic_sites(modules):
+    """module:line of each `+` or `-` that has an array's .max() or .min() as an operand.
+
+    The extremum of a narrow array is a numpy scalar of its dtype, so
+    labels.max() + 1 wraps to 0 when the labels reach 255 on uint8;
+    int(labels.max()) + 1 is a Python int and does not.
+    """
+    sites = []
+    for module, text in modules.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)) and any(
+                isinstance(side, ast.Call) and getattr(side.func, "attr", None) in ("max", "min")
+                for side in (node.left, node.right)
+            ):
+                sites.append(f"{module}:{node.lineno}")
+    return sites
+
+
+def test_no_arithmetic_on_an_array_extremum():
+    assert extremum_arithmetic_sites(_package()) == [], "wrap the extremum in int(...) first"
+
+
+def test_extremum_arithmetic_rule_flags_a_new_site():
+    modules = _package()
+    modules["nfc"] += (
+        "\n\ndef _size(a):\n    # a.max() + 1 in a comment\n"
+        "    text = 'a.max() + 1'\n"
+        "    return int(a.max()) + 1, max(a) + 1, np.empty(a.max() + 1), 1 - a.min(), len(text)\n"
+    )
+    lines = len(modules["nfc"].splitlines())
+    assert extremum_arithmetic_sites(modules) == [f"nfc:{lines}", f"nfc:{lines}"]
