@@ -161,18 +161,27 @@ def run_criterion_3():
 
 
 def run_criterion_4():
-    """Superadditivity of l^tau at tau = log2(3)-1, and failure just above it."""
+    """Superadditivity of l^tau at tau = log2(3)-1, and failure just above it.
+
+    The concavity lemma on verify_sumset_lower_bound proves superadditivity at
+    every l from 0 < tau < 1, decided exactly here; 2^tau = 3/2 by definition.
+    """
     started = time.perf_counter()
     failures = []
+    if not log2_3_sign(-1, 1) > 0 > log2_3_sign(-2, 1):
+        failures.append("tau = log2(3)-1 is not in (0, 1)")
     report = verify_aitch_superadditivity(1024)
     if report.violations:
         failures.append(f"{report.violations} violations at tau = log2(3)-1")
-    if report.tau_maximality is None:
+    counterexample = report.tau_maximality
+    if counterexample is None:
         failures.append("no counterexample found at tau + 0.01")
+    elif not counterexample["lhs"] < counterexample["rhs"]:
+        failures.append(f"counterexample {counterexample['split']} does not fail")
     details = {
         "checked": report.checked,
         "violations": report.violations,
-        "counterexample": report.tau_maximality,
+        "counterexample": counterexample,
     }
     return _finish("aitch_superadditivity", 5.0, started, failures, details)
 

@@ -27,8 +27,10 @@ MIXED_PAIR_LIMIT = 8
 # The superadditivity check visits about l_max^2 / 4 splits as l_max / 2 column vectors;
 # 4096 takes about 0.02 s, and 0.04 s when every split fails (tau = 1).
 MAX_AITCH_L = 4096
-# The induction past EXHAUSTIVE_SUMSET_K scans every split of every l <= 2^k_max.
-MAX_SUMSET_BOUND_K = MAX_AITCH_L.bit_length() - 1
+# The induction's certificate is a closed form, so this bounds no cost: the split it
+# names is checked against the oracle's scan only up to k = 12, and the float margin
+# cancels beyond it (relative error 2e-12 at k = 12, 7e-8 at k = 30).
+MAX_SUMSET_BOUND_K = 12
 # 2^k as a float overflows from k = 1024 on; below it, qk_lower_bound refuses the l
 # whose float bound 2^k * h(l) does.
 MAX_BRACKET_K = 1023
@@ -254,7 +256,13 @@ def _split_columns(tau, l_max):
 
 
 def verify_aitch_superadditivity(l_max, tau=None):
-    """Check 2*h(l_a) + h(l_b) >= 2*h(l) over every split of every l <= l_max."""
+    """Check 2*h(l_a) + h(l_b) >= 2*h(l) over every split of every l <= l_max.
+
+    At the default tau, tau_maximality is the first failing split at tau + 0.01,
+    read off in closed form: the splits of l = 1 and those with lb = 0 are
+    equalities in floats too, and at l = 2 the split [1, 1] fails, since
+    2*h(1) + h(1) = 3 < 2*2^(tau + 0.01). So it is l = 2 whenever l_max >= 2.
+    """
     if l_max < 1:
         raise ZefcError("bad_ell", "l_max must be at least 1", l_max=l_max)
     if l_max > MAX_AITCH_L:
@@ -277,17 +285,10 @@ def verify_aitch_superadditivity(l_max, tau=None):
         {"l": l, "split": [l - lb, lb], "lhs": x, "rhs": y} for l, lb, x, y in sorted(failed)[:10]
     ]
     maximality = None
-    if tau is None:
-        bumped, first = TAU + 0.01, None
-        for lb, lhs, rhs, bad in _split_columns(bumped, l_max):
-            if first and 2 * lb >= first[0]:
-                break  # column lb starts at l = 2*lb, so no later split comes first
-            if len(bad) and (first is None or 2 * lb + bad[0] < first[0]):
-                i = int(bad[0])
-                first = (2 * lb + i, lb, float(lhs[i]), float(rhs[i]))
-        if first:
-            l, lb, x, y = first
-            maximality = {"tau": bumped, "l": l, "split": [l - lb, lb], "lhs": x, "rhs": y}
+    if tau is None and l_max >= 2:
+        bumped = TAU + 0.01
+        lhs, rhs = 2 * aitch_tau(bumped, 1) + aitch_tau(bumped, 1), 2 * aitch_tau(bumped, 2)
+        maximality = {"tau": bumped, "l": 2, "split": [1, 1], "lhs": lhs, "rhs": rhs}
     return AitchReport(
         l_max=l_max,
         tau=used_tau,
@@ -350,13 +351,23 @@ def verify_sumset_lower_bound(k_max):
     sizes and the bound at k - 1, since h increases,
     |A^k + L| >= 2^(k-1) * (2*h(la) + h(lb)) >= 2^k * h(la + lb)
     whenever 2*h(la) + h(lb) >= 2*h(la + lb). From |A^0 + L| = 1 = h(1), every
-    k <= K follows once that holds for every split of every l <= 2^K.
+    k follows once that holds for every split of every l.
 
-    So one split scan of every l <= 2^k_max serves each k > 4. Entry k lists,
-    as [la, lb], the splits of l <= 2^k failing by more than 1e-9, and its
-    certificate holds the least 2*h(la) + h(lb) - 2*h(l) over the splits with
-    1 <= lb < la and the first split, in scan order, attaining it. The splits
-    lb = 0 and la = lb are left out: they are equalities, since 2^tau = 3/2.
+    It does, by a concavity lemma. Let g(t) = 2 + t^tau - 2*(1 + t)^tau on
+    [0, 1], with 0 < tau = log2(3) - 1 < 1. Then g(0) = 0, and g(1) = 0 since
+    2^tau = 3/2. Also g''(t) = tau*(tau - 1)*(t^(tau-2) - 2*(1 + t)^(tau-2)),
+    which is negative wherever t < 1/(2^(1/(2 - tau)) - 1), about 1.58 (the
+    threshold is above 1 exactly when tau < 1). So g is concave on [0, 1] and
+    g > 0 on (0, 1). The split condition is la^tau * g(lb/la) >= 0, with
+    equality only at lb = 0 and la = lb. So no entry k > 4 has a violation.
+
+    Entry k's certificate is the split [2^(k-1), 2^(k-1) - 1] and its margin
+    2*h(la) + h(lb) - 2*h(l), meant as the least over the splits 1 <= lb < la
+    of every l <= 2^k. For fixed lb, G(la, lb) = 2*h(la) + h(lb) - 2*h(la + lb)
+    rises in la, since h' falls, so the least sits at some la = lb + 1. That
+    G(b + 1, b) falls as b grows, which would put it at b = 2^(k-1) - 1, is
+    not proved: the tests compare the certificate with a scan of every split
+    at each k <= MAX_SUMSET_BOUND_K = 12, the whole accepted range.
     """
     if k_max < 1:
         raise ZefcError("bad_k", "k_max must be at least 1", k_max=k_max)
@@ -364,25 +375,12 @@ def verify_sumset_lower_bound(k_max):
         message = f"the induction scans l <= 2^k_max; k_max is limited to {MAX_SUMSET_BOUND_K}"
         raise ZefcError("k_too_large", message, k_max=k_max)
     entries = [_exhaustive_entry(k) for k in range(1, min(k_max, EXHAUSTIVE_SUMSET_K) + 1)]
-    # least[l] is the least gap over the splits 1 <= lb < la of l, at lb = least_lb[l].
-    l_max = 1 << k_max
-    failed, least, least_lb = [], np.full(l_max + 1, math.inf), np.zeros(l_max + 1, dtype=int)
-    for lb, lhs, rhs, bad in _split_columns(TAU, l_max):
-        failed += [(2 * lb + i, lb) for i in bad.tolist()]
-        if lb:
-            gaps = lhs[1:] - rhs[1:]
-            row, row_lb = least[2 * lb + 1 :], least_lb[2 * lb + 1 :]
-            less = gaps < row  # strict, so a tie keeps the least lb
-            np.copyto(row, gaps, where=less)
-            np.copyto(row_lb, lb, where=less)
-    failed.sort()
     for k in range(EXHAUSTIVE_SUMSET_K + 1, k_max + 1):
-        entry = {"k": k, "mode": "inductive", "subsets_checked": 0}
-        violations = [[l - lb, lb] for l, lb in failed if l <= 1 << k]
-        l = int(np.argmin(least[: (1 << k) + 1]))  # a tie goes to the least l
-        lb = int(least_lb[l])
-        certificate = {"l_max": 1 << k, "margin": float(least[l]), "split": [l - lb, lb]}
-        entries.append(entry | {"violations": violations, "certificate": certificate})
+        la = 1 << (k - 1)
+        margin = 2 * aitch(la) + aitch(la - 1) - 2 * aitch(2 * la - 1)
+        certificate = {"l_max": 1 << k, "margin": margin, "split": [la, la - 1]}
+        entry = {"k": k, "mode": "inductive", "subsets_checked": 0, "violations": []}
+        entries.append(entry | {"certificate": certificate})
     return SumsetBoundReport(k_max=k_max, entries=tuple(entries))
 
 

@@ -1,10 +1,13 @@
 """Acceptance gate: every criterion at its stated tolerance and runtime budget."""
 
+import dataclasses
+
 import pytest
 
 from zefc import acceptance
 from zefc.acceptance import CRITERIA, run_all
 from zefc.bitspace import sumset
+from zefc.coloring import verify_aitch_superadditivity
 
 NAMES = [
     "capacity_closed_forms",
@@ -53,3 +56,20 @@ def test_criterion_8_fails_on_a_short_packing_budget(monkeypatch):
     assert not result.passed
     assert "packing budget fails at caps (1,1) k=2" in result.failures
     assert "packing budget fails at caps (1,1) k=1" not in result.failures
+
+
+def test_criterion_4_fails_when_tau_leaves_the_unit_interval(monkeypatch):
+    monkeypatch.setattr(acceptance, "log2_3_sign", lambda p, q: 1)
+    result = acceptance.run_criterion_4()
+    assert result.failures == ("tau = log2(3)-1 is not in (0, 1)",)
+
+
+def test_criterion_4_fails_on_a_counterexample_that_holds(monkeypatch):
+    def holding(l_max):
+        report = verify_aitch_superadditivity(l_max)
+        counterexample = report.tau_maximality | {"rhs": report.tau_maximality["lhs"]}
+        return dataclasses.replace(report, tau_maximality=counterexample)
+
+    monkeypatch.setattr(acceptance, "verify_aitch_superadditivity", holding)
+    result = acceptance.run_criterion_4()
+    assert result.failures == ("counterexample [1, 1] does not fail",)

@@ -27,7 +27,7 @@ from zefc.coloring import (
     verify_sumset_lower_bound,
 )
 from zefc.errors import ZefcError
-from zefc.exact import colex_prefix_value
+from zefc.exact import colex_prefix_value, log2_3_sign
 
 import oracles
 
@@ -394,12 +394,25 @@ def test_aitch_examples_are_the_oracles_first_ten(tau):
     assert got == want[:10] and len({lb for _, _, lb, _, _ in got}) > 1
 
 
-@pytest.mark.parametrize("l_max", [1, 2, 3, 64, 300])
+@pytest.mark.parametrize("l_max", [1, 2, 3, 64, 300, 1024])
 def test_aitch_tau_maximality_is_the_oracles_first_violation(l_max):
     want = None
     for l, la, lb, x, y in oracles.aitch_violations(TAU + 0.01, l_max)[:1]:
         want = {"tau": TAU + 0.01, "l": l, "split": [la, lb], "lhs": x, "rhs": y}
     assert verify_aitch_superadditivity(l_max).tau_maximality == want
+
+
+@pytest.mark.parametrize("l_max", [1, 2, 1024])
+def test_aitch_scans_the_split_columns_once(monkeypatch, l_max):
+    calls = []
+
+    def counted(tau, l_max):
+        calls.append(tau)
+        return _split_columns(tau, l_max)
+
+    monkeypatch.setattr(coloring, "_split_columns", counted)
+    verify_aitch_superadditivity(l_max)
+    assert calls == [TAU]
 
 
 def test_aitch_refuses_large_l_max():
@@ -471,18 +484,32 @@ def _inductive_entries_match(found, k_max):
 
 
 def test_sumset_inductive_entries_match_scalar_oracle():
-    found = oracles.sumset_certificate(10)
-    for k_max in range(5, 11):
+    # The closed-form certificate's position is not proved; this scan is its check.
+    found = oracles.sumset_certificate(12)
+    for k_max in range(5, 13):
         _inductive_entries_match(found, k_max)
 
 
-def test_sumset_inductive_violations_keep_scan_order(monkeypatch):
+def test_sumset_certificate_oracle_keeps_scan_order():
     # Above tau = log2(3) - 1 splits fail, in many columns lb per entry.
-    monkeypatch.setattr(coloring, "TAU", 0.6)
     found = oracles.sumset_certificate(7, tau=0.6)
-    assert len(found[7][0]) > 100
-    for k_max in (5, 6, 7):
-        _inductive_entries_match(found, k_max)
+    columns = sorted(
+        (2 * lb + i, lb) for lb, _, _, failed in _split_columns(0.6, 128) for i in failed.tolist()
+    )
+    for k in (5, 6, 7):
+        want = [[la, lb] for l, la, lb, _, _ in oracles.aitch_violations(0.6, 1 << k)]
+        assert found[k][0] == want
+    assert found[7][0] == [[l - lb, lb] for l, lb in columns]
+    assert len(found[7][0]) > 100 and len({lb for _, lb in columns}) > 1
+
+
+def test_sumset_bound_reads_no_split_column(monkeypatch):
+    def refuse(tau, l_max):
+        raise AssertionError("verify_sumset_lower_bound scanned splits")
+
+    monkeypatch.setattr(coloring, "_split_columns", refuse)
+    report = verify_sumset_lower_bound(12)
+    assert [e["violations"] for e in report.entries[4:]] == [[]] * 8
 
 
 def test_sumset_lower_bound_refuses_large_k_max():
@@ -537,11 +564,46 @@ def test_sumset_certificates_hold_in_exact_arithmetic():
                 assert list(least) == certificate["split"]
 
 
-def test_sumset_induction_reports_a_failing_tau(monkeypatch):
-    monkeypatch.setattr(coloring, "TAU", TAU + 0.01)
-    entry = verify_sumset_lower_bound(5).entries[4]
-    assert entry["mode"] == "inductive"
-    assert [1, 1] in entry["violations"]
+def _lemma_premises_failing(tau):
+    """The concavity lemma's premises that fail at tau, in Decimal arithmetic.
+
+    g(t) = 2 + t^tau - 2*(1 + t)^tau must vanish at 1, the threshold below which
+    g'' < 0 must lie above 1, and G(la, lb) = 2*h(la) + h(lb) - 2*h(la + lb) must
+    rise in la for fixed lb (sampled at lb <= 32, la <= 128).
+    """
+    table = [Decimal(0)] + [Decimal(l) ** tau for l in range(1, 162)]
+
+    def gap(la, lb):
+        return 2 * table[la] + table[lb] - 2 * table[la + lb]
+
+    failing = []
+    if abs(3 - 2 * Decimal(2) ** tau) > Decimal("1e-45"):
+        failing.append("g(1) = 0")
+    if not 1 / (Decimal(2) ** (1 / (2 - tau)) - 1) > 1:
+        failing.append("concave on [0, 1]")
+    if any(gap(la + 1, lb) <= gap(la, lb) for lb in range(1, 33) for la in range(lb, 129)):
+        failing.append("G rises in la")
+    return failing
+
+
+def test_concavity_lemma_premises_hold():
+    assert log2_3_sign(-1, 1) > 0 > log2_3_sign(-2, 1)  # 0 < tau < 1
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        tau = Decimal(3).ln() / Decimal(2).ln() - 1
+        assert _lemma_premises_failing(tau) == []
+        # The lemma's conclusion, g > 0 on (0, 1), at sampled t.
+        g = [2 + t**tau - 2 * (1 + t) ** tau for t in (Decimal(i) / 64 for i in range(1, 64))]
+        assert min(g) > 0
+
+
+def test_concavity_lemma_premises_fail_above_tau():
+    # At tau + 0.01 the split [1, 1] fails: g(1) < 0, and only that premise breaks.
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        tau = Decimal(3).ln() / Decimal(2).ln() - 1 + Decimal("0.01")
+        assert 3 - 2 * Decimal(2) ** tau < 0
+        assert _lemma_premises_failing(tau) == ["g(1) = 0"]
 
 
 def test_mixed_pair_values():
