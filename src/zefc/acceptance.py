@@ -1,5 +1,6 @@
 """Self-contained acceptance checks: each criterion returns a pass/fail record."""
 
+import functools
 import itertools
 import math
 import time
@@ -28,6 +29,7 @@ from .coloring import (
     verify_aitch_superadditivity,
     verify_sumset_lower_bound,
 )
+from .errors import ZefcError
 from .exact import LOG2_3, log2_3_sign
 from .nfc import (
     build_network,
@@ -55,24 +57,34 @@ class CriterionResult:
     failures: tuple
 
 
-def _finish(name, budget, started, failures, details):
-    elapsed = time.perf_counter() - started
-    passed = not failures and (budget is None or elapsed < budget)
-    if budget is not None and elapsed >= budget:
-        failures = tuple(failures) + (f"runtime {elapsed:.2f}s exceeded budget {budget}s",)
-    return CriterionResult(
-        name=name,
-        passed=passed,
-        elapsed_s=elapsed,
-        budget_s=budget,
-        details=details,
-        failures=tuple(failures),
-    )
+def _criterion(name, budget=None):
+    """Make check, which returns (failures, details), a timed criterion named name.
+
+    A ZefcError from check is a failure under that name, with its code and
+    message, so the other criteria still run. A run reaching budget seconds fails.
+    """
+
+    def wrap(check):
+        @functools.wraps(check)
+        def run():
+            started = time.perf_counter()
+            try:
+                failures, details = check()
+            except ZefcError as err:
+                failures, details = [f"{err.code}: {err.message}"], {}
+            elapsed = time.perf_counter() - started
+            if budget is not None and elapsed >= budget:
+                failures = [*failures, f"runtime {elapsed:.2f}s exceeded budget {budget}s"]
+            return CriterionResult(name, not failures, elapsed, budget, details, tuple(failures))
+
+        return run
+
+    return wrap
 
 
+@_criterion("capacity_closed_forms")
 def run_criterion_1():
     """Closed-form capacity values and tags for every case, under 1 ms per query."""
-    started = time.perf_counter()
     failures, checked = [], 0
     worst_ms = 0.0
     log32 = 1 / LOG2_3
@@ -104,7 +116,7 @@ def run_criterion_1():
         failures.append(f"slowest query {worst_ms:.3f} ms >= 1 ms")
     # The time is checked, not reported: a measured value would make the report vary.
     details = {"queries": checked, "max_query_ms": None}
-    return _finish("capacity_closed_forms", None, started, failures, details)
+    return failures, details
 
 
 def _timed(fn):
@@ -113,9 +125,9 @@ def _timed(fn):
     return time.perf_counter() - t0
 
 
+@_criterion("split_sandwich", 10.0)
 def run_criterion_2():
     """Split-code sandwich at caps (2,1): admissibility, k=100 rate, 2% gap."""
-    started = time.perf_counter()
     failures = []
     caps = ChannelCaps.of("2", "1")
     target = math.log2(6) / LOG2_3
@@ -134,12 +146,12 @@ def run_criterion_2():
     if abs(float(acct.rate) - target) / target > 0.02:
         failures.append(f"k=100 rate {float(acct.rate)} not within 2% of {target}")
     details = {"rates": rates, "rate_100": str(acct.rate), "target": round(target, 12)}
-    return _finish("split_sandwich", 10.0, started, failures, details)
+    return failures, details
 
 
+@_criterion("coloring_converse", 60.0)
 def run_criterion_3():
     """Exact Q_k versus the ceiling bound, and chi_m versus the Q_k reduction."""
-    started = time.perf_counter()
     failures = []
     tau = LOG2_3 - 1
     tables = {k: {l: q_k(k, l) for l in range((1 << k) + 1)} for k in range(1, EXACT_QK_LIMIT + 1)}
@@ -157,22 +169,20 @@ def run_criterion_3():
             if result.value < floor:
                 failures.append(f"chi_{m} at k={k}: {result.value} < Q_k bound {floor}")
     details = {"qk_k_max": EXACT_QK_LIMIT, "chim_k_max": EXACT_CHIM_LIMIT}
-    return _finish("coloring_converse", 60.0, started, failures, details)
+    return failures, details
 
 
+@_criterion("aitch_superadditivity", 5.0)
 def run_criterion_4():
     """Superadditivity of l^tau at tau = log2(3)-1, and failure just above it.
 
     The concavity lemma on verify_sumset_lower_bound proves superadditivity at
     every l from 0 < tau < 1, decided exactly here; 2^tau = 3/2 by definition.
     """
-    started = time.perf_counter()
     failures = []
     if not log2_3_sign(-1, 1) > 0 > log2_3_sign(-2, 1):
         failures.append("tau = log2(3)-1 is not in (0, 1)")
     report = verify_aitch_superadditivity(1024)
-    if report.violations:
-        failures.append(f"{report.violations} violations at tau = log2(3)-1")
     counterexample = report.tau_maximality
     if counterexample is None:
         failures.append("no counterexample found at tau + 0.01")
@@ -183,12 +193,12 @@ def run_criterion_4():
         "violations": report.violations,
         "counterexample": counterexample,
     }
-    return _finish("aitch_superadditivity", 5.0, started, failures, details)
+    return failures, details
 
 
+@_criterion("sumset_lower_bound", 30.0)
 def run_criterion_5():
     """Sumset lower bound, exhaustive over every nonempty subset up to k = 4."""
-    started = time.perf_counter()
     failures = []
     report = verify_sumset_lower_bound(4)
     for entry in report.entries:
@@ -200,12 +210,12 @@ def run_criterion_5():
     if top["subsets_checked"] != 65535:
         failures.append(f"k=4 checked {top['subsets_checked']} subsets, expected 65535")
     details = {"subsets_at_k4": top["subsets_checked"], "violations": 0 if not failures else None}
-    return _finish("sumset_lower_bound", 30.0, started, failures, details)
+    return failures, details
 
 
+@_criterion("cutset_nontightness", 60.0)
 def run_criterion_6():
     """Cut-set bound non-tightness at (2,1) and closed-form agreement to c1+c2 = 7."""
-    started = time.perf_counter()
     failures = []
     caps21 = ChannelCaps.of("2", "1")
     report = nontightness_report(caps21)
@@ -226,25 +236,24 @@ def run_criterion_6():
         failures.append(f"cut-class counts {trio} != (2, 3, 4)")
     gaps = {}
     for c1, c2 in BOUND_PAIRS:
+        # Raises bound_mismatch, a failure of this criterion, where the closed form differs.
         rep = nontightness_report(ChannelCaps.of(str(c1), str(c2)))
         gaps[f"{c1},{c2}"] = round(rep.gap, 6)
-        if rep.bound_enum != rep.bound_formula:
-            failures.append(f"({c1},{c2}): enumeration {rep.bound_enum} != formula")
     if gaps["1,1"] != 0.0:
         failures.append(f"(1,1) gap {gaps['1,1']} != 0")
     if abs(gaps["3,2"] - 0.36907) > 1e-5:
         failures.append(f"(3,2) gap {gaps['3,2']} not ~ 0.369070")
     details = {"cut_class_counts": trio, "gap_21": round(report.gap, 6), "gaps": gaps}
-    return _finish("cutset_nontightness", 60.0, started, failures, details)
+    return failures, details
 
 
+@_criterion("mixed_pair_minimum", 120.0)
 def run_criterion_7():
     """Minimum mixed-pair sumset is 3 * 2^(k-1) at k = 1..8, with its proof's premises.
 
     On raw sets: the digit overlap table, the overlap of A^k + y1 and A^k + y2 as
     the product of digit overlaps over every pair at k <= 3, and each witness.
     """
-    started = time.perf_counter()
     overlap = [[len({a, a + 1} & {b, b + 1}) for b in range(3)] for a in range(3)]
     failures = [] if overlap == [[2, 1, 0], [1, 2, 1], [0, 1, 2]] else [f"overlap {overlap}"]
 
@@ -266,12 +275,12 @@ def run_criterion_7():
         if result.value != 3 * (1 << (k - 1)):
             failures.append(f"k={k}: {result.value} != {3 * (1 << (k - 1))}")
     details = {"values": values}
-    return _finish("mixed_pair_minimum", 120.0, started, failures, details)
+    return failures, details
 
 
+@_criterion("property_suite")
 def run_criterion_8():
     """Property suite: coloring agreement, transform round-trip, packing budget."""
-    started = time.perf_counter()
     failures = []
     for k in (1, 2):
         words = list(range(1 << k))
@@ -321,7 +330,7 @@ def run_criterion_8():
             if log2_3_sign(need, -k) < 0:  # 2^need < 3^k
                 failures.append(f"packing budget fails at caps ({c1s},{c2s}) k={k}")
     details = {"coloring_pairs_k2": "prefixes plus split picks", "packing_k_max": 64}
-    return _finish("property_suite", None, started, failures, details)
+    return failures, details
 
 
 CRITERIA = (

@@ -62,11 +62,11 @@ def _dumps(payload, default=None):
     return json.dumps(_rounded(payload), indent=2, default=default) + "\n"
 
 
-def _chunks(text, table=None):
+def _chunks(text, table):
     """The report's text in the strings to write it in.
 
     A report without a code table is one string. Otherwise the pieces of table,
-    a codec.code_parts iterable, are yielded one by one in place of the marker.
+    a codec.code_parts generator, are yielded one by one in place of the marker.
     """
     if table is None:
         return (text,)
@@ -128,7 +128,7 @@ def _cmd_construct(args):
 
 def _cmd_verify(args):
     if args.check == "aitch":
-        report = verify_aitch_superadditivity(args.l_max, tau=args.tau)
+        report = verify_aitch_superadditivity(args.l_max)
         return {
             "query": {
                 "command": "verify",
@@ -263,27 +263,7 @@ def _cmd_reproduce(args):
     return payload, 0 if ok else 1
 
 
-def _print_table(payload, stream):
-    """Plain-text rendering: scalars as key = value, row lists as columns."""
-
-    def emit(prefix, value):
-        if isinstance(value, dict):
-            for key, sub in value.items():
-                emit(f"{prefix}.{key}" if prefix else str(key), sub)
-        elif isinstance(value, list) and value and all(isinstance(v, dict) for v in value):
-            columns = list(value[0])
-            print(f"{prefix}: " + "\t".join(columns), file=stream)
-            for row in value:
-                print("  " + "\t".join(str(row.get(c, "")) for c in columns), file=stream)
-        else:
-            print(f"{prefix} = {value}", file=stream)
-
-    emit("", payload)
-
-
 def _common(sub, threads=False):
-    sub.add_argument("--format", choices=("json", "table"), default="json")
-    sub.add_argument("--emit", metavar="PATH", help="also write the JSON report here")
     sub.add_argument("--timings", action="store_true", help="include elapsed_ms in output")
     if threads:
         sub.add_argument("--threads", type=int, default=None)
@@ -313,7 +293,6 @@ def _verify_arguments(sub):
     checks = sub.add_subparsers(dest="check", required=True)
     aitch = checks.add_parser("aitch", help="superadditivity of the l^tau bound shape")
     aitch.add_argument("--l-max", type=int, default=1024, dest="l_max")
-    aitch.add_argument("--tau", type=float, default=None)
     _common(aitch)
     aitch.set_defaults(handler=_cmd_verify)
     sumset = checks.add_parser("sumset-bound", help="sumset size lower bound")
@@ -446,21 +425,7 @@ def main(argv=None):
         if table is not None:
             payload["code"] = _TABLE
         text = _dumps(payload)
-        if args.emit:
-            # The file is written first, so a failed emit prints only the error; the
-            # code table is rendered once for it and once more for stdout.
-            try:
-                with open(args.emit, "w") as fh:
-                    fh.writelines(_chunks(text, table))
-            except OSError as exc:
-                raise ZefcError(
-                    "emit_failed", "could not write the report", path=args.emit, reason=exc.strerror
-                ) from exc
-        if args.format == "table":
-            written = _send(lambda out: _print_table(json.loads("".join(_chunks(text, table))), out))
-        else:
-            written = _send(lambda out: out.writelines(_chunks(text, table)))
-        if not written:
+        if not _send(lambda out: out.writelines(_chunks(text, table))):
             return 2
         if args.command == "reproduce":
             passed = sum(1 for row in payload["results"] if row["passed"])

@@ -456,24 +456,12 @@ def _object_blocks(pad, shape, key, value):
         yield block.tobytes().replace(b"\0", b"").decode("ascii")
 
 
-class _Pieces:
-    """An iterable whose every iteration calls generate() for a fresh run of text pieces."""
-
-    __slots__ = ("generate",)
-
-    def __init__(self, generate):
-        self.generate = generate
-
-    def __iter__(self):
-        return self.generate()
-
-
 def code_parts(code, pad=""):
     """The pieces of code_text(code, pad), in order: header, table blocks, footer.
 
-    Every refusal is raised here, before any text is rendered; the blocks are
-    rendered as the pieces are iterated, and anew on each iteration, so no
-    string ever holds more than about BLOCK_BYTES of a table.
+    Every refusal is raised here, before any text is rendered; the returned
+    generator renders the blocks as they are taken, so no string ever holds
+    more than about BLOCK_BYTES of a table.
     """
     (labels1, old1), (labels2, old2) = _canonical_labels(code)
     k, inner = code.k, pad + "  "
@@ -512,7 +500,7 @@ def code_parts(code, pad=""):
             f"{inner}]\n{pad}}}"
         )
 
-    return _Pieces(generate)
+    return generate()
 
 
 def code_text(code, pad=""):

@@ -19,8 +19,8 @@ import pytest
 from jsonschema import validate
 
 from oracles import printed_code_admissible
-from zefc import _parallel, cli, codec
-from zefc.cli import _dumps, _print_table, _rounded, build_parser, main
+from zefc import _parallel, cli, codec, nfc
+from zefc.cli import _dumps, _rounded, build_parser, main
 from zefc.errors import ZefcError
 
 SCHEMAS = pathlib.Path(__file__).resolve().parent.parent / "schemas"
@@ -105,14 +105,6 @@ def test_verify_aitch_report(capsys):
     assert code == 0
     assert doc["violations"] == 0
     assert doc["counterexample_above_tau"]["l"] == 2
-    validate(doc, schema("verify-aitch"))
-
-
-def test_verify_aitch_explicit_tau_reports_violations(capsys):
-    code, doc = run_cli(capsys, ["verify", "aitch", "--l-max", "64", "--tau", "0.595"])
-    assert code == 0
-    assert doc["violations"] > 0
-    assert doc["violation_examples"]
     validate(doc, schema("verify-aitch"))
 
 
@@ -246,12 +238,13 @@ COSTLY_REQUESTS = (
     ("capacity --case 10 --c1 1 --c2 1 --k 100000000000", "k_too_large"),
 )
 
-# Inputs that printed NaN or Infinity, or exited 1 with a traceback.
+# Inputs that printed NaN or Infinity, or exited 1 with a traceback. The --tau
+# requests did so when verify aitch took a tau; it takes none now.
 BAD_INPUTS = (
-    ("verify aitch --l-max 10 --tau nan", "bad_tau"),
-    ("verify aitch --l-max 10 --tau inf", "bad_tau"),
-    ("verify aitch --l-max 10 --tau=-inf", "bad_tau"),
-    ("verify aitch --l-max 10 --tau 1e308", "bad_tau"),
+    ("verify aitch --l-max 10 --tau nan", "bad_arguments"),
+    ("verify aitch --l-max 10 --tau inf", "bad_arguments"),
+    ("verify aitch --l-max 10 --tau=-inf", "bad_arguments"),
+    ("verify aitch --l-max 10 --tau 1e308", "bad_arguments"),
     ("verify sumset-bound --samples -1", "bad_samples"),
     ("qk --k 5000 --bracket --l 5", "k_too_large"),
     (f"qk --k 800 --bracket --l {(1 << 800) - 1}", "k_too_large"),
@@ -294,8 +287,6 @@ def test_largest_budgets_still_answer(capsys):
     for case in ("00", "10"):
         code, doc = run_cli(capsys, f"capacity --case {case} --c1 1 --c2 1 --k 1000000".split())
         assert code == 0 and doc["achieved"] == 1.0
-    code, doc = run_cli(capsys, ["verify", "aitch", "--l-max", "64", "--tau", "-64"])
-    assert code == 0 and doc["query"]["tau"] == -64.0
     code, doc = run_cli(capsys, "qk --k 1000 --bracket --l 5".split())
     assert code == 0 and doc["rows"][0]["lower"] <= doc["rows"][0]["upper"]
     code, doc = run_cli(capsys, "qk --k 1023 --bracket --l 3".split())
@@ -426,41 +417,6 @@ def test_integer_options_sweep(capsys):
 CONSTRUCT21 = ["construct", "--c1", "2", "--c2", "1"]
 
 
-def test_emit_writes_the_same_report(capsys, tmp_path):
-    target = tmp_path / "out.json"
-    for argv in (["qk", "--k", "2", "--l", "2"], CONSTRUCT21 + ["--case", "11", "--k", "4"]):
-        code = main(argv + ["--emit", str(target)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert target.read_text() == out
-
-
-def test_emit_failure_is_a_structured_error(capsys, tmp_path):
-    target = tmp_path / "missing" / "out.json"
-    code, doc = run_cli(capsys, ["qk", "--k", "2", "--l", "2", "--emit", str(target)])
-    assert code == 2
-    assert doc["error"]["code"] == "emit_failed"
-    assert doc["error"]["details"]["path"] == str(target)
-    validate(doc, schema("error"))
-
-
-def test_table_format(capsys):
-    code = main(["capacity", "--case", "01", "--c1", "2", "--c2", "1", "--format", "table"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "value = 1.630929753571" in out
-    assert "formula = log3(6)" in out
-    # construct's code is printed from pre-rendered text; the table still renders the report.
-    for case in ("00", "01", "10", "11"):
-        argv = CONSTRUCT21 + ["--case", case, "--k", "2"]
-        code, doc = run_cli(capsys, argv)
-        assert code == 0
-        assert main(argv + ["--format", "table"]) == 0
-        want = io.StringIO()
-        _print_table(doc, want)
-        assert capsys.readouterr().out == want.getvalue(), case
-
-
 def test_timings_flag_adds_elapsed(capsys):
     code, doc = run_cli(capsys, ["capacity", "--case", "00", "--c1", "1", "--c2", "1", "--timings"])
     assert code == 0
@@ -517,6 +473,62 @@ def test_cached_parser_leaks_no_state(capsys):
         assert _printed(capsys, request.split()) == want, request
 
 
+# Options zefc no longer has: each report is JSON, written to stdout only, and
+# verify aitch reports the one tau its lemma is about.
+REMOVED_OPTION_REQUESTS = (
+    *(
+        f"{base} {option}"
+        for base in (
+            "capacity --case 01 --c1 2 --c2 1",
+            "construct --case 01 --c1 2 --c2 1 --k 1",
+            "reproduce",
+        )
+        for option in ("--format table", "--format json", "--emit out.json")
+    ),
+    "verify aitch --l-max 8 --tau 1",
+)
+
+
+@pytest.mark.parametrize("request_text", REMOVED_OPTION_REQUESTS)
+def test_removed_options_are_refused(capsys, request_text):
+    code, doc = run_cli(capsys, request_text.split())
+    assert code == 2
+    assert doc["error"]["code"] == "bad_arguments"
+    validate(doc, schema("error"))
+
+
+# Every option each parser takes, in the order it lists them. A new option fails
+# the test below until it is listed here.
+OPTIONS = {
+    "zefc": ["-h", "--help", "--version"],
+    "capacity": ["-h", "--help", "--case", "--c1", "--c2", "--k", "--timings"],
+    "construct": ["-h", "--help", "--case", "--c1", "--c2", "--k", "--timings"],
+    "verify": ["-h", "--help"],
+    "verify aitch": ["-h", "--help", "--l-max", "--timings"],
+    "verify sumset-bound": [
+        "-h", "--help", "--k-max", "--samples", "--seed", "--timings", "--threads"
+    ],
+    "qk": ["-h", "--help", "--k", "--l", "--bracket", "--timings", "--threads"],
+    "chim": ["-h", "--help", "--k", "--m", "--timings"],
+    "gamma-pair": ["-h", "--help", "--k", "--timings", "--threads"],
+    "nfc": ["-h", "--help", "--c1", "--c2", "--timings"],
+    "reproduce": ["-h", "--help", "--timings"],
+}
+
+
+def _options(parser):
+    return [option for action in parser._actions for option in action.option_strings]
+
+
+def test_option_surface_is_pinned():
+    found = {"zefc": _options(build_parser())}
+    found.update((command, _options(build_parser(command))) for command in cli._COMMANDS)
+    verify = build_parser("verify")
+    (checks,) = [a for a in verify._actions if isinstance(a, argparse._SubParsersAction)]
+    found.update((f"verify {check}", _options(sub)) for check, sub in checks.choices.items())
+    assert found == OPTIONS
+
+
 # Requests the command's own parser must read as the full parser does: arguments
 # each command lacks or does not know, and ways of spelling an option.
 PARSER_EDGE_REQUESTS = (
@@ -546,6 +558,7 @@ PARSER_EDGE_REQUESTS = (
     "reproduce extra",
     "reproduce --format xml",
     "reproduce --timings --timings --emit",
+    *REMOVED_OPTION_REQUESTS,
 )
 
 
@@ -566,12 +579,9 @@ def _parity_requests():
 
 
 def _parsed(parser, argv):
-    """The namespace parser reads from argv as {name: repr}, or the (code, message) it refuses with.
-
-    Values are compared by repr, so that a --tau of nan equals itself.
-    """
+    """The namespace parser reads from argv as a dict, or the (code, message) it refuses with."""
     try:
-        return {name: repr(value) for name, value in vars(parser.parse_args(argv)).items()}
+        return vars(parser.parse_args(argv))
     except ZefcError as err:
         return err.code, err.message
 
@@ -811,6 +821,17 @@ def test_reproduce_is_byte_identical_in_process(capsys):
     assert json.loads(runs[0])["results"][0]["details"]["max_query_ms"] is None
 
 
+def test_a_criterion_that_raises_is_a_failed_row(capsys, monkeypatch):
+    # nontightness_report refuses a closed form that disagrees with the enumeration.
+    monkeypatch.setattr(nfc, "cutset_bound_formula", lambda caps: -1.0)
+    code, doc = run_cli(capsys, ["reproduce"])
+    assert code == 1 and doc["passed"] is False
+    validate(doc, schema("reproduce"))
+    failed = [row for row in doc["results"] if not row["passed"]]
+    assert [row["name"] for row in failed] == ["cutset_nontightness"]
+    assert failed[0]["failures"][0].startswith("bound_mismatch: ")
+
+
 class _Writes(io.StringIO):
     """A stdout that keeps the string of each write call."""
 
@@ -902,17 +923,13 @@ def test_construct_refusals_print_only_the_error(monkeypatch, case, k, change, e
 
 
 @pytest.mark.parametrize("block_bytes", [1, 1 << 40], ids=["one_row", "whole_table"])
-def test_block_size_does_not_change_the_output(capsys, monkeypatch, tmp_path, block_bytes):
-    target = tmp_path / "out.json"
+def test_block_size_does_not_change_the_output(capsys, monkeypatch, block_bytes):
     for case in ("00", "01", "10", "11"):
         argv = CONSTRUCT21 + ["--case", case, "--k", "7"]
         printed = {}
         for size in (codec.BLOCK_BYTES, block_bytes):
             with monkeypatch.context() as patch:
                 patch.setattr(codec, "BLOCK_BYTES", size)
-                assert main(argv + ["--emit", str(target)]) == 0
-                json_out = capsys.readouterr().out
-                assert target.read_bytes() == json_out.encode(), (case, size)
-                assert main(argv + ["--format", "table"]) == 0
-                printed[size] = (json_out, capsys.readouterr().out)
+                assert main(argv) == 0
+                printed[size] = capsys.readouterr().out
         assert printed[block_bytes] == printed[codec.BLOCK_BYTES], case

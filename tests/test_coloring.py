@@ -1,7 +1,6 @@
 """Q_k, chi_m, the h-function checks, and the mixed-alphabet pair minimum."""
 
 import decimal
-import math
 from decimal import Decimal
 
 import numpy as np
@@ -14,7 +13,6 @@ from zefc.coloring import (
     MAX_AITCH_L,
     TAU,
     _chi_m_search,
-    _split_columns,
     _union_counts,
     aitch,
     aitch_tau,
@@ -348,71 +346,12 @@ def test_aitch_superadditivity_holds():
     assert report.checked == sum(l // 2 + 1 for l in range(1, 257))
 
 
-def test_aitch_keeps_a_count_and_the_first_ten_violations():
-    report = verify_aitch_superadditivity(64, tau=1.5)
-    found = []
-    for l in range(1, 65):
-        for lb in range(0, l // 2 + 1):
-            la = l - lb
-            if 2 * la**1.5 + lb**1.5 < 2 * l**1.5 - 1e-9:
-                found.append((l, [la, lb]))
-    assert len(found) > 10
-    assert report.violations == len(found)
-    assert [(v["l"], v["split"]) for v in report.violation_examples] == found[:10]
-
-
-def _column_violations(tau, l_max):
-    """_split_columns' failed splits as (l, la, lb, lhs, rhs), in (l, lb) order."""
-    found = [
-        (2 * lb + i, lb + i, lb, float(lhs[i]), float(rhs[i]))
-        for lb, lhs, rhs, failed in _split_columns(tau, l_max)
-        for i in failed.tolist()
-    ]
-    return sorted(found, key=lambda v: (v[0], v[2]))
-
-
-@pytest.mark.parametrize("tau", [TAU, math.log2(3) - 0.99, 0.595, 1.0, -2.0])
-def test_aitch_violations_match_scalar_oracle(tau):
-    assert _column_violations(tau, 300) == oracles.aitch_violations(tau, 300)
-
-
-@pytest.mark.parametrize("tau", [TAU, 1.0])
-def test_split_columns_match_scalar_oracle_at_l_1024(tau):
-    # At tau = 1 every split with lb >= 1 fails.
-    want = oracles.aitch_violations(tau, 1024)
-    assert _column_violations(tau, 1024) == want
-    assert len(want) == (0 if tau == TAU else 512 * 512)
-
-
-@pytest.mark.parametrize("tau", [1.0, 1.5])
-def test_aitch_examples_are_the_oracles_first_ten(tau):
-    # The first ten failing splits span several columns lb.
-    report = verify_aitch_superadditivity(200, tau=tau)
-    want = oracles.aitch_violations(tau, 200)
-    assert report.violations == len(want)
-    got = [(v["l"], *v["split"], v["lhs"], v["rhs"]) for v in report.violation_examples]
-    assert got == want[:10] and len({lb for _, _, lb, _, _ in got}) > 1
-
-
 @pytest.mark.parametrize("l_max", [1, 2, 3, 64, 300, 1024])
 def test_aitch_tau_maximality_is_the_oracles_first_violation(l_max):
     want = None
     for l, la, lb, x, y in oracles.aitch_violations(TAU + 0.01, l_max)[:1]:
         want = {"tau": TAU + 0.01, "l": l, "split": [la, lb], "lhs": x, "rhs": y}
     assert verify_aitch_superadditivity(l_max).tau_maximality == want
-
-
-@pytest.mark.parametrize("l_max", [1, 2, 1024])
-def test_aitch_scans_the_split_columns_once(monkeypatch, l_max):
-    calls = []
-
-    def counted(tau, l_max):
-        calls.append(tau)
-        return _split_columns(tau, l_max)
-
-    monkeypatch.setattr(coloring, "_split_columns", counted)
-    verify_aitch_superadditivity(l_max)
-    assert calls == [TAU]
 
 
 def test_aitch_refuses_large_l_max():
@@ -426,11 +365,6 @@ def test_aitch_tau_maximality_counterexample():
     assert report.tau_maximality is not None
     assert report.tau_maximality["l"] == 2
     assert report.tau_maximality["split"] == [1, 1]
-    bumped = verify_aitch_superadditivity(64, tau=TAU + 0.01)
-    assert bumped.violations
-    assert bumped.tau_maximality is None
-    explicit = verify_aitch_superadditivity(64, tau=0.59496)
-    assert explicit.violations
 
 
 def test_sumset_lower_bound_exhaustive():
@@ -483,33 +417,33 @@ def _inductive_entries_match(found, k_max):
         assert got == found[entry["k"]]
 
 
-def test_sumset_inductive_entries_match_scalar_oracle():
+@pytest.fixture(scope="module")
+def split_scan():
+    """The oracle's scan of every split of every l <= 2^12 at tau, per k."""
+    return oracles.sumset_certificate(12)
+
+
+def test_sumset_inductive_entries_match_scalar_oracle(split_scan):
     # The closed-form certificate's position is not proved; this scan is its check.
-    found = oracles.sumset_certificate(12)
     for k_max in range(5, 13):
-        _inductive_entries_match(found, k_max)
+        _inductive_entries_match(split_scan, k_max)
+
+
+def test_aitch_report_matches_the_oracle_scan_at_its_largest_l(split_scan):
+    # The report is the concavity lemma's; in floats, no split of any accepted l fails.
+    assert 1 << 12 == MAX_AITCH_L
+    report = verify_aitch_superadditivity(MAX_AITCH_L)
+    assert split_scan[12][0] == []
+    assert (report.violations, report.violation_examples) == (0, ())
 
 
 def test_sumset_certificate_oracle_keeps_scan_order():
     # Above tau = log2(3) - 1 splits fail, in many columns lb per entry.
     found = oracles.sumset_certificate(7, tau=0.6)
-    columns = sorted(
-        (2 * lb + i, lb) for lb, _, _, failed in _split_columns(0.6, 128) for i in failed.tolist()
-    )
     for k in (5, 6, 7):
         want = [[la, lb] for l, la, lb, _, _ in oracles.aitch_violations(0.6, 1 << k)]
         assert found[k][0] == want
-    assert found[7][0] == [[l - lb, lb] for l, lb in columns]
-    assert len(found[7][0]) > 100 and len({lb for _, lb in columns}) > 1
-
-
-def test_sumset_bound_reads_no_split_column(monkeypatch):
-    def refuse(tau, l_max):
-        raise AssertionError("verify_sumset_lower_bound scanned splits")
-
-    monkeypatch.setattr(coloring, "_split_columns", refuse)
-    report = verify_sumset_lower_bound(12)
-    assert [e["violations"] for e in report.entries[4:]] == [[]] * 8
+    assert len(found[7][0]) > 100 and len({lb for _, lb in found[7][0]}) > 1
 
 
 def test_sumset_lower_bound_refuses_large_k_max():

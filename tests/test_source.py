@@ -32,7 +32,7 @@ UNREFERENCED_METHODS_ALLOWED = {
 # counts as checks become exact.
 FLOAT_TOLERANCES_ALLOWED = {
     "acceptance": 6,
-    "coloring": 2,
+    "coloring": 1,
 }
 
 
