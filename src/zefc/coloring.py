@@ -344,8 +344,12 @@ def verify_sumset_lower_bound(k_max):
     if k_max < 1:
         raise ZefcError("bad_k", "k_max must be at least 1", k_max=k_max)
     if k_max > MAX_SUMSET_BOUND_K:
-        message = f"the induction scans l <= 2^k_max; k_max is limited to {MAX_SUMSET_BOUND_K}"
-        raise ZefcError("k_too_large", message, k_max=k_max)
+        raise ZefcError(
+            "k_too_large",
+            f"the certificate is checked only up to k = {MAX_SUMSET_BOUND_K}, and its float "
+            f"margin cancels beyond it; k_max is limited to {MAX_SUMSET_BOUND_K}",
+            k_max=k_max,
+        )
     entries = [_exhaustive_entry(k) for k in range(1, min(k_max, EXHAUSTIVE_SUMSET_K) + 1)]
     for k in range(EXHAUSTIVE_SUMSET_K + 1, k_max + 1):
         la = 1 << (k - 1)

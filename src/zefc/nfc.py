@@ -14,8 +14,10 @@ from .codec import MAX_EXHAUSTIVE_K, KShotCode, SwitchPair, first_seen, rate_acc
 from .errors import ZefcError
 from .exact import LOG2_3, cutset_bound_formula, log2_3_sign
 
-# Bounds the edge ids a report lists. At this limit, caps (400,400) or (499,4),
-# `nontightness_report` takes about 0.3 ms in-process (Python 3.11, one Xeon core).
+# Bounds the edge ids a report lists; `guang_bound` scores 38 key rows whatever the
+# caps. At this limit, caps (400,400) or (499,4), `nontightness_report` takes about
+# 0.1 ms in-process (Python 3.11.7, a 2-CPU shared Xeon sandbox), most of it spelling
+# out the witness's edge ids.
 MAX_NETWORK_EDGES = 2000
 # Tie-break among cuts of least ratio. Up to this many edges the witness is the cut
 # with fewest edges, then most edges in the earliest bundle where two cuts differ,
@@ -210,6 +212,25 @@ def _count_table():
 _STATE_COUNTS = _count_table()
 
 
+def _key_rows():
+    """One row per count-table key that a cut can reach and that cuts off a source.
+
+    A row is (n_cf, full-cut flags, p3, fd, fe, bundles among 0, 1 and 2 not fully
+    cut): p3 is 1 when the key touches v1->rho without cutting it fully, fd counts
+    the fully cut c1-bundles and fe is 1 when v2->rho is fully cut.
+    A fully cut bundle is touched, so keys with v1->rho full but untouched are left out.
+    """
+    rows = []
+    for (*full, touched), count in _STATE_COUNTS.items():
+        if count and (touched or not full[3]):
+            p3 = int(touched and not full[3])
+            rows.append((count, tuple(full), p3, sum(full[:4]), int(full[4]), 3 - sum(full[:3])))
+    return tuple(rows)
+
+
+_KEY_ROWS = _key_rows()
+
+
 def _state_count(state, sizes):
     """n_cf of a bundle state, or 0 if the state cuts off no source: one table lookup."""
     return _STATE_COUNTS[(*map(operator.eq, state, sizes), state[3] > 0)]
@@ -238,9 +259,9 @@ _LOG2_COUNT = {2: (1, 0), 3: (0, 1), 4: (2, 0)}
 
 
 def _least_ratio(minima):
-    """States of least size / log2(count), given each class count's least size and states.
+    """Cuts of least size / log2(count), given each class count's least size and cuts.
 
-    Compared exactly, by the rule in `guang_bound`'s docstring; states of equal
+    Compared exactly, by the rule in `guang_bound`'s docstring; cuts of equal
     ratio are all kept, whatever their count.
     """
     best, tied = None, []  # best: (count, size)
@@ -258,31 +279,44 @@ def _least_ratio(minima):
 
 
 def guang_bound(net):
-    """Minimum |C| / log2(n_cf) over all cut sets.
+    """Minimum |C| / log2(n_cf) over all cut sets, scored once per count-table key.
 
-    Cuts in one bundle state share n_cf, so the minimum is reached at the smallest
-    cut of some state, and only those are scored. A state's smallest cut is each
-    bundle's first edges, as many as the state counts. n_cf is 2, 3 or 4, and among
-    states of one class count the ratio grows with the cut size, so only each
-    count's least size can reach the minimum: at most three candidates. They are
-    compared exactly: s_a / log2(c_a) < s_b / log2(c_b) exactly when
-    s_a * log2(c_b) - s_b * log2(c_a) < 0, a sign `exact.log2_3_sign` decides. The
-    tie-break then runs over the states of least ratio alone.
+    n_cf depends only on the key: the five full-cut flags and whether v1->rho is
+    touched. A partial cut of bundle 0, 1, 2 or 4 changes neither part of the key,
+    so within one key extra partial edges only add cut size. A key's least cut is
+    therefore its fully cut bundles plus one edge of v1->rho when the key touches
+    that bundle without cutting it fully: fd*c1 + fe*c2 + p3 edges, for fd fully cut
+    c1-bundles, fe 1 when v2->rho is fully cut and p3 that one edge. It is the only
+    cut of its key that can reach the minimum, so `_KEY_ROWS` holds one row per
+    key. A key whose p3 edge needs a partial cut of a one-edge v1->rho is not
+    reached. `cuts_seen` counts the bundle states, 0, 1 or every edge of each
+    bundle, that are cuts: each reached key holds 2^(its free bundles other than
+    v1->rho with more than one edge) of them.
+
+    n_cf is 2, 3 or 4, and among keys of one class count the ratio grows with the
+    cut size, so only each count's least size can reach the minimum: at most three
+    candidates. They are compared exactly: s_a / log2(c_a) < s_b / log2(c_b)
+    exactly when s_a * log2(c_b) - s_b * log2(c_a) < 0, a sign
+    `exact.log2_3_sign` decides. The tie-break then runs over the least cuts of
+    least ratio alone.
     """
-    sizes = net.sizes
-    minima, seen = {}, 0  # class count -> (least cut size, the states of that size)
-    for state in itertools.product(*(sorted({0, 1, size}) for size in sizes)):
-        count = _state_count(state, sizes)
-        if not count:
+    c1, c2, sizes = net.c1, net.c2, net.sizes
+    minima, seen = {}, 0  # class count -> (least cut size, its keys' (full, p3))
+    for count, full, p3, fd, fe, free_d in _KEY_ROWS:
+        if p3 and c1 == 1:
             continue
-        seen += 1
-        size = sum(state)
+        seen += 1 << (free_d * (c1 > 1) + (not fe) * (c2 > 1))
+        size = fd * c1 + fe * c2 + p3
         entry = minima.get(count)
         if entry is None or size < entry[0]:
-            minima[count] = (size, [state])
+            minima[count] = (size, [(full, p3)])
         elif size == entry[0]:
-            entry[1].append(state)
-    tied = _least_ratio(minima)
+            entry[1].append((full, p3))
+    tied = []
+    for full, p3 in _least_ratio(minima):
+        state = [size if f else 0 for f, size in zip(full, sizes)]
+        state[3] += p3
+        tied.append(tuple(state))
     if sum(sizes) <= EDGE_ORDER_WITNESS_EDGES:
         best = min(tied, key=lambda st: (sum(st), [-c for c in st]))
     else:

@@ -452,6 +452,16 @@ def test_sumset_lower_bound_refuses_large_k_max():
     assert err.value.code == "k_too_large"
 
 
+def test_sumset_lower_bound_refusal_gives_the_check_range():
+    # Nothing is scanned per request: the limit is where the tests stop checking the
+    # certificate against the oracle's scan, and where its float margin cancels.
+    with pytest.raises(ZefcError) as err:
+        verify_sumset_lower_bound(coloring.MAX_SUMSET_BOUND_K + 1)
+    assert err.value.code == "k_too_large"
+    assert coloring.MAX_SUMSET_BOUND_K == 12
+    assert "k = 12" in err.value.message and "scan" not in err.value.message
+
+
 def test_sumset_lower_bound_inductive_mode():
     report = verify_sumset_lower_bound(8)
     margins = []

@@ -29,7 +29,9 @@ from zefc.codec import (
 from zefc.errors import ZefcError
 from zefc.exact import cutset_bound_formula
 from zefc.nfc import (
+    _KEY_ROWS,
     LAYOUT,
+    MAX_NETWORK_EDGES,
     Network,
     _bundle_ids,
     _least_ratio,
@@ -338,13 +340,71 @@ def test_guang_bound_frozen_table():
 
 
 def test_guang_bound_matches_closed_form_sweep():
-    # Every field of the bound against the one-state-at-a-time scan it replaced.
+    # Every field of the bound against the one-state-at-a-time scan it replaced, and
+    # every (c1, 1), (c1, c1 - 1) and (c1, c1) that MAX_NETWORK_EDGES allows.
     pairs = [(total - c2, c2) for total in range(2, 41) for c2 in range(1, total // 2 + 1)]
-    for c1, c2 in pairs + [(100, 37), (400, 400), (499, 4), (499, 1)]:
+    for c2_of in (lambda c1: 1, lambda c1: c1 - 1, lambda c1: c1):
+        c1s = range(2, MAX_NETWORK_EDGES // 4 + 1)
+        pairs += [(c1, c2_of(c1)) for c1 in c1s if 4 * c1 + c2_of(c1) <= MAX_NETWORK_EDGES]
+    assert (499, 1) in pairs and (400, 399) in pairs and (400, 400) in pairs
+    for c1, c2 in dict.fromkeys(pairs + [(100, 37), (499, 4)]):
         caps = ChannelCaps.of(str(c1), str(c2))
         bound = guang_bound(build_network(caps))
         assert bound.value == cutset_bound_formula(caps), (c1, c2)
         assert dataclasses.astuple(bound) == guang_state_scan(c1, c2), (c1, c2)
+
+
+def _key(state, sizes):
+    """The count-table key of a bundle state: five full-cut flags, v1->rho touched."""
+    return (*(c == size for c, size in zip(state, sizes)), state[3] > 0)
+
+
+def _row_key(full, p3):
+    return (*full, full[3] or p3 > 0)
+
+
+def test_each_reachable_key_has_one_row():
+    # The rows are the keys some cut state reaches, each once, with the least state's
+    # class count and size; (1, x) reaches none of the keys that touch v1->rho partially.
+    keys = [_row_key(full, p3) for _, full, p3, *_ in _KEY_ROWS]
+    assert len(keys) == len(set(keys)) == 38
+    reached = set()
+    for c1, c2 in ((1, 1), (2, 1), (2, 2), (3, 2), (5, 3)):
+        net = build_network(ChannelCaps.of(str(c1), str(c2)))
+        least = {}
+        for state, _ in _smallest_cuts(net):
+            count = _state_count(state, net.sizes)
+            if count:
+                key = _key(state, net.sizes)
+                least[key] = min(least.get(key, (math.inf,)), (sum(state), count))
+        reached |= least.keys()
+        for count, full, p3, full_d, full_e, _ in _KEY_ROWS:
+            key = _row_key(full, p3)
+            if key not in least:
+                assert p3 and c1 == 1, (c1, c2, key)
+                continue
+            assert least[key] == (full_d * c1 + full_e * c2 + p3, count), (c1, c2, key)
+    assert reached == set(keys)
+
+
+@pytest.mark.parametrize(
+    "c1, c2, want",
+    [(1, 1, 27)]
+    + [(c1, 1, 106) for c1 in (2, 3, 100, 499)]
+    + [(c1, c2, 155) for c1, c2 in ((2, 2), (5, 3), (400, 400))],
+)
+def test_key_row_multiplicities_count_every_cut_state(c1, c2, want):
+    # Each row stands for 2^(free bundles other than v1->rho with more than one edge)
+    # cut states, counted here from the row's full-cut flags alone.
+    sizes = (c1, c1, c1, c1, c2)
+    total = 0
+    for count, full, p3, *_ in _KEY_ROWS:
+        if p3 and c1 == 1:
+            continue
+        free = [b for b in (0, 1, 2, 4) if not full[b] and sizes[b] > 1]
+        total += 2 ** len(free)
+    assert total == want
+    assert guang_bound(build_network(ChannelCaps.of(str(c1), str(c2)))).cuts_seen == want
 
 
 def _near_tie_pairs():
