@@ -6,7 +6,6 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .bitspace import binary_to_base3_table
 from .capacity import capacity
@@ -52,7 +51,6 @@ class CriterionResult:
     name: str
     passed: bool
     elapsed_s: float
-    budget_s: Optional[float]
     details: dict
     failures: tuple
 
@@ -75,7 +73,7 @@ def _criterion(name, budget=None):
             elapsed = time.perf_counter() - started
             if budget is not None and elapsed >= budget:
                 failures = [*failures, f"runtime {elapsed:.2f}s exceeded budget {budget}s"]
-            return CriterionResult(name, not failures, elapsed, budget, details, tuple(failures))
+            return CriterionResult(name, not failures, elapsed, details, tuple(failures))
 
         return run
 

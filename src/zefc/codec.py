@@ -19,8 +19,8 @@ MAX_CAP_DENOMINATOR = 64
 MAX_CAP = Fraction(1 << 512)
 # Budget of the case-01 code: it builds the integer 3^(k1-1), about 0.61*k bits at
 # caps (2,1) and up to k*log2(3) bits when c2 is far below c1. At this k, capacity
-# with the witness takes about 0.2 s at caps (2,1) and 1.1 s at caps (1, 1/64)
-# (Python 3.11, one Xeon core).
+# with the witness takes about 0.15 s at caps (2,1) and 0.65-0.8 s at caps (1, 1/64)
+# and (64, 1/64) (in-process, Python 3.11.7, a 2-CPU shared Xeon host).
 MAX_SPLIT_BASE_K = 1 << 22
 # Budget of the case-11 construction: k*log2(3), the size in bits of 3^k, times
 # the denominator q of c2. It divides 3^k by floor(2^(n*c2)), a q-th root of a
@@ -343,9 +343,10 @@ def build_split_code_01(k, caps):
 def first_seen(flat):
     """Renumber non-negative integer labels in order of first appearance.
 
-    Returns the new label at each position, in the narrowest unsigned dtype that
-    holds them, and, for each new label, the int32 position where it first
-    appears; flat has fewer than 2^31 entries (at most 4^MAX_EXHAUSTIVE_K here).
+    Returns rank, where rank[v] is the new label of old label v, in the narrowest
+    unsigned dtype that holds the new labels, and, for each new label, the int32
+    position where it first appears; flat has fewer than 2^31 entries (at most
+    4^MAX_EXHAUSTIVE_K here). rank[flat] is the new label at each position.
     """
     # first[v]: the first position of label v, or flat.size if v never occurs.
     # first and the positions share one dtype. With two, np.minimum.at takes
@@ -355,14 +356,15 @@ def first_seen(flat):
     starts = np.sort(first[first < flat.size])
     rank = np.zeros(first.size, dtype=np.min_scalar_type(starts.size - 1))
     rank[flat[starts]] = np.arange(starts.size)
-    return np.take(rank, flat), starts
+    return rank, starts
 
 
 def _canonical_labels(code):
     """First-seen relabeling of both encoders over ascending sweeps of their domains.
 
     Encoder 1 sweeps x, then y if it sees y; encoder 2 sweeps y, then x if it sees x.
-    Returns, per encoder, its relabeled sweep and the old label of each new label.
+    Returns, per encoder, its sweep as a contiguous array of old labels, the new
+    label of each old label (first_seen's rank) and the old label of each new label.
     """
     phi1, phi2, _ = _tables(code, "serialization")
     sweeps = (
@@ -376,9 +378,9 @@ def _canonical_labels(code):
         # the lookups in first_seen, where a negative one would wrap around.
         if flat.min() < 0 or flat.max() >= top:
             raise ZefcError("bad_code", f"{name} labels must lie in range({top})", k=code.k)
-        labels, starts = first_seen(flat)
-        out.append((labels, flat[starts]))
-    realized = [old.size for _, old in out]
+        rank, starts = first_seen(flat)
+        out.append((flat, rank, flat[starts]))
+    realized = [old.size for _, _, old in out]
     if realized != [code.im1, code.im2]:
         raise ZefcError(
             "bad_image_count",
@@ -463,7 +465,7 @@ def code_parts(code, pad=""):
     generator renders the blocks as they are taken, so no string ever holds
     more than about BLOCK_BYTES of a table.
     """
-    (labels1, old1), (labels2, old2) = _canonical_labels(code)
+    (flat1, rank1, old1), (flat2, rank2, old2) = _canonical_labels(code)
     k, inner = code.k, pad + "  "
     decoded = code.psi[np.ix_(old1, old2)]
     if decoded.min() < 0 or decoded.max() >= 3**k:
@@ -476,9 +478,10 @@ def code_parts(code, pad=""):
     ternary[:, 1:-1] = _digit_rows(k, 3)
     psi_key = (_decimal_table(code.im1)[:, None], comma, _decimal_table(code.im2)[None])
 
-    def encoder(labels, top, paired, pair_key):
+    def encoder(flat, rank, top, paired, pair_key):
+        # Each old label's row is its new label in decimal, gathered by old label.
         shape, key = ((size, size), pair_key) if paired else ((size,), (words,))
-        return _object_blocks(inner, shape, key, (_decimal_table(top), labels.reshape(shape)))
+        return _object_blocks(inner, shape, key, (_decimal_table(top)[rank], flat.reshape(shape)))
 
     def generate():
         yield (
@@ -486,12 +489,12 @@ def code_parts(code, pad=""):
             f'{inner}"phi1": '
         )
         yield from encoder(
-            labels1, code.im1, code.switches.s2 == 1, (words[:, None], comma, words[None])
+            flat1, rank1, code.im1, code.switches.s2 == 1, (words[:, None], comma, words[None])
         )
         yield f'\n{inner}}},\n{inner}"phi2": '
         # Encoder 2's labels run y major, but its keys still read "x,y".
         yield from encoder(
-            labels2, code.im2, code.switches.s1 == 1, (words[None], comma, words[:, None])
+            flat2, rank2, code.im2, code.switches.s1 == 1, (words[None], comma, words[:, None])
         )
         yield f'\n{inner}}},\n{inner}"psi": '
         yield from _object_blocks(inner, (code.im1, code.im2), psi_key, (ternary, decoded))

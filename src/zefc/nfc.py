@@ -39,9 +39,6 @@ LAYOUT = (
 # cut bundle: s1 has the one path s1->v1->rho, s2 the two s2->v1->rho and
 # s2->v2->rho.
 _PATHS = {"s1": ((0, 3),), "s2": ((1, 3), (2, 4))}
-# A source is upstream of a cut when the cut touches a bundle whose tail the
-# source reaches: s1 reaches s1 and v1, s2 reaches s2, v1 and v2.
-_UPSTREAM = {"s1": (0, 3), "s2": (1, 2, 3, 4)}
 
 
 @dataclass(frozen=True)
@@ -75,13 +72,10 @@ def _bundle_ids(net, bundle, count):
 
 @dataclass(frozen=True)
 class CutClassification:
-    """Source sets of a cut's bundle state: disconnected, upstream-only, upstream."""
+    """A cut's bundle state and the sources it disconnects from the sink."""
 
-    cut: tuple
     state: tuple
     i_c: frozenset
-    j_c: frozenset
-    k_c: frozenset
 
     @property
     def is_cut(self):
@@ -110,7 +104,6 @@ class KShotNetworkCode:
     k: int
     symbols: dict
     output: np.ndarray
-    n_e: dict
     n: int
 
 
@@ -118,7 +111,6 @@ class KShotNetworkCode:
 class NontightnessReport:
     """Capacity against the cut-set bound for one cap pair."""
 
-    caps: tuple
     capacity: float
     bound_enum: float
     bound_formula: float
@@ -143,7 +135,7 @@ def build_network(caps):
 
 
 def classify_cut(net, cut):
-    """I/J/K source sets for an edge subset, read off its bundle state."""
+    """The bundle state of an edge subset and the sources it disconnects."""
     edges, ids = net.edges, set(cut)
     for eid in cut:
         if eid not in edges:
@@ -154,14 +146,7 @@ def classify_cut(net, cut):
         count = len(ids.intersection(edges[end - size : end]))
         state.append(count if count in (0, size) else 1)
     i_c = frozenset(_cut_off([c == size for c, size in zip(state, net.sizes)]))
-    k_c = frozenset(s for s, bundles in _UPSTREAM.items() if any(state[b] for b in bundles))
-    return CutClassification(
-        cut=tuple(eid for eid in edges if eid in ids),
-        state=tuple(state),
-        i_c=i_c,
-        j_c=k_c - i_c,
-        k_c=k_c,
-    )
+    return CutClassification(state=tuple(state), i_c=i_c)
 
 
 def _cut_off(full):
@@ -357,7 +342,7 @@ def _tuple_ids(symbols, ids):
         change[1:] |= run[1:] != run[:-1]
     key = np.empty(order.size, dtype=np.int64)
     key[order] = np.cumsum(change)
-    return first_seen(key)[0]
+    return np.take(first_seen(key)[0], key)
 
 
 def make_network_code(net, k, symbols, output):
@@ -398,14 +383,12 @@ def make_network_code(net, k, symbols, output):
         value[feed] = column
         if (value[feed] != column).any():
             raise ZefcError("bad_network_code", "a table must follow from what its node sees", table=name)
-    n_e = {eid: _bits_for(distinct(symbols[eid]).size) for eid in edges}
     return KShotNetworkCode(
         network=net,
         k=k,
         symbols={eid: symbols[eid] for eid in edges},
         output=output,
-        n_e=n_e,
-        n=max(n_e.values()),
+        n=max(_bits_for(distinct(symbols[eid]).size) for eid in edges),
     )
 
 
@@ -522,7 +505,6 @@ def nontightness_report(caps):
             caps=caps.as_strings(),
         )
     return NontightnessReport(
-        caps=caps.as_strings(),
         capacity=cap_value,
         bound_enum=bound.value,
         bound_formula=formula,

@@ -400,9 +400,10 @@ def test_canonical_labels_match_a_first_seen_loop(case):
     rng = np.random.default_rng(int(case, 2))
     for k in range(1, 7):
         code, sweeps = _random_label_code(rng, k, SwitchPair.from_string(case))
-        for (labels, old), sweep in zip(_canonical_labels(code), sweeps):
+        for (flat, rank, old), sweep in zip(_canonical_labels(code), sweeps):
             order = oracles.first_seen_order(sweep.tolist())
-            assert labels.tolist() == [order[v] for v in sweep.tolist()], (case, k)
+            assert flat.flags.c_contiguous and flat.tolist() == sweep.tolist(), (case, k)
+            assert rank[flat].tolist() == [order[v] for v in sweep.tolist()], (case, k)
             assert old.tolist() == list(order), (case, k)
         # Drop the last label of encoder 1: the declared image size no longer matches.
         if code.im1 > 1:
@@ -427,15 +428,15 @@ def test_first_seen_matches_a_first_appearance_loop(dtype):
         pool = rng.choice(top, size=count, replace=False).astype(dtype)
         flat = np.concatenate([pool, pool[rng.integers(0, count, size)]])
         rng.shuffle(flat)
-        labels, starts = first_seen(flat)
+        rank, starts = first_seen(flat)
         values = flat.tolist()
         order = oracles.first_seen_order(values)
         firsts = {}
         for position, value in enumerate(values):
             firsts.setdefault(value, position)
-        assert labels.tolist() == [order[v] for v in values], (dtype, count)
+        assert rank[flat].tolist() == [order[v] for v in values], (dtype, count)
         assert starts.tolist() == [firsts[v] for v in order], (dtype, count)
-        assert labels.dtype == np.min_scalar_type(count - 1) and starts.dtype == np.int32
+        assert rank.dtype == np.min_scalar_type(count - 1) and starts.dtype == np.int32
 
 
 def _builders():
@@ -456,8 +457,9 @@ def test_tables_have_the_narrowest_dtype_for_their_range():
 
 
 def test_case_11_code_builds_and_renders_within_a_memory_bound():
-    # With int64 tables and cached digit strings the peak was 10.7 MB; the narrow
-    # tables and the ASCII rows built in numpy keep it near 2.5 MB.
+    # With int64 tables and cached digit strings the peak was 10.7 MB, and with a
+    # whole-table label array and its intp index 3.5 MB; the narrow tables, the
+    # ASCII rows built in numpy and the gather by old label keep it near 2.0 MB.
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
@@ -471,7 +473,7 @@ def test_case_11_code_builds_and_renders_within_a_memory_bound():
         if started:
             tracemalloc.stop()
     assert size > 16_000_000
-    assert peak < 6_000_000, peak
+    assert peak < 3_000_000, peak
 
 
 def test_split_rate_capped_and_doubling_improves():

@@ -346,6 +346,14 @@ def test_aitch_superadditivity_holds():
     assert report.checked == sum(l // 2 + 1 for l in range(1, 257))
 
 
+def test_aitch_split_count_matches_the_sum_at_every_l_max():
+    # checked is read off a closed form; l has the l // 2 + 1 splits la >= lb >= 0.
+    splits = 0
+    for l_max in range(1, MAX_AITCH_L + 1):
+        splits += l_max // 2 + 1
+        assert verify_aitch_superadditivity(l_max).checked == splits, l_max
+
+
 @pytest.mark.parametrize("l_max", [1, 2, 3, 64, 300, 1024])
 def test_aitch_tau_maximality_is_the_oracles_first_violation(l_max):
     want = None
@@ -377,23 +385,11 @@ def test_sumset_lower_bound_exhaustive():
     assert report.entries[3]["subsets_checked"] == (1 << 16) - 1
 
 
-def test_sumset_lower_bound_equality_subsets_check_out():
-    report = verify_sumset_lower_bound(2)
-    entry = report.entries[1]
-    for l, subsets in entry["equality_subsets"].items():
-        for strings in subsets:
-            witness = set(parsed(strings))
-            assert len(witness) == l
-            size = len(oracles.raw_sumset(oracles.all_words(2, 2), witness))
-            assert size == qk_lower_bound(2, l)
-
-
 def test_sumset_lower_bound_matches_oracle():
     for k in (1, 2, 3):
         entry = verify_sumset_lower_bound(k).entries[k - 1]
         violations, equalities = oracles.sumset_bound_oracle(k)
         assert entry["violations"] == violations
-        assert entry["equality_subsets"] == equalities
         assert entry["equality_counts"] == {l: len(s) for l, s in equalities.items()}
         assert entry["subsets_checked"] == (1 << (1 << k)) - 1
 

@@ -1,5 +1,6 @@
-"""Source rules: checks that `python -O` keeps, no dead names, no call that loads numpy.ma,
-no error code that no test names, and no arithmetic on an array's extremum."""
+"""Source rules: checks that `python -O` keeps, no dead names or unread dataclass fields, no
+call that loads numpy.ma, no error code that no test names, and no arithmetic on an array's
+extremum."""
 
 import ast
 import collections
@@ -10,6 +11,8 @@ import tokenize
 
 HERE = pathlib.Path(__file__).resolve()
 SOURCES = sorted((HERE.parent.parent / "src" / "zefc").glob("*.py"))
+# The benchmark's modules, which read some fields that no package code reads.
+BENCH_SOURCES = sorted((HERE.parent.parent / "perfbench").glob("*.py"))
 # The test files whose strings name error codes; this file plants codes of its own.
 TESTS = sorted(path for path in HERE.parent.glob("test_*.py") if path != HERE)
 
@@ -26,6 +29,9 @@ UNREFERENCED_METHODS_ALLOWED = {
     # argparse calls it on a bad argument list.
     "cli._Parser.error",
 }
+
+# Dataclass fields that no package or benchmark module reads, kept on purpose.
+UNREAD_FIELDS_ALLOWED = set()
 
 # Float tolerances per module: `1e-N` literals plus `isclose` calls, each a place where
 # slack decides a check. Modules not listed, `nfc` among them, have none. Shrink the
@@ -146,6 +152,57 @@ def test_dead_method_guard_flags_an_unused_method():
     dead = set(unreferenced_methods(modules))
     assert "bitspace._Probe.unused_method" in dead
     assert not {"bitspace._Probe.used_property", "bitspace._Probe.__repr__"} & dead
+
+
+def unread_fields(modules, readers):
+    """module.Class.field of every dataclass field that no source reads as an attribute.
+
+    modules maps a module name to its source; readers holds the sources whose
+    attribute loads, such as report.gap, count as reads, the modules among them.
+    A store or a keyword argument of the same name is not a read.
+    """
+    read = {
+        node.attr
+        for text in readers
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = []
+    for module, text in modules.items():
+        for cls in ast.walk(ast.parse(text)):
+            if not isinstance(cls, ast.ClassDef) or not any(
+                "dataclass" in ast.unparse(decorator) for decorator in cls.decorator_list
+            ):
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    if stmt.target.id not in read:
+                        unread.append(f"{module}.{cls.name}.{stmt.target.id}")
+    return sorted(unread)
+
+
+def _readers(modules):
+    return [*modules.values(), *(path.read_text() for path in BENCH_SOURCES)]
+
+
+def test_every_dataclass_field_is_read():
+    assert len(BENCH_SOURCES) > 3, "the benchmark sources were not found"
+    modules = _package()
+    unread = set(unread_fields(modules, _readers(modules)))
+    assert unread - UNREAD_FIELDS_ALLOWED == set(), "drop fields nothing reads, or allow-list them"
+    assert UNREAD_FIELDS_ALLOWED <= unread, "an allow-listed field is read now; unlist it"
+
+
+def test_unread_field_rule_flags_a_planted_field():
+    modules = _package()
+    modules["nfc"] += (
+        "\n\n@dataclass(frozen=True)\nclass _Probe:\n    read: int\n    planted: int\n"
+        "    # planted in a comment\n\n\n"
+        "def _use(probe):\n    text = 'probe.planted'\n    probe.planted = len(text)\n"
+        "    return _Probe(read=probe.read, planted=probe.read)\n"
+    )
+    before = set(unread_fields(_package(), _readers(_package())))
+    assert set(unread_fields(modules, _readers(modules))) - before == {"nfc._Probe.planted"}
 
 
 def float_tolerances(modules):
