@@ -4,8 +4,8 @@ import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .bitspace import binary_to_base3_table
 from .capacity import capacity
@@ -44,8 +44,7 @@ CAP_PAIRS = [("2", "1"), ("1", "1"), ("3", "2"), ("3/2", "1"), ("7/3", "5/4"), (
 BOUND_PAIRS = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3), (5, 1), (5, 2), (6, 1)]
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     """Outcome of one acceptance criterion."""
 
     name: str

@@ -1,8 +1,7 @@
 """Closed-form compression capacities, with finite-k witnesses and converse bounds."""
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .codec import (
     build_identity_code,
@@ -15,8 +14,7 @@ from .errors import ZefcError
 from .exact import LOG2_3, least_integer, log2_3_sign
 
 
-@dataclass(frozen=True)
-class CapacityResult:
+class CapacityResult(NamedTuple):
     """Closed-form capacity with an optional finite-k witness and converse."""
 
     value: float

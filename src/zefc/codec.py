@@ -2,9 +2,8 @@
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -36,16 +35,20 @@ MAX_IDENTITY_K = 1 << 26
 BLOCK_BYTES = 1 << 16
 
 
-@dataclass(frozen=True)
-class SwitchPair:
-    """Side-information switches: s2=1 lets encoder 1 see y, s1=1 lets encoder 2 see x."""
-
+class _SwitchPair(NamedTuple):
     s1: int
     s2: int
 
-    def __post_init__(self):
-        if self.s1 not in (0, 1) or self.s2 not in (0, 1):
-            raise ZefcError("bad_switches", "switches must each be 0 or 1", s1=self.s1, s2=self.s2)
+
+class SwitchPair(_SwitchPair):
+    """Side-information switches: s2=1 lets encoder 1 see y, s1=1 lets encoder 2 see x."""
+
+    __slots__ = ()
+
+    def __new__(cls, s1, s2):
+        if s1 not in (0, 1) or s2 not in (0, 1):
+            raise ZefcError("bad_switches", "switches must each be 0 or 1", s1=s1, s2=s2)
+        return super().__new__(cls, s1, s2)
 
     @classmethod
     def from_string(cls, text):
@@ -78,15 +81,18 @@ def _parse_cap(text):
         raise ZefcError("bad_caps", "capacity must be a positive rational or decimal", value=s)
 
 
-@dataclass(frozen=True)
-class ChannelCaps:
-    """Per-channel bit budgets, normalized so c1 >= c2."""
-
+class _ChannelCaps(NamedTuple):
     c1: Fraction
     c2: Fraction
 
-    def __post_init__(self):
-        for name, cap in (("c1", self.c1), ("c2", self.c2)):
+
+class ChannelCaps(_ChannelCaps):
+    """Per-channel bit budgets, normalized so c1 >= c2."""
+
+    __slots__ = ()
+
+    def __new__(cls, c1, c2):
+        for name, cap in (("c1", c1), ("c2", c2)):
             if not isinstance(cap, Fraction) or not 0 < cap <= MAX_CAP:
                 raise ZefcError("bad_caps", "capacities must lie in (0, 2^512]", **{name: str(cap)})
             if cap.denominator > MAX_CAP_DENOMINATOR:
@@ -95,8 +101,9 @@ class ChannelCaps:
                     f"capacity denominators are capped at {MAX_CAP_DENOMINATOR}",
                     **{name: str(cap)},
                 )
-        if self.c1 < self.c2:
+        if c1 < c2:
             raise ZefcError("bad_caps", "caps must be normalized with c1 >= c2 (use ChannelCaps.of)")
+        return super().__new__(cls, c1, c2)
 
     @classmethod
     def of(cls, c1, c2):
@@ -107,18 +114,7 @@ class ChannelCaps:
         return (str(self.c1), str(self.c2))
 
 
-@dataclass(frozen=True, eq=False)
-class KShotCode:
-    """A k-shot code as tables over packed integer words.
-
-    phi1[x, y] and phi2[x, y] are the labels the two encoders send for the k-bit
-    words x and y, with values in range(im1) and range(im2); psi[a, b] is the packed
-    base-3 sum decoded from the label pair (a, b). The tables may have any integer
-    dtype; the builders give each the narrowest unsigned one that holds its range
-    (`bitspace.narrowest`). Above MAX_EXHAUSTIVE_K the three tables are None and
-    the code carries only its image sizes, which is all rate accounting needs.
-    """
-
+class _KShotCode(NamedTuple):
     k: int
     switches: SwitchPair
     phi1: Optional[np.ndarray]
@@ -128,17 +124,39 @@ class KShotCode:
     im2: int
     name: str
 
-    def __post_init__(self):
-        tables = (self.phi1, self.phi2, self.psi)
+
+class KShotCode(_KShotCode):
+    """A k-shot code as tables over packed integer words.
+
+    phi1[x, y] and phi2[x, y] are the labels the two encoders send for the k-bit
+    words x and y, with values in range(im1) and range(im2); psi[a, b] is the packed
+    base-3 sum decoded from the label pair (a, b). The tables may have any integer
+    dtype; the builders give each the narrowest unsigned one that holds its range
+    (`bitspace.narrowest`). Above MAX_EXHAUSTIVE_K the three tables are None and
+    the code carries only its image sizes, which is all rate accounting needs.
+
+    The tables are checked here, so `_replace`, which skips `__new__`, makes an
+    unchecked code. A code equals only itself: tuple equality would compare the
+    tables elementwise.
+    """
+
+    __slots__ = ()
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
+
+    def __new__(cls, k, switches, phi1, phi2, psi, im1, im2, name):
+        code = super().__new__(cls, k, switches, phi1, phi2, psi, im1, im2, name)
+        tables = (phi1, phi2, psi)
         if all(table is None for table in tables):
-            return
-        size = 1 << self.k
+            return code
+        size = 1 << k
         specs = (
-            ("phi1", (size, size), self.im1),
-            ("phi2", (size, size), self.im2),
-            ("psi", (self.im1, self.im2), 3 ** self.k),
+            ("phi1", (size, size), im1),
+            ("phi2", (size, size), im2),
+            ("psi", (im1, im2), 3**k),
         )
-        for table, (name, shape, top) in zip(tables, specs):
+        for table, (what, shape, top) in zip(tables, specs):
             if (
                 table is None
                 or table.shape != shape
@@ -148,13 +166,13 @@ class KShotCode:
             ):
                 raise ZefcError(
                     "bad_code",
-                    f"{name} must be a {shape[0]}x{shape[1]} integer table over range({top})",
-                    k=self.k,
+                    f"{what} must be a {shape[0]}x{shape[1]} integer table over range({top})",
+                    k=k,
                 )
+        return code
 
 
-@dataclass(frozen=True)
-class AdmissibilityResult:
+class AdmissibilityResult(NamedTuple):
     """Outcome of an exhaustive decoding check over all 4^k input pairs."""
 
     ok: bool
@@ -162,8 +180,7 @@ class AdmissibilityResult:
     counterexample: Optional[dict] = None
 
 
-@dataclass(frozen=True)
-class RateAccount:
+class RateAccount(NamedTuple):
     """Channel uses per encoder and the resulting rate k/n."""
 
     n1: int

@@ -1,8 +1,7 @@
 """Converse machinery: sumset chromatic numbers, Q_k, chi_m, and the h-function."""
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -36,8 +35,7 @@ MAX_SUMSET_BOUND_K = 12
 MAX_BRACKET_K = 1023
 
 
-@dataclass(frozen=True)
-class QkResult:
+class QkResult(NamedTuple):
     """Minimum sumset size over subsets of a fixed cardinality, exact or bracketed."""
 
     k: int
@@ -49,8 +47,7 @@ class QkResult:
     witness: object
 
 
-@dataclass(frozen=True)
-class ChiMResult:
+class ChiMResult(NamedTuple):
     """Best max-block chromatic count over partitions into exactly m blocks."""
 
     k: int
@@ -59,8 +56,7 @@ class ChiMResult:
     witness: tuple
 
 
-@dataclass(frozen=True)
-class AitchReport:
+class AitchReport(NamedTuple):
     """Superadditivity check outcome for the h-function."""
 
     l_max: int
@@ -71,16 +67,14 @@ class AitchReport:
     tau_maximality: Optional[dict]
 
 
-@dataclass(frozen=True)
-class SumsetBoundReport:
+class SumsetBoundReport(NamedTuple):
     """Per-k confirmation that sumset sizes respect the 2^k*h(l) lower bound."""
 
     k_max: int
     entries: tuple
 
 
-@dataclass(frozen=True)
-class MixedPairResult:
+class MixedPairResult(NamedTuple):
     """Minimum of |A^k + {y1, y2}| over distinct ternary pairs."""
 
     k: int
@@ -181,7 +175,7 @@ def chi_m(k, m):
     if k > EXACT_CHIM_LIMIT:
         raise ZefcError(
             "k_too_large",
-            f"partition enumeration is limited to k<={EXACT_CHIM_LIMIT}",
+            f"the growth-order chi_m search stops at EXACT_CHIM_LIMIT: k<={EXACT_CHIM_LIMIT}",
             k=k,
         )
     if not 1 <= m <= 1 << k:

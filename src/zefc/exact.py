@@ -88,34 +88,42 @@ def least_integer(p0, q0, p1, q1):
 
 
 def least_uses(image_size, cap):
-    """Least n >= 0 with 2^(n*cap) >= image_size, by exact integer comparison."""
+    """Least n >= 0 with 2^(n*cap) >= image_size, by exact integer comparison.
+
+    For cap = p/q this is the least n with 2^(n*p) >= image_size^q. With
+    b = (image_size - 1).bit_length(), 2^(b-1) < image_size <= 2^b, so the least m
+    with 2^m >= image_size^q lies in (q*(b-1), q*b] and n in
+    [ceil((q*(b-1) + 1)/p), ceil(q*b/p)]. Only n inside that bracket are compared;
+    for an integer cap it holds one n, so no power is built.
+    """
     if image_size < 1:
         raise ZefcError("empty_image", "encoder image must be nonempty", size=image_size)
     if image_size == 1:
         return 0
     p, q = cap.numerator, cap.denominator
-    bits = image_size.bit_length()
+    b = (image_size - 1).bit_length()
+    lo, hi = -(-(q * (b - 1) + 1) // p), -(-q * b // p)
+    if lo == hi:
+        return lo
     # image_size lies in [top, top + 1) * 2^shift with top of 64 bits, so
     # image_size^q lies in [low, high) * 2^(q*shift); only a power of two inside
     # that bracket needs image_size^q itself.
-    shift = max(0, bits - 64)
+    shift = max(0, image_size.bit_length() - 64)
     top = image_size >> shift
     low = top**q
     high = low if top << shift == image_size else (top + 1) ** q
 
     def enough(n):
-        # image_size < 2^bits, so n*p >= q*bits settles a large cap at once.
-        if n * p >= q * bits:
-            return True
         e = n * p - q * shift
         if e < 0 or (1 << e) < low:
             return False
         return (1 << e) >= high or (1 << (n * p)) >= image_size**q
 
-    n = max(0, math.floor(math.log2(image_size) / float(cap)) - 2)
-    while not enough(n):
+    # enough(hi) holds and enough(lo - 1) does not, so both walks stay in the bracket.
+    n = min(max(lo, math.ceil(math.log2(image_size) * q / p)), hi)
+    while n < hi and not enough(n):
         n += 1
-    while n > 0 and enough(n - 1):
+    while n > lo and enough(n - 1):
         n -= 1
     return n
 

@@ -4,7 +4,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +41,7 @@ LAYOUT = (
 _PATHS = {"s1": ((0, 3),), "s2": ((1, 3), (2, 4))}
 
 
-@dataclass(frozen=True)
-class Network:
+class Network(NamedTuple):
     """The two-source relay network with bundle multiplicities c1 and c2."""
 
     c1: int
@@ -53,10 +52,10 @@ class Network:
         """Edge count of each bundle, in layout order."""
         return (self.c1, self.c1, self.c1, self.c1, self.c2)
 
-    @functools.cached_property
+    @property
     def edges(self):
-        """Every edge id, in layout order; built once, as classify_cut reads it per cut."""
-        return tuple(eid for b, size in enumerate(self.sizes) for eid in _bundle_ids(self, b, size))
+        """Every edge id, in layout order; cached, as classify_cut reads it per cut."""
+        return _edges(self)
 
     def in_edges(self, node):
         bundles = [b for b, (_, _, head) in enumerate(LAYOUT) if head == node]
@@ -70,8 +69,13 @@ def _bundle_ids(net, bundle, count):
     return tuple(f"{letter}{first + i}" for i in range(1, count + 1))
 
 
-@dataclass(frozen=True)
-class CutClassification:
+# A network equals the tuple (c1, c2), so this caches the edges per cap pair.
+@functools.lru_cache(maxsize=64)
+def _edges(net):
+    return tuple(eid for b, size in enumerate(net.sizes) for eid in _bundle_ids(net, b, size))
+
+
+class CutClassification(NamedTuple):
     """A cut's bundle state and the sources it disconnects from the sink."""
 
     state: tuple
@@ -82,8 +86,7 @@ class CutClassification:
         return bool(self.i_c)
 
 
-@dataclass(frozen=True)
-class GuangBound:
+class GuangBound(NamedTuple):
     """Minimum cut-size over class-count ratio, with its witness cut."""
 
     value: float
@@ -92,12 +95,12 @@ class GuangBound:
     cuts_seen: int
 
 
-@dataclass(frozen=True, eq=False)
-class KShotNetworkCode:
+class KShotNetworkCode(NamedTuple):
     """Per-edge symbol tables plus the sink's output table, with realized use counts.
 
     symbols[e][x, y] is the symbol edge e carries for the k-bit source words x and
-    y, and output[x, y] the packed base-3 sum the sink decodes there.
+    y, and output[x, y] the packed base-3 sum the sink decodes there. A code equals
+    only itself: tuple equality would compare the tables elementwise.
     """
 
     network: Network
@@ -106,9 +109,12 @@ class KShotNetworkCode:
     output: np.ndarray
     n: int
 
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
-@dataclass(frozen=True)
-class NontightnessReport:
+
+class NontightnessReport(NamedTuple):
     """Capacity against the cut-set bound for one cap pair."""
 
     capacity: float
@@ -468,7 +474,7 @@ def inverse_transform(ncode):
     psi = np.zeros((int(phi1.max()) + 1, int(phi2.max()) + 1), dtype=np.int64)
     psi[phi1, phi2] = ncode.output
     # make_network_code refuses an output that the label pair does not determine,
-    # but a code changed through dataclasses.replace skips that check.
+    # but a code changed through _replace, or built directly, skips that check.
     if (psi[phi1, phi2] != ncode.output).any():
         raise ZefcError("bad_network_code", "the sink's output must follow from the label pair")
     return KShotCode(

@@ -1,7 +1,5 @@
 """Acceptance gate: every criterion at its stated tolerance and runtime budget."""
 
-import dataclasses
-
 import pytest
 
 from zefc import acceptance
@@ -74,7 +72,7 @@ def test_criterion_4_fails_on_a_counterexample_that_holds(monkeypatch):
     def holding(l_max):
         report = verify_aitch_superadditivity(l_max)
         counterexample = report.tau_maximality | {"rhs": report.tau_maximality["lhs"]}
-        return dataclasses.replace(report, tau_maximality=counterexample)
+        return report._replace(tau_maximality=counterexample)
 
     monkeypatch.setattr(acceptance, "verify_aitch_superadditivity", holding)
     result = acceptance.run_criterion_4()

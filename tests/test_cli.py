@@ -5,7 +5,6 @@ import json
 import os
 import pathlib
 import argparse
-import dataclasses
 import errno
 import re
 import subprocess
@@ -153,6 +152,10 @@ def test_chim_table(capsys):
     code, doc = run_cli(capsys, ["chim", "--k", "4"])
     assert code == 2
     assert doc["error"]["code"] == "k_too_large"
+    # The growth-order search replaced the partition enumeration; the refusal names it.
+    message = doc["error"]["message"]
+    assert "enumeration" not in message
+    assert "growth-order" in message and "EXACT_CHIM_LIMIT: k<=3" in message
 
 
 def test_gamma_pair_report(capsys):
@@ -781,6 +784,9 @@ def test_requests_never_import_a_thread_pool():
 def test_rounded_rounds_floats_at_any_depth_and_writes_tuples_as_lists():
     report = {"a": 1 / 3, "b": [(0.1 + 0.2, {"c": (2 / 3, 7, True, None, "x")})], "d": ()}
     want = {"a": 0.333333333333, "b": [[0.3, {"c": [0.666666666667, 7, True, None, "x"]}]], "d": []}
+    # A record is a NamedTuple, so one that lands in a report prints as a JSON array.
+    report["e"] = nfc.GuangBound(value=1 / 3, witness=("d1",), witness_ncf=2, cuts_seen=7)
+    want["e"] = [0.333333333333, ["d1"], 2, 7]
     # A tuple never equals a list, so == also checks that every tuple became a list.
     assert _rounded(report) == want
 
@@ -875,25 +881,29 @@ def test_construct_streams_its_code_in_blocks(monkeypatch):
     assert doc["code"]["images"] == [137, 16]
 
 
+def _rebuilt(code, **fields):
+    """The code with fields changed, rebuilt through its class, so its checks run again."""
+    return type(code)(**{**code._asdict(), **fields})
+
+
 def _relabeled(code):
     """The code with one phi1 label past im1, refused when the code is rebuilt."""
     phi1 = np.array(code.phi1)
     phi1.flat[0] = code.im1
-    return dataclasses.replace(code, phi1=phi1)
+    return _rebuilt(code, phi1=phi1)
 
 
 def _grown_image(code):
     """The code with im1 one larger and a psi row to match, so no label ever uses it."""
     psi = np.concatenate([code.psi, code.psi[:1]])
-    return dataclasses.replace(code, im1=code.im1 + 1, psi=psi)
+    return _rebuilt(code, im1=code.im1 + 1, psi=psi)
 
 
 def _psi_out_of_range(code):
     """The code with one psi value past 3^k, set after construction checked it."""
     psi = np.array(code.psi)
     psi.flat[-1] = 3**code.k
-    object.__setattr__(code, "psi", psi)
-    return code
+    return code._replace(psi=psi)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Code constructions, admissibility checking, rate accounting, serialization."""
 
 import functools
+import itertools
 import json
 import math
 import tracemalloc
@@ -124,6 +125,19 @@ def test_exponent_shortcuts_match_exact_powers():
         for size in (2, 3, 9, 17, 3**13):
             want = next(n for n in range(10**4) if 2 ** (n * p) >= size**q)
             assert least_uses(size, cap.c1) == want, (cap, size)
+
+
+def test_least_uses_matches_a_brute_force_sweep():
+    # Every cap p/q with q in (1, 2, 3, 7, 64) up to 3, against the first n with
+    # 2^(n*p) >= size^q; the bracket holds one n at q = 1 and several otherwise.
+    caps = sorted({Fraction(a, d) for d in (1, 2, 3, 7, 64) for a in range(1, 3 * d + 1)})
+    sizes = [*range(1, 130), *(2**j + o for j in (16, 64) for o in (-1, 0, 1)), 3**41]
+    for cap in caps:
+        p, q = cap.numerator, cap.denominator
+        for size in sizes:
+            target = size**q
+            want = next(n for n in itertools.count() if 2 ** (n * p) >= target)
+            assert least_uses(size, cap) == want, (size, cap)
 
 
 def test_least_uses_above_64_bits_matches_exact_powers():
@@ -583,7 +597,7 @@ def test_code_text_refuses_out_of_range_tables():
             code = build(3)
             corrupted = np.array(getattr(code, table), dtype=np.int64)
             corrupted.flat[0] = value
-            object.__setattr__(code, table, corrupted)
+            code = code._replace(**{table: corrupted})
             # code_parts is called, not iterated: it refuses before any text exists.
             for render in (code_parts, code_text, code_to_json):
                 with pytest.raises(ZefcError) as err:

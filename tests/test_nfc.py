@@ -1,6 +1,5 @@
 """Network family, cut bounds, and code transforms against the raw-definition oracles."""
 
-import dataclasses
 import itertools
 import math
 import types
@@ -346,7 +345,7 @@ def test_guang_bound_matches_closed_form_sweep():
         caps = ChannelCaps.of(str(c1), str(c2))
         bound = guang_bound(build_network(caps))
         assert bound.value == cutset_bound_formula(caps), (c1, c2)
-        assert dataclasses.astuple(bound) == guang_state_scan(c1, c2), (c1, c2)
+        assert tuple(bound) == guang_state_scan(c1, c2), (c1, c2)
 
 
 def _key(state, sizes):
@@ -660,7 +659,7 @@ def test_inverse_transform_rejects_x_dependent_narrow_edge():
     # swapped in after the code is built.
     ncode = transform_code(build_split_code_01(1, CAPS11), CAPS11)
     x = np.broadcast_to(np.arange(2)[:, None], (2, 2))
-    bad = dataclasses.replace(ncode, symbols={**ncode.symbols, "e2": x})
+    bad = ncode._replace(symbols={**ncode.symbols, "e2": x})
     with pytest.raises(ZefcError) as err:
         inverse_transform(bad)
     assert err.value.code == "bad_network_code"
@@ -671,7 +670,7 @@ def test_inverse_transform_rejects_output_not_read_off_label_pair():
     # make_network_code refuses an output that differs at (0, 1) and (1, 0), which
     # share a label pair, so the output is swapped in after the code is built.
     ncode = transform_code(build_split_code_01(3, CAPS21), CAPS21)
-    bad = dataclasses.replace(ncode, output=_output_changed_at_01(ncode))
+    bad = ncode._replace(output=_output_changed_at_01(ncode))
     with pytest.raises(ZefcError) as err:
         inverse_transform(bad)
     assert err.value.code == "bad_network_code"
@@ -682,9 +681,9 @@ def test_inverse_transform_rejects_output_not_read_off_label_pair():
     "change, code",
     [
         # Encoder 1's label no longer fits its bundle.
-        (lambda acct: dataclasses.replace(acct, n1=0), "image_over_budget"),
+        (lambda acct: acct._replace(n1=0), "image_over_budget"),
         # One more channel use than the network code has.
-        (lambda acct: dataclasses.replace(acct, n=acct.n + 1), "transform_rate_mismatch"),
+        (lambda acct: acct._replace(n=acct.n + 1), "transform_rate_mismatch"),
     ],
     ids=["n1_zero", "n_plus_one"],
 )

@@ -1,13 +1,18 @@
-"""Source rules: checks that `python -O` keeps, no dead names or unread dataclass fields, no
-call that loads numpy.ma, no error code that no test names, and no arithmetic on an array's
-extremum."""
+"""Source rules: checks that `python -O` keeps, no dead names or unread record fields, no
+dataclasses, no call that loads numpy.ma, no error code that no test names, and no arithmetic
+on an array's extremum."""
 
 import ast
 import collections
 import io
 import pathlib
+import os
 import re
+import subprocess
+import sys
 import tokenize
+
+import pytest
 
 HERE = pathlib.Path(__file__).resolve()
 SOURCES = sorted((HERE.parent.parent / "src" / "zefc").glob("*.py"))
@@ -30,8 +35,18 @@ UNREFERENCED_METHODS_ALLOWED = {
     "cli._Parser.error",
 }
 
-# Dataclass fields that no package or benchmark module reads, kept on purpose.
+# Record fields that no package or benchmark module reads, kept on purpose.
 UNREAD_FIELDS_ALLOWED = set()
+
+# Every record class by module: a NamedTuple, or a subclass of one that checks its
+# fields in __new__.
+RECORDS = {
+    "acceptance": ("CriterionResult",),
+    "capacity": ("CapacityResult",),
+    "codec": ("SwitchPair", "ChannelCaps", "KShotCode", "AdmissibilityResult", "RateAccount"),
+    "coloring": ("QkResult", "ChiMResult", "AitchReport", "SumsetBoundReport", "MixedPairResult"),
+    "nfc": ("Network", "CutClassification", "GuangBound", "KShotNetworkCode", "NontightnessReport"),
+}
 
 # Float tolerances per module: `1e-N` literals plus `isclose` calls, each a place where
 # slack decides a check. Modules not listed, `nfc` among them, have none. Shrink the
@@ -154,8 +169,32 @@ def test_dead_method_guard_flags_an_unused_method():
     assert not {"bitspace._Probe.used_property", "bitspace._Probe.__repr__"} & dead
 
 
+def record_fields(modules):
+    """module.Class -> field names of every top-level class with a NamedTuple base.
+
+    A class in the same module that subclasses such a record, to check its
+    fields in __new__, takes the record's place and its fields.
+    """
+    records = {}
+    for module, text in modules.items():
+        fields = {}
+        for cls in (stmt for stmt in ast.parse(text).body if isinstance(stmt, ast.ClassDef)):
+            bases = [ast.unparse(base) for base in cls.bases]
+            if "NamedTuple" in bases or "typing.NamedTuple" in bases:
+                fields[cls.name] = [
+                    stmt.target.id
+                    for stmt in cls.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                ]
+            else:
+                for base in [base for base in bases if base in fields]:
+                    fields[cls.name] = fields.pop(base)
+        records.update((f"{module}.{name}", names) for name, names in fields.items())
+    return records
+
+
 def unread_fields(modules, readers):
-    """module.Class.field of every dataclass field that no source reads as an attribute.
+    """module.Class.field of every record field that no source reads as an attribute.
 
     modules maps a module name to its source; readers holds the sources whose
     attribute loads, such as report.gap, count as reads, the modules among them.
@@ -167,25 +206,27 @@ def unread_fields(modules, readers):
         for node in ast.walk(ast.parse(text))
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
-    unread = []
-    for module, text in modules.items():
-        for cls in ast.walk(ast.parse(text)):
-            if not isinstance(cls, ast.ClassDef) or not any(
-                "dataclass" in ast.unparse(decorator) for decorator in cls.decorator_list
-            ):
-                continue
-            for stmt in cls.body:
-                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                    if stmt.target.id not in read:
-                        unread.append(f"{module}.{cls.name}.{stmt.target.id}")
-    return sorted(unread)
+    return sorted(
+        f"{record}.{field}"
+        for record, fields in record_fields(modules).items()
+        for field in fields
+        if field not in read
+    )
 
 
 def _readers(modules):
     return [*modules.values(), *(path.read_text() for path in BENCH_SOURCES)]
 
 
-def test_every_dataclass_field_is_read():
+def test_record_rule_finds_every_record():
+    records = record_fields(_package())
+    assert set(records) == {f"{module}.{name}" for module in RECORDS for name in RECORDS[module]}
+    # The checked subclasses carry their bases' fields, so the field rule covers them too.
+    assert records["codec.SwitchPair"] == ["s1", "s2"]
+    assert records["codec.KShotCode"][:2] == ["k", "switches"]
+
+
+def test_every_record_field_is_read():
     assert len(BENCH_SOURCES) > 3, "the benchmark sources were not found"
     modules = _package()
     unread = set(unread_fields(modules, _readers(modules)))
@@ -196,13 +237,86 @@ def test_every_dataclass_field_is_read():
 def test_unread_field_rule_flags_a_planted_field():
     modules = _package()
     modules["nfc"] += (
-        "\n\n@dataclass(frozen=True)\nclass _Probe:\n    read: int\n    planted: int\n"
+        "\n\nclass _Probe(NamedTuple):\n    read: int\n    planted: int\n"
         "    # planted in a comment\n\n\n"
+        "class _CheckedFields(NamedTuple):\n    read: int\n    unchecked: int\n\n\n"
+        "class _Checked(_CheckedFields):\n    __slots__ = ()\n\n"
+        "    def __new__(cls, read, unchecked):\n"
+        "        return super().__new__(cls, read, unchecked)\n\n\n"
         "def _use(probe):\n    text = 'probe.planted'\n    probe.planted = len(text)\n"
-        "    return _Probe(read=probe.read, planted=probe.read)\n"
+        "    return _Probe(read=probe.read, planted=probe.read), _Checked(1, unchecked=2)\n"
     )
     before = set(unread_fields(_package(), _readers(_package())))
-    assert set(unread_fields(modules, _readers(modules))) - before == {"nfc._Probe.planted"}
+    planted = set(unread_fields(modules, _readers(modules))) - before
+    assert planted == {"nfc._Probe.planted", "nfc._Checked.unchecked"}
+
+
+def dataclasses_imports(modules):
+    """module:line of each import of the dataclasses module.
+
+    Each @dataclass call generates its methods through exec at every import of
+    the package: 0.6-0.85 ms per class on a 2-CPU shared host with Python 3.11,
+    where a NamedTuple class takes about an eighth of that.
+    """
+    sites = []
+    for module, text in modules.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                sites.append(f"{module}:{node.lineno}")
+    return sites
+
+
+def test_no_module_imports_dataclasses():
+    assert dataclasses_imports(_package()) == [], "make the record a typing.NamedTuple"
+
+
+def test_dataclasses_rule_flags_a_new_import():
+    modules = _package()
+    modules["nfc"] += (
+        "\n\n# from dataclasses import dataclass\n"
+        "TEXT = 'import dataclasses'\n"
+        "from dataclasses import dataclass as _dc\n"
+        "\n\ndef _fields(record):\n    import dataclasses\n\n"
+        "    return dataclasses.fields(record), _dc, TEXT\n"
+    )
+    lines = len(modules["nfc"].splitlines())
+    assert dataclasses_imports(modules) == [f"nfc:{lines - 6}", f"nfc:{lines - 2}"]
+
+
+def test_cold_import_loads_no_dataclasses_and_builds_records_as_tuples():
+    # A fresh interpreter that compiles every module anew, as one that cannot
+    # write bytecode caches does.
+    paths = [str(SOURCES[0].parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    code = (
+        "import sys\n"
+        "loaded = ['dataclasses' in sys.modules]\n"
+        "import numpy\n"
+        "loaded.append('dataclasses' in sys.modules)\n"
+        "import zefc.cli\n"
+        f"records = {RECORDS!r}\n"
+        "print(*loaded, 'dataclasses' in sys.modules)\n"
+        "for module, names in records.items():\n"
+        "    for name in names:\n"
+        "        cls = getattr(sys.modules['zefc.' + module], name)\n"
+        "        fields = getattr(cls, '_fields', None)\n"
+        "        print(module, name, issubclass(cls, tuple), isinstance(fields, tuple))\n"
+    )
+    argv = [sys.executable, "-c", code]
+    run = subprocess.run(argv, capture_output=True, text=True, env=env, check=True)
+    lines = run.stdout.splitlines()
+    if lines[0].startswith(("True", "False True")):
+        pytest.skip("the interpreter or numpy loads dataclasses by itself")
+    assert lines[0] == "False False False", "importing zefc.cli loaded dataclasses"
+    want = [f"{module} {name} True True" for module, names in RECORDS.items() for name in names]
+    assert lines[1:] == want
 
 
 def float_tolerances(modules):
