@@ -323,8 +323,8 @@ def run_criterion_8():
             wide, narrow = packing_sizes(k, caps)
             code = KShotCode(k, SwitchPair(1, 1), None, None, None, wide, narrow, "packing11")
             acct = rate_account(code, caps)
-            need = total * acct.n
-            if log2_3_sign(need, -k) < 0:  # 2^need < 3^k
+            # 2^((c1 + c2) * n) < 3^k, both exponents times the denominator of c1 + c2.
+            if log2_3_sign(total.numerator * acct.n, -k * total.denominator) < 0:
                 failures.append(f"packing budget fails at caps ({c1s},{c2s}) k={k}")
     details = {"coloring_pairs_k2": "prefixes plus split picks", "packing_k_max": 64}
     return failures, details

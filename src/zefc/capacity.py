@@ -8,6 +8,7 @@ from .codec import (
     build_packing_code_11,
     build_split_code_01,
     lift_code,
+    packing_uses,
     rate_account,
 )
 from .errors import ZefcError
@@ -75,7 +76,10 @@ def capacity(switches, caps, witness_k=None):
     code = construct_for_case(switches, witness_k, caps)
     rate = rate_account(code, caps).rate
     achieved = float(rate)
-    n = least_converse_uses(switches, caps, witness_k)
+    if switches.as_string() == "11":
+        n = packing_uses(witness_k, caps)[0]
+    else:
+        n = least_converse_uses(switches, caps, witness_k)
     converse = witness_k / n
     alpha, beta = capacity_pair(switches, caps)
     # rate > alpha / log2(3) + beta exactly when (rate - beta) * log2(3) - alpha > 0.

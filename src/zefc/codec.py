@@ -160,7 +160,7 @@ class KShotCode(_KShotCode):
             if (
                 table is None
                 or table.shape != shape
-                or not np.issubdtype(table.dtype, np.integer)
+                or table.dtype.kind not in "iu"
                 or table.min() < 0
                 or table.max() >= top
             ):
@@ -272,12 +272,15 @@ def lift_code(code, switches):
     )
 
 
-def packing_sizes(k, caps):
-    """Image sizes (wide, narrow) of the case-11 packing code at block length k.
+def packing_uses(k, caps):
+    """n*(k) in case 11, and the packing code's image sizes (wide, narrow) there.
 
-    n starts at the least number of uses that carries 3^k over both channels. The
-    narrow image is the most that n uses of c2 carry, at most 3^k, and the wide
-    image 3^k over it rounded up; n grows until the wide image fits n uses of c1.
+    n*(k) is the least n with floor(2^(n*c1)) * floor(2^(n*c2)) >= 3^k: the decoder
+    reads one label pair and x + y takes 3^k values, so no case-11 code uses fewer.
+    n starts at least_uses(3^k, c1 + c2), as the product is at most 2^(n*(c1+c2)).
+    The narrow image is floor(2^(n*c2)), at most 3^k, and the wide image 3^k over
+    it rounded up; floor(2^(n*c1)) reaches the wide image exactly when 2^(n*c1)
+    does, which least_uses settles, so n grows until the wide image fits.
     """
     if k < 1:
         raise ZefcError("bad_k", "block length must be at least 1", k=k)
@@ -297,8 +300,13 @@ def packing_sizes(k, caps):
         narrow = total if narrow_uses <= n else exact_pow2_floor(n, caps.c2)
         wide = -(-total // narrow)
         if least_uses(wide, caps.c1) <= n:
-            return wide, narrow
+            return n, wide, narrow
         n += 1
+
+
+def packing_sizes(k, caps):
+    """Image sizes (wide, narrow) of the case-11 packing code at block length k."""
+    return packing_uses(k, caps)[1:]
 
 
 def build_packing_code_11(k, caps):

@@ -58,15 +58,17 @@ def log2_3_sign(p, q):
     irrational, so the sign is 0 only at a = b = 0, and a bracket fine enough
     always settles it.
     """
-    a, b = _integers(p, q)
+    a, b = (p, q) if type(p) is type(q) is int else _integers(p, q)
     if _sign(a) * _sign(b) >= 0:
         return _sign(a) or _sign(b)
+    # 1 < log2(3) < 2: the sign is a's when |a| >= 2|b|, and b's when |a| <= |b|.
+    if not abs(b) < abs(a) < 2 * abs(b):
+        return _sign(a) if abs(a) > abs(b) else _sign(b)
     if abs(a) + abs(b) <= MAX_POWER_EXPONENT:
         return _sign(a) if 1 << abs(a) > 3 ** abs(b) else -_sign(a)
     digits = _digits(abs(a) + abs(b))
     while True:
-        bounds = log2_3_bounds(digits)
-        low, high = (_sign(a * end.denominator + b * end.numerator) for end in bounds)
+        low, high = (_sign(a * e.denominator + b * e.numerator) for e in log2_3_bounds(digits))
         if low == high:
             return low
         digits *= 2
@@ -172,6 +174,4 @@ def cutset_bound_formula(caps):
     """Closed form of the cut-set bound over the network family, for integer caps."""
     c1, c2 = int(caps.c1), int(caps.c2)
     # c1 <= c2 / (log2 3 - 1) exactly when c1 * log2(3) <= c1 + c2.
-    if log2_3_sign(c1 + c2, -c1) >= 0:
-        return float(c1)
-    return (c1 + c2) / LOG2_3
+    return float(c1) if log2_3_sign(c1 + c2, -c1) >= 0 else (c1 + c2) / LOG2_3

@@ -58,8 +58,8 @@ class Network(NamedTuple):
         return _edges(self)
 
     def in_edges(self, node):
-        bundles = [b for b, (_, _, head) in enumerate(LAYOUT) if head == node]
-        return tuple(eid for b in bundles for eid in _bundle_ids(self, b, self.sizes[b]))
+        """Ids of the edges into node, in layout order; cached like edges."""
+        return _in_edges(self, node)
 
 
 def _bundle_ids(net, bundle, count):
@@ -69,10 +69,16 @@ def _bundle_ids(net, bundle, count):
     return tuple(f"{letter}{first + i}" for i in range(1, count + 1))
 
 
-# A network equals the tuple (c1, c2), so this caches the edges per cap pair.
+# A network equals the tuple (c1, c2), so these cache the edges per cap pair.
 @functools.lru_cache(maxsize=64)
 def _edges(net):
     return tuple(eid for b, size in enumerate(net.sizes) for eid in _bundle_ids(net, b, size))
+
+
+@functools.lru_cache(maxsize=256)
+def _in_edges(net, node):
+    bundles = [b for b, (_, _, head) in enumerate(LAYOUT) if head == node]
+    return tuple(eid for b in bundles for eid in _bundle_ids(net, b, net.sizes[b]))
 
 
 class CutClassification(NamedTuple):
@@ -132,11 +138,8 @@ def build_network(caps):
         raise ZefcError("bad_caps", "edge multiplicities must be integers", caps=caps.as_strings())
     net = Network(c1=int(caps.c1), c2=int(caps.c2))
     if sum(net.sizes) > MAX_NETWORK_EDGES:
-        raise ZefcError(
-            "too_many_edges",
-            f"networks are limited to {MAX_NETWORK_EDGES} edges",
-            edges=sum(net.sizes),
-        )
+        message = f"networks are limited to {MAX_NETWORK_EDGES} edges"
+        raise ZefcError("too_many_edges", message, edges=sum(net.sizes))
     return net
 
 
@@ -333,21 +336,54 @@ def _bits_for(count):
     return (count - 1).bit_length() if count > 1 else 0
 
 
+def _dense_rank(values):
+    """Each value's rank among the distinct values, ascending, and their count: one argsort."""
+    order = np.argsort(values)
+    run, ranks = values[order], np.zeros(values.size, dtype=np.int64)
+    np.cumsum(run[1:] != run[:-1], out=ranks[1:])
+    dense = np.empty_like(ranks)
+    dense[order] = ranks
+    return dense, int(ranks[-1]) + 1
+
+
+def _offsets(table, bound):
+    """A table's entries less their least, as int64, and their span; ranked past bound.
+
+    The subtraction runs in the table's dtype and is read back unsigned, so it stays
+    exact for uint64 entries at or above 2^63 and for signed spans past the dtype.
+    """
+    column = table.ravel()
+    lo = column.min()
+    span = int(column.max()) - int(lo) + 1
+    if span > bound:
+        return _dense_rank(column)
+    if lo:
+        column = (column - lo).view(f"u{column.itemsize}")
+    return column.astype(np.int64, copy=False), span
+
+
+def _fold(columns, bound):
+    """One int64 key per position, equal where the (offsets, span) columns' tuples are.
+
+    key = key * span + offsets, ranked densely whenever the product of spans would
+    reach 2^62 and at the end if it exceeds bound, so the key stays below bound.
+    """
+    key, span = columns[0]
+    for offsets, width in columns[1:]:
+        if span * width >= 1 << 62:
+            key, span = _dense_rank(key)
+        key, span = key * width + offsets, span * width
+    return _dense_rank(key) if span > bound else (key, span)
+
+
 def _tuple_ids(symbols, ids):
     """Number of the tuple of symbols the edges carry at each (x, y), x major.
 
-    Tuples are numbered in order of first appearance. One lexsort over the edges'
-    columns puts equal tuples next to each other; a new number starts wherever
-    any column changes, so the numbers stay below 4^k whatever the symbols are.
+    Tuples are numbered in order of first appearance of their folded key, so the
+    numbers stay below 4^k whatever the symbols are.
     """
-    columns = [symbols[eid].ravel() for eid in ids]
-    order = np.lexsort(columns)
-    change = np.zeros(order.size, dtype=bool)
-    for column in columns:
-        run = column[order]
-        change[1:] |= run[1:] != run[:-1]
-    key = np.empty(order.size, dtype=np.int64)
-    key[order] = np.cumsum(change)
+    bound = 4 * symbols[ids[0]].size
+    key, _ = _fold([_offsets(symbols[eid], bound) for eid in ids], bound)
     return np.take(first_seen(key)[0], key)
 
 
@@ -357,45 +393,42 @@ def make_network_code(net, k, symbols, output):
     Each edge needs a (2^k, 2^k) integer table that its tail can compute, and the
     sink's output, the sum it decodes at each (x, y), one the sink can compute. A
     node computes a table that is a function of what it sees: x at s1, y at s2,
-    and the symbols on its in-edges at any other node.
+    and at any other node the symbols on its in-edges, folded into one key below 4^(k+1).
     """
     if k > MAX_EXHAUSTIVE_K:
         raise ZefcError("k_too_large", f"network codes are limited to k<={MAX_EXHAUSTIVE_K}", k=k)
-    size = 1 << k
-    edges = net.edges
+    size, edges = 1 << k, net.edges
     tails = [tail for (_, tail, _), count in zip(LAYOUT, net.sizes) for _ in range(count)]
     # (name, the node that computes it, table): every edge, then the sink's output.
     tables = [*zip(edges, tails, map(symbols.get, edges)), (SINK, SINK, output)]
     for name, _, table in tables:
-        if (
-            not isinstance(table, np.ndarray)
-            or table.shape != (size, size)
-            or not np.issubdtype(table.dtype, np.integer)
-        ):
-            raise ZefcError(
-                "bad_network_code",
-                f"each edge and the sink's output need a {size}x{size} integer table",
-                table=name,
-            )
-    words = np.arange(size)
-    # What each node sees at each (x, y), x major, as numbers: s1 sees x and s2 sees y.
-    seen = {"s1": np.repeat(words, size), "s2": np.tile(words, size)}
+        shaped = isinstance(table, np.ndarray) and table.shape == (size, size)
+        if not shaped or table.dtype.kind not in "iu":
+            message = f"each edge and the sink's output need a {size}x{size} integer table"
+            raise ZefcError("bad_network_code", message, table=name)
+    bound = 4 * size * size
+    offsets = {eid: _offsets(symbols[eid], bound) for eid in edges}
+    keys = {v: _fold([offsets[eid] for eid in net.in_edges(v)], bound) for v in ("v1", "v2", SINK)}
     for name, node, table in tables:
-        if node not in seen:
-            seen[node] = _tuple_ids(symbols, net.in_edges(node))
-        feed, column = seen[node], table.ravel()
-        # The table is computable iff it holds one value per value its node sees.
-        value = np.empty(int(feed.max()) + 1, dtype=column.dtype)
-        value[feed] = column
-        if (value[feed] != column).any():
+        if node == "s1":  # one value per row
+            computable = (table == table[:, :1]).all()
+        elif node == "s2":  # one value per column
+            computable = (table == table[:1]).all()
+        else:  # one value per key
+            (key, span), column = keys[node], table.ravel()
+            value = np.empty(span, dtype=column.dtype)
+            value[key] = column
+            computable = not (value[key] != column).any()
+        if not computable:
             raise ZefcError("bad_network_code", "a table must follow from what its node sees", table=name)
-    return KShotNetworkCode(
-        network=net,
-        k=k,
-        symbols={eid: symbols[eid] for eid in edges},
-        output=output,
-        n=max(_bits_for(distinct(symbols[eid]).size) for eid in edges),
-    )
+    # n is the most bits an edge's distinct symbols need. They are at most its span,
+    # so edges are counted widest first, until no later one could need more.
+    n = 0
+    for column, span in sorted(offsets.values(), key=lambda pair: -pair[1]):
+        if _bits_for(span) <= n:
+            break
+        n = max(n, _bits_for(int(np.count_nonzero(np.bincount(column)))))
+    return KShotNetworkCode(net, k, {eid: symbols[eid] for eid in edges}, output, n)
 
 
 def transform_code(code, caps):
@@ -405,11 +438,8 @@ def transform_code(code, caps):
     encoder 1's label and the v2->rho edges chunks of encoder 2's label.
     """
     if code.switches.as_string() != "01":
-        raise ZefcError(
-            "bad_switches",
-            "only case-01 codes have a network form",
-            switches=code.switches.as_string(),
-        )
+        message = "only case-01 codes have a network form"
+        raise ZefcError("bad_switches", message, switches=code.switches.as_string())
     if code.k > MAX_EXHAUSTIVE_K:
         raise ZefcError("k_too_large", f"network codes are limited to k<={MAX_EXHAUSTIVE_K}", k=code.k)
     net = build_network(caps)
@@ -420,20 +450,15 @@ def transform_code(code, caps):
     phi2 = np.broadcast_to(code.phi2[:1], (size, size))
     realized = (distinct(code.phi1).size, distinct(phi2[0]).size)
     if realized != (code.im1, code.im2):
-        raise ZefcError(
-            "bad_image_count",
-            "declared image sizes disagree with the realized encoder images",
-            realized=realized,
-        )
+        message = "declared image sizes disagree with the realized encoder images"
+        raise ZefcError("bad_image_count", message, realized=realized)
     word_chunks = _chunk_layout(k, net.c1)
     label1_chunks = _chunk_layout(_bits_for(code.im1), net.c1)
     label2_chunks = _chunk_layout(_bits_for(code.im2), net.c2)
     if max(w for _, w in label1_chunks) > acct.n1 or max(w for _, w in label2_chunks) > acct.n2:
         raise ZefcError("image_over_budget", "encoder image does not fit the channel bundle")
 
-    words = np.arange(size)
-    x = np.broadcast_to(words[:, None], (size, size))
-    y = np.broadcast_to(words[None, :], (size, size))
+    x, y = np.indices((size, size))
     symbols = {}
     for b, (values, chunks) in enumerate(
         zip((x, y, y, code.phi1, phi2), (word_chunks,) * 3 + (label1_chunks, label2_chunks))
@@ -443,12 +468,8 @@ def transform_code(code, caps):
     # The sink's symbols spell out the label pair, which decodes through psi.
     ncode = make_network_code(net, k, symbols, code.psi[code.phi1, phi2])
     if ncode.n != acct.n:
-        raise ZefcError(
-            "transform_rate_mismatch",
-            "network and distributed use counts disagree",
-            network=ncode.n,
-            distributed=acct.n,
-        )
+        message = "network and distributed use counts disagree"
+        raise ZefcError("transform_rate_mismatch", message, network=ncode.n, distributed=acct.n)
     return ncode
 
 
@@ -477,16 +498,7 @@ def inverse_transform(ncode):
     # but a code changed through _replace, or built directly, skips that check.
     if (psi[phi1, phi2] != ncode.output).any():
         raise ZefcError("bad_network_code", "the sink's output must follow from the label pair")
-    return KShotCode(
-        k=ncode.k,
-        switches=SwitchPair(0, 1),
-        phi1=phi1,
-        phi2=phi2,
-        psi=psi,
-        im1=psi.shape[0],
-        im2=psi.shape[1],
-        name="inverse-transform",
-    )
+    return KShotCode(ncode.k, SwitchPair(0, 1), phi1, phi2, psi, *psi.shape, "inverse-transform")
 
 
 def nontightness_report(caps):
@@ -496,26 +508,11 @@ def nontightness_report(caps):
     bound = guang_bound(net)
     formula = cutset_bound_formula(caps)
     if bound.value != formula:
-        raise ZefcError(
-            "bound_mismatch",
-            "enumerated bound disagrees with the closed form",
-            enumerated=bound.value,
-            formula=formula,
-        )
+        message = "enumerated bound disagrees with the closed form"
+        raise ZefcError("bound_mismatch", message, enumerated=bound.value, formula=formula)
     gap = bound.value - cap_value
     if (gap > 0) != (caps.c1 > caps.c2):
-        raise ZefcError(
-            "gap_sign_mismatch",
-            "the bound must exceed the capacity exactly when c1 > c2",
-            gap=gap,
-            caps=caps.as_strings(),
-        )
-    return NontightnessReport(
-        capacity=cap_value,
-        bound_enum=bound.value,
-        bound_formula=formula,
-        witness_cut=bound.witness,
-        witness_ncf=bound.witness_ncf,
-        gap=gap,
-        edges=sum(net.sizes),
-    )
+        message = "the bound must exceed the capacity exactly when c1 > c2"
+        raise ZefcError("gap_sign_mismatch", message, gap=gap, caps=caps.as_strings())
+    witness = (bound.witness, bound.witness_ncf)
+    return NontightnessReport(cap_value, bound.value, formula, *witness, gap, sum(net.sizes))

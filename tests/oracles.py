@@ -96,6 +96,27 @@ def converse_uses_float(case, c1, c2, k):
     return k * LOG2_3 / ((c1 - c2) + c2 * LOG2_3)
 
 
+def packing_uses_oracle(k, c1, c2):
+    """Least n >= 1 with floor(2^(n*c1)) * floor(2^(n*c2)) >= 3^k, one n at a time.
+
+    floor(2^(n*p/q)) is the largest integer m with m^q <= 2^(n*p), found by
+    bisection. c1 and c2 are exact rationals.
+    """
+
+    def floor_pow2(n, cap):
+        p, q = cap.numerator, cap.denominator
+        lo, hi = 1, 2 ** (n * p // q + 1)  # m^q <= 2^(n*p) holds at lo and fails at hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if mid**q <= 2 ** (n * p) else (lo, mid)
+        return lo
+
+    n = 1
+    while floor_pow2(n, c1) * floor_pow2(n, c2) < 3**k:
+        n += 1
+    return n
+
+
 def split_index_powers(k, c1, c2, max_exponent=1 << 20):
     """Least k1 >= 1 with 3^(k1*c2) >= 2^((c1-c2)(k-k1)), by powers of 2 and 3; None if costly.
 
@@ -664,3 +685,27 @@ def network_admissible_oracle(k, sink_tables, decoder):
             if decoder.get(symbols) != want:
                 return False
     return True
+
+
+def first_uncomputable_table(k, edges, tables):
+    """Name of the first table its node cannot compute, or None, one (x, y) pair at a time.
+
+    edges is net_edges' list of (id, tail, head); tables lists (name, node, table)
+    in check order, each table as nested lists over (x, y), with every edge's own
+    table among them under its id. A node computes a table when equal views carry
+    equal values: s1 sees x, s2 sees y, and any other node the tuple of symbols on
+    its in-edges.
+    """
+    symbols = {name: table for name, _, table in tables}
+    for name, node, table in tables:
+        ins = [eid for eid, _, head in edges if head == node]
+        value_at = {}
+        for x in range(1 << k):
+            for y in range(1 << k):
+                if node in NET_SOURCES:
+                    view = x if node == "s1" else y
+                else:
+                    view = tuple(symbols[eid][x][y] for eid in ins)
+                if value_at.setdefault(view, table[x][y]) != table[x][y]:
+                    return name
+    return None

@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import converse_envelope
+from oracles import converse_envelope, packing_uses_oracle
 from zefc import capacity as capacity_module
-from zefc.capacity import capacity, construct_for_case
-from zefc.codec import ChannelCaps, KShotCode, SwitchPair, rate_account
+from zefc.capacity import capacity, construct_for_case, least_converse_uses
+from zefc.codec import ChannelCaps, KShotCode, SwitchPair, packing_sizes, packing_uses, rate_account
 from zefc.errors import ZefcError
 
 LOG2_3 = math.log2(3)
@@ -78,6 +78,38 @@ def test_witness_above_the_bound_is_refused(monkeypatch):
     with pytest.raises(ZefcError) as err:
         capacity(*query("01", 2, 1), witness_k=100)
     assert err.value.code == "degenerate_code"
+
+
+# Item 8's grid: every pair c2 <= c1 <= 4 of caps with denominators up to 4.
+GRID_CAPS = sorted({Fraction(p, q) for q in range(1, 5) for p in range(1, 4 * q + 1)})
+GRID_PAIRS = [ChannelCaps(c1, c2) for c1 in GRID_CAPS for c2 in GRID_CAPS if c2 <= c1]
+
+
+def test_case_11_converse_is_the_least_packing_uses():
+    assert len(GRID_PAIRS) == 300
+    eleven, above = SwitchPair(1, 1), 0
+    for caps in GRID_PAIRS:
+        for k in range(1, 13):
+            want = packing_uses_oracle(k, caps.c1, caps.c2)
+            n, wide, narrow = packing_uses(k, caps)
+            assert n == want and (wide, narrow) == packing_sizes(k, caps), (caps, k)
+            # The packing code's images need exactly n*(k) uses.
+            code = KShotCode(k, eleven, None, None, None, wide, narrow, "packing11")
+            assert wide * narrow >= 3**k and rate_account(code, caps).n == want, (caps, k)
+            floor = least_converse_uses(eleven, caps, k)
+            assert want >= floor, (caps, k)
+            above += want > floor
+    assert above > 100
+
+
+def test_case_11_converse_counts_whole_labels():
+    # floor(2^2.5)^2 = 25 < 27, so k = 3 at caps (1/4, 1/4) needs 11 uses, not 10.
+    got = capacity(*query("11", "1/4", "1/4"), witness_k=3)
+    assert least_converse_uses(SwitchPair(1, 1), ChannelCaps.of("1/4", "1/4"), 3) == 10
+    assert got.converse_bound == got.achievable_witness == 3 / 11
+    # A cap far past 3^k settles the count with least_uses alone.
+    got = capacity(*query("11", "1e30", "1/64"), witness_k=10**4)
+    assert got.converse_bound == got.achievable_witness == 10**4
 
 
 def test_converse_envelope_minimum_is_k_over_capacity():

@@ -98,6 +98,25 @@ def test_nudged_log2_3_flips_a_convergent(monkeypatch):
     assert _convergent_mismatches() == []
 
 
+def test_sign_on_the_bracket_lines_of_1_lt_log2_3_lt_2():
+    # 1 < log2(3) < 2 settles |a| >= 2|b| (a's sign) and |a| <= |b| (b's sign) with
+    # no power; one step inside either line the power or decimal path decides.
+    checked = 0
+    for exponent in range(41):
+        for b in {1, 2, 3, 10**exponent, 10**exponent + 7, 3 * 10**exponent // 7 + 1}:
+            for a in (b - 1, b, b + 1, 2 * b - 1, 2 * b, 2 * b + 1):
+                for sa, sb in ((1, -1), (-1, 1)):
+                    p, q = sa * a, sb * b
+                    want = _decimal_sign(p, q)
+                    assert log2_3_sign(p, q) == want, (p, q)
+                    # The same sign with one or both arguments a Fraction of denominator 3.
+                    assert log2_3_sign(Fraction(3 * p, 3), q) == want, (p, q)
+                    assert log2_3_sign(Fraction(p, 3), Fraction(q, 3)) == want, (p, q)
+                    assert log2_3_sign(p, Fraction(3 * q, 3)) == want, (p, q)
+                    checked += 1
+    assert checked > 1200
+
+
 def test_least_integer_brackets_its_root():
     for p0, q0, p1, q1 in [(0, -5, 1, 0), (-7, 0, 1, 1), (3, -100, Fraction(1, 3), 2), (0, 0, 0, 1)]:
         n = least_integer(p0, q0, p1, q1)

@@ -11,6 +11,7 @@ from oracles import (
     class_count_oracle,
     classify,
     first_seen_tuples,
+    first_uncomputable_table,
     guang_bound_oracle,
     guang_state_scan,
     net_edges,
@@ -31,6 +32,7 @@ from zefc.nfc import (
     _KEY_ROWS,
     LAYOUT,
     MAX_NETWORK_EDGES,
+    SINK,
     Network,
     _bundle_ids,
     _least_ratio,
@@ -535,6 +537,121 @@ def test_tuple_ids_match_first_seen_oracle():
             symbols = {eid: rows[:, i].reshape(size, size) for i, eid in enumerate(edges)}
             want_ids, _ = first_seen_tuples(rows.T.tolist())
             assert _tuple_ids(symbols, edges).tolist() == want_ids, (k, width)
+
+
+# Symbols that reach their dtype's extremes: int64 and int8 ends, uint64 values at
+# or above 2^63, and a pair 2^63 apart, so one column alone spans 2^62 or more.
+PALETTES = (
+    (np.int64, [-(1 << 63), -(1 << 63) + 1, -1, 0, (1 << 63) - 1]),
+    (np.uint64, [0, 1 << 63, (1 << 64) - 1, (1 << 63) + 5]),
+    (np.int8, [-128, -1, 0, 127]),
+    (np.uint8, [0, 1, 255]),
+    (np.int64, [-(1 << 62), 1 << 62]),
+    (np.int16, [-3, 0, 2]),
+)
+
+
+def _view_tables(rng, net, k, plant, palettes=PALETTES):
+    """(name, node, table) in check order, each table a random function of its node's view.
+
+    At node plant, the first table then gets one entry changed where an earlier
+    (x, y) shares the view, so that table alone is not computable; plant None, or
+    a node where no two (x, y) share a view, changes nothing. Returns the tables
+    and the name of the changed table, or None.
+    """
+    size, tables, planted, symbols = 1 << k, [], None, {}
+    for name, node, _ in _check_order(net):
+        dtype, palette = palettes[rng.integers(len(palettes))]
+        ins = net.in_edges(node) if node not in ("s1", "s2") else ()
+        views = [
+            x if node == "s1" else y if node == "s2" else tuple(symbols[e][x][y] for e in ins)
+            for x in range(size)
+            for y in range(size)
+        ]
+        value_of = {view: palette[rng.integers(len(palette))] for view in views}
+        flat = [value_of[view] for view in views]
+        if node == plant and planted is None:
+            first = {}
+            for i, view in enumerate(views):
+                j = first.setdefault(view, i)
+                if j != i:
+                    flat[i] = next(v for v in palette if v != flat[j])
+                    planted = name
+                    break
+        table = np.array(flat, dtype=dtype).reshape(size, size)
+        symbols[name] = table.tolist()
+        tables.append((name, node, table))
+    return tables, planted
+
+
+def _check_order(net):
+    """(name, node that computes it, head) of every edge, then of the sink's output."""
+    return [*_layout_edges(net), (SINK, SINK, None)]
+
+
+def _oracle_verdict(net, k, tables):
+    nested = [(name, node, table.tolist()) for name, node, table in tables]
+    return first_uncomputable_table(k, _layout_edges(net), nested)
+
+
+def _verdict(net, k, tables):
+    """The table make_network_code refuses, or None and the code it builds."""
+    symbols = {name: table for name, _, table in tables[:-1]}
+    try:
+        return None, make_network_code(net, k, symbols, tables[-1][2])
+    except ZefcError as err:
+        assert err.code == "bad_network_code"
+        return err.payload()["details"]["table"], None
+
+
+def test_network_code_checks_match_a_view_oracle():
+    rng = np.random.default_rng(20261022)
+    planted_at = set()
+    for c1, c2 in ((1, 1), (2, 1), (2, 2), (3, 1)):
+        net = build_network(ChannelCaps.of(c1, c2))
+        for k in (1, 2, 3):
+            for plant in (None, "s1", "s2", "v1", "v2", SINK):
+                for _ in range(3):
+                    tables, planted = _view_tables(rng, net, k, plant)
+                    name, code = _verdict(net, k, tables)
+                    assert name == planted == _oracle_verdict(net, k, tables), (c1, c2, k, plant)
+                    if planted:
+                        planted_at.add(plant)
+                        continue
+                    counts = [len(set(t.ravel().tolist())) for _, _, t in tables[:-1]]
+                    assert code.n == max((c - 1).bit_length() for c in counts)
+                    for node in ("v1", "v2", SINK):
+                        ids = net.in_edges(node)
+                        columns = [code.symbols[eid].ravel().tolist() for eid in ids]
+                        got = _tuple_ids(code.symbols, ids)
+                        assert got.tolist() == first_seen_tuples(columns)[0]
+                        assert int(got.max()) < 4**k
+            # Tables drawn with no regard to views: the refusal names the oracle's table.
+            for _ in range(4):
+                tables = []
+                for name, node, _ in _check_order(net):
+                    dtype, palette = PALETTES[rng.integers(len(PALETTES))]
+                    table = rng.choice(np.array(palette, dtype=dtype), (1 << k, 1 << k))
+                    tables.append((name, node, table))
+                assert _verdict(net, k, tables)[0] == _oracle_verdict(net, k, tables), (c1, c2, k)
+    assert planted_at == {"s1", "s2", "v1", "v2", SINK}
+    # Twelve columns into v1 of N(6,1), each spanning 4 * 4^k = 64 at k = 2, so the
+    # product of their spans passes 2^62 and the key is ranked densely on the way.
+    net = build_network(ChannelCaps.of(6, 1))
+    for plant in (None, "v1", SINK):
+        tables, planted = _view_tables(rng, net, 2, plant, ((np.int32, [-40, 0, 23]),))
+        assert _verdict(net, 2, tables)[0] == planted == _oracle_verdict(net, 2, tables), plant
+        ids = net.in_edges("v1")
+        symbols = {name: table for name, _, table in tables}
+        columns = [symbols[eid].ravel().tolist() for eid in ids]
+        assert _tuple_ids(symbols, ids).tolist() == first_seen_tuples(columns)[0]
+    # The same spans where only the first column tells the tuples apart: a key that
+    # wrapped past 2^64 instead of being ranked would lose it.
+    first = rng.choice([-40, 0, 23], 16)
+    rest = [-40] + [23] * 15
+    columns = [first.tolist(), *[rest] * 11]
+    symbols = {f"e{i}": np.array(c, dtype=np.int32).reshape(4, 4) for i, c in enumerate(columns)}
+    assert _tuple_ids(symbols, list(symbols)).tolist() == first_seen_tuples(columns)[0]
 
 
 def test_narrow_tables_with_a_full_byte_of_tuples_at_a_node():
